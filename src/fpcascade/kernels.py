@@ -30,6 +30,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 1.0 / 9007199254740992.0  # 2**-53
+_S11, _S27, _S30, _S31 = (np.uint64(b) for b in (11, 27, 30, 31))
 
 _flag = os.environ.get("FPCASCADE_NUMBA", "auto").strip().lower()
 if _flag in ("0", "off", "false", "no"):
@@ -293,17 +294,62 @@ def path_stream_states_numpy(master_seed, n_paths):
     return splitmix64_mix_numpy(np.uint64(master_seed) + p * _GOLDEN)
 
 
-def bm_normals_numpy(states, k, out):
-    """k-th standard normal of every substream (Box-Muller, fresh pair)."""
-    mask = (1 << 64) - 1
-    golden = int(_GOLDEN)
-    off1 = np.uint64(((2 * int(k) + 1) * golden) & mask)  # wraparound in python ints
-    off2 = np.uint64(((2 * int(k) + 2) * golden) & mask)
-    u1 = splitmix64_mix_numpy(states + off1)
-    u2 = splitmix64_mix_numpy(states + off2)
-    f1 = ((u1 >> np.uint64(11)).astype(np.float64) + 1.0) * _U53  # (0, 1]
-    f2 = (u2 >> np.uint64(11)).astype(np.float64) * _U53  # [0, 1)
-    out[:] = np.sqrt(-2.0 * np.log(f1)) * np.cos(2.0 * np.pi * f2)
+def normals_scratch(size):
+    """Work buffers for ``bm_normals`` calls that fill at most ``size`` normals."""
+    return np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64), np.empty(size)
+
+
+def _rows(states, out):
+    """``out`` as a (B, n) view: normal k+b of every substream in row b."""
+    rows = out if out.ndim == 2 else out[np.newaxis]
+    if rows.shape[1] != states.shape[0]:
+        raise ValueError(f"out holds {rows.shape[1]} normals per step, expected {states.shape[0]}")
+    return rows
+
+
+def _uniform_bits(states, first, tmp, u):
+    """Top 53 bits of stream output ``first + 2b`` of every substream, into row b of u."""
+    offsets = np.arange(first, first + 2 * u.shape[0], 2, dtype=np.uint64)
+    offsets *= _GOLDEN  # uint64 arrays wrap mod 2**64 like the stream, without a warning
+    np.add(states, offsets[:, np.newaxis], out=u)
+    for shift, mult in ((_S30, _MIX1), (_S27, _MIX2)):
+        np.right_shift(u, shift, out=tmp)
+        np.bitwise_xor(u, tmp, out=u)
+        np.multiply(u, mult, out=u)
+    np.right_shift(u, _S31, out=tmp)
+    np.bitwise_xor(u, tmp, out=u)
+    np.right_shift(u, _S11, out=u)
+
+
+def bm_normals_numpy(states, k, out, scratch=None):
+    """Normals k, k+1, ... of every substream (Box-Muller, fresh pair each).
+
+    ``out`` of shape (n,) receives normal k; of shape (B, n), row b receives
+    normal k+b.  ``scratch`` from ``normals_scratch(out.size)`` or larger is
+    reused instead of allocating work arrays on every call.  Each value goes
+    through the same operations in the same order as the one-normal formula
+    sqrt(-2 log f1) * cos(2 pi f2), so batch size and path grouping leave the
+    bits unchanged.
+    """
+    rows = _rows(states, out)
+    if scratch is None:
+        scratch = normals_scratch(rows.size)
+    u, tmp, f = (buf[: rows.size].reshape(rows.shape) for buf in scratch)
+    _uniform_bits(states, 2 * int(k) + 1, tmp, u)
+    # the values are below 2**53, so the signed cast is exact, and it is
+    # several times faster than numpy's uint64 -> float64 cast
+    rows[...] = u.view(np.int64)
+    rows += 1.0
+    rows *= _U53  # (0, 1]
+    np.log(rows, out=rows)
+    rows *= -2.0
+    np.sqrt(rows, out=rows)
+    _uniform_bits(states, 2 * int(k) + 2, tmp, u)
+    f[...] = u.view(np.int64)
+    f *= _U53  # [0, 1)
+    f *= 2.0 * np.pi
+    np.cos(f, out=f)
+    rows *= f
     return out
 
 
@@ -328,8 +374,15 @@ def _bm_normals_jit(states, k, out):
     return out
 
 
-def bm_normals_numba(states, k, out):
-    return _bm_normals_jit(states, np.uint64(k), out)
+def bm_normals_numba(states, k, out, scratch=None):
+    """Same contract as ``bm_normals_numpy``; ``scratch`` is not needed."""
+    rows = _rows(states, out)
+    # the mod-2**64 wraparound is the stream; without numba the loop runs on
+    # numpy scalars, which would warn about it
+    with np.errstate(over="ignore"):
+        for b in range(rows.shape[0]):
+            _bm_normals_jit(states, np.uint64(int(k) + b), rows[b])
+    return out
 
 
 # public bindings for the selected lane

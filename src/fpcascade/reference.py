@@ -15,6 +15,7 @@ Both start from the family's closed-form density at t0 > 0, the same initial
 data the cascade uses, so all solvers address one initial-value problem.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +145,19 @@ class SampleEnsemble:
         return len(self.positions[0])
 
 
+# em_simulate runs its paths in at most this many chunks, one thread each:
+# the CPUs this process may use
+if hasattr(os, "sched_getaffinity"):
+    _EM_CHUNKS = len(os.sched_getaffinity(0))
+else:
+    _EM_CHUNKS = os.cpu_count() or 1
+# fewer paths per chunk than this run on the calling thread alone
+_EM_MIN_CHUNK = 4096
+# normals drawn per bm_normals call and chunk (steps x paths), which
+# amortises the per-call overhead when chunks are narrow
+_EM_BATCH_NORMALS = 65536
+
+
 def em_simulate(
     drift: DriftSpec,
     d_coeff: float,
@@ -160,6 +174,10 @@ def em_simulate(
     evenly so checkpoints are hit exactly.  Path p draws its initial position
     and all increments from substream mix64(seed + (p+1)*GOLDEN), normal k of
     the path consuming stream outputs 2k+1 and 2k+2 (Box-Muller).
+
+    Paths are independent, so they run in contiguous chunks, one thread per
+    usable CPU (numpy releases the GIL inside the array operations); the
+    result does not depend on the number of chunks.
     """
     if not t0 > 0:
         raise ValueError("t0 must be > 0")
@@ -173,31 +191,82 @@ def em_simulate(
     if checkpoints[0] < t0:
         raise ValueError("checkpoints must be >= t0")
 
-    states = kernels.path_stream_states(seed, n_paths)
-    z = np.empty(n_paths)
-    k = 0  # index of the next normal to consume per path
-    kernels.bm_normals(states, k, z)
-    k += 1
-    mean0, var0 = oracle_moments(drift, d_coeff, lam, t0)
-    xpos = mean0 + np.sqrt(var0) * z
-
     noise_scale = np.sqrt(2.0 * d_coeff)
-    out = []
+    # (checkpoint, steps before it, step size, noise scale of one step)
+    segments = []
     t_now = t0
     for c in checkpoints:
         span = c - t_now
+        n_steps, h, scale = 0, 0.0, 0.0
         if span > 0:
             n_steps = max(int(np.ceil(span / dt - 1e-12)), 1)
             h = span / n_steps
-            sqrt_h = np.sqrt(h)
-            for _ in range(n_steps):
-                kernels.bm_normals(states, k, z)
-                k += 1
-                xpos = xpos + drift.drift_coefficient(xpos, t_now, lam) * h + noise_scale * sqrt_h * z
-                t_now += h
+            scale = noise_scale * np.sqrt(h)
             t_now = c
-        out.append(xpos.copy())
-    return SampleEnsemble(checkpoints=tuple(checkpoints), positions=tuple(out), seed=seed)
+        segments.append((c, n_steps, h, scale))
+    mean0, var0 = oracle_moments(drift, d_coeff, lam, t0)
+
+    states = kernels.path_stream_states(seed, n_paths)
+    positions = np.empty((len(checkpoints), n_paths))
+    n_chunks = max(1, min(_EM_CHUNKS, n_paths // _EM_MIN_CHUNK))
+    bounds = [n_paths * i // n_chunks for i in range(n_chunks + 1)]
+    sd0 = np.sqrt(var0)
+    jobs = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        # work arrays are made here, on the calling thread, so that worker
+        # threads do not grow their own malloc arenas
+        z = np.empty((max(1, _EM_BATCH_NORMALS // (hi - lo)), hi - lo))
+        jobs.append((states[lo:hi], positions[:, lo:hi], z, kernels.normals_scratch(z.size)))
+
+    def run(job):
+        _em_paths(drift, lam, t0, segments, mean0, sd0, *job)
+
+    if n_chunks == 1:
+        run(jobs[0])
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
+            for future in [pool.submit(run, job) for job in jobs]:
+                future.result()
+    return SampleEnsemble(checkpoints=tuple(checkpoints), positions=tuple(positions), seed=seed)
+
+
+def _em_paths(drift, lam, t0, segments, mean0, sd0, states, positions, z, scratch):
+    """Step the paths of ``states`` through ``segments``; row j of
+    ``positions`` receives them at checkpoint j.
+
+    Normals are drawn ``len(z)`` steps per call into ``z``.  The update keeps
+    the order (x + a*h) + (scale*z) of the one-step-at-a-time formula.
+    """
+    kernels.bm_normals(states, 0, z[0], scratch)
+    x = positions[-1]  # the last checkpoint row doubles as the current positions
+    np.multiply(z[0], sd0, out=x)
+    np.add(x, mean0, out=x)
+    k = 1  # index of the next normal to draw
+    left = sum(seg[1] for seg in segments)  # normals still to draw
+    row = len(z)
+    t_now = t0
+    for j, (c, n_steps, h, scale) in enumerate(segments):
+        for _ in range(n_steps):
+            if row == len(z):
+                batch = z[: min(len(z), left)]
+                kernels.bm_normals(states, k, batch, scratch)
+                k += len(batch)
+                left -= len(batch)
+                row = 0
+            a = drift.drift_coefficient(x, t_now, lam)
+            np.multiply(a, h, out=a)
+            np.add(x, a, out=x)
+            dz = z[row]
+            np.multiply(dz, scale, out=dz)
+            np.add(x, dz, out=x)
+            row += 1
+            t_now += h
+        if n_steps:
+            t_now = c
+        if j < len(segments) - 1:
+            positions[j] = x
 
 
 def density_from_samples(ensemble: SampleEnsemble, grid: Grid) -> DensityField:

@@ -70,6 +70,23 @@ class TestStepKernels:
         assert np.allclose(out, out[::-1], atol=1e-15)
 
 
+def _bm_normals_formula(states, k):
+    """Normal k of every substream, written out as one allocating expression."""
+    mask = (1 << 64) - 1
+    golden = int(K._GOLDEN)
+    off1 = np.uint64(((2 * int(k) + 1) * golden) & mask)
+    off2 = np.uint64(((2 * int(k) + 2) * golden) & mask)
+    u1 = K.splitmix64_mix_numpy(states + off1)
+    u2 = K.splitmix64_mix_numpy(states + off2)
+    f1 = ((u1 >> np.uint64(11)).astype(np.float64) + 1.0) * K._U53
+    f2 = (u2 >> np.uint64(11)).astype(np.float64) * K._U53
+    return np.sqrt(-2.0 * np.log(f1)) * np.cos(2.0 * np.pi * f2)
+
+
+def _bits(a):
+    return a.view(np.uint64)
+
+
 class TestNormals:
     def test_cross_lane_agreement(self):
         states = K.path_stream_states(12345, 20000)
@@ -78,6 +95,37 @@ class TestNormals:
         K.bm_normals_numba(states, 3, z_nb)
         # libm vs numpy ufunc log/cos may differ in the last ulp
         assert np.abs(z_np - z_nb).max() <= 1e-12
+        rows_np, rows_nb = np.empty((3, 64)), np.empty((3, 64))
+        K.bm_normals_numpy(states[:64], 3, rows_np)
+        K.bm_normals_numba(states[:64], 3, rows_nb)
+        assert np.abs(rows_np - rows_nb).max() <= 1e-12
+        assert np.array_equal(rows_np[0], z_np[:64])
+
+    # path counts around the SIMD widths, so vector tails are exercised
+    @pytest.mark.parametrize("n", [1, 7, 4095, 4097, 10001])
+    def test_batched_rows_equal_single_calls(self, n):
+        states = K.path_stream_states(31, n)
+        rows = np.empty((5, n))
+        K.bm_normals(states, 1000, rows, K.normals_scratch(6 * n))
+        for b in range(5):
+            z = np.empty(n)
+            K.bm_normals(states, 1000 + b, z)
+            assert np.array_equal(_bits(rows[b]), _bits(z))
+
+    @pytest.mark.parametrize("n", [1, 7, 4097])
+    def test_matches_one_normal_formula(self, n):
+        states = K.path_stream_states(8, n)
+        rows = np.empty((3, n))
+        K.bm_normals_numpy(states, 2**40, rows)
+        for b in range(3):
+            assert np.array_equal(_bits(rows[b]), _bits(_bm_normals_formula(states, 2**40 + b)))
+
+    def test_noncontiguous_out_is_written(self):
+        states = K.path_stream_states(3, 100)
+        z = np.zeros((100, 2))
+        K.bm_normals(states, 4, z[:, 1])
+        assert np.array_equal(_bits(z[:, 1]), _bits(_bm_normals_formula(states, 4)))
+        assert not z[:, 0].any()
 
     def test_within_lane_deterministic(self):
         states = K.path_stream_states(99, 1000)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fpcascade import kernels, reference
 from fpcascade.analysis import trapezoid
 from fpcascade.errors import SolverError
 from fpcascade.model import Grid, linear_time_modulated, quadratic_ou, zero_drift
@@ -11,6 +12,7 @@ from fpcascade.reference import (
     em_simulate,
     fp_fd_solve,
     oracle_density,
+    oracle_moments,
 )
 
 COS = ModulationV("cos", 1.0)
@@ -101,6 +103,79 @@ class TestEmSimulate:
             em_simulate(zero_drift(), 1.0, 0.0, 0.05, [0.01], 1e-2, 10, 1)
         with pytest.raises(ValueError, match="dt"):
             em_simulate(zero_drift(), 1.0, 0.0, 0.05, [1.0], -1e-2, 10, 1)
+
+
+def _em_one_step_at_a_time(drift, d_coeff, lam, t0, checkpoints, dt, n_paths, seed):
+    """Reference for em_simulate: all paths together, one normal per step."""
+    states = kernels.path_stream_states(seed, n_paths)
+    z = np.empty(n_paths)
+    k = 0
+    kernels.bm_normals(states, k, z)
+    k += 1
+    mean0, var0 = oracle_moments(drift, d_coeff, lam, t0)
+    xpos = mean0 + np.sqrt(var0) * z
+    noise_scale = np.sqrt(2.0 * d_coeff)
+    out = []
+    t_now = t0
+    for c in checkpoints:
+        span = c - t_now
+        if span > 0:
+            n_steps = max(int(np.ceil(span / dt - 1e-12)), 1)
+            h = span / n_steps
+            sqrt_h = np.sqrt(h)
+            for _ in range(n_steps):
+                kernels.bm_normals(states, k, z)
+                k += 1
+                xpos = xpos + drift.drift_coefficient(xpos, t_now, lam) * h + noise_scale * sqrt_h * z
+                t_now += h
+            t_now = c
+        out.append(xpos.copy())
+    return out
+
+
+def _assert_same_bits(positions, expected):
+    assert len(positions) == len(expected)
+    for a, b in zip(positions, expected):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# the first checkpoint takes no step; the steps overrun the normal batches
+EM_CASE = dict(d_coeff=1.0, t0=0.02, checkpoints=[0.02, 0.2, 0.35], dt=0.01, seed=SEED)
+
+
+class TestEmChunking:
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "at", "above"])
+    @pytest.mark.parametrize(
+        "drift,lam",
+        [(zero_drift(), 0.0), (linear_time_modulated(COS), 0.5), (quadratic_ou(), 0.1)],
+        ids=["zero", "example1", "ou"],
+    )
+    def test_matches_one_step_reference(self, monkeypatch, drift, lam, extra):
+        # two chunks start at twice the minimum chunk size
+        monkeypatch.setattr(reference, "_EM_CHUNKS", 2)
+        n = 2 * reference._EM_MIN_CHUNK + extra
+        ens = em_simulate(drift, lam=lam, n_paths=n, **EM_CASE)
+        _assert_same_bits(ens.positions, _em_one_step_at_a_time(drift, lam=lam, n_paths=n, **EM_CASE))
+
+    def test_chunk_count_does_not_change_bits(self, monkeypatch):
+        n = 13001
+        first_draws = []  # width of each chunk, from its initial draw
+        draw = kernels.bm_normals
+
+        def recording(states, k, out, scratch=None):
+            if k == 0:
+                first_draws.append(len(states))
+            return draw(states, k, out, scratch)
+
+        monkeypatch.setattr(kernels, "bm_normals", recording)
+        results = []
+        for n_chunks in (1, 2, 3):
+            monkeypatch.setattr(reference, "_EM_CHUNKS", n_chunks)
+            first_draws.clear()
+            results.append(em_simulate(quadratic_ou(), lam=0.1, n_paths=n, **EM_CASE).positions)
+            assert len(first_draws) == n_chunks and sum(first_draws) == n
+        for other in results[1:]:
+            _assert_same_bits(other, results[0])
 
 
 class TestDensityFromSamples:
