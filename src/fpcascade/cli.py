@@ -12,7 +12,10 @@ Subcommands:
 Outputs (in --out): ``density.csv`` with one row per (t-slice, x-node) in
 time-major order, and ``summary.json``.  Floats are written with 17
 significant digits and LF line endings so identical invocations produce
-byte-identical files.
+byte-identical files.  Each file is written beside its target under a
+temporary name and then renamed onto it, so a run that dies mid-write leaves
+the previous file in place.  The output directory is created before any
+solver runs; when it cannot be, the run is rejected as a config error.
 
 Exit codes: 0 success, 2 config rejection, 3 solver abort, 4 invariant
 violation at emission.
@@ -20,8 +23,11 @@ violation at emission.
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -61,9 +67,8 @@ _SWEEP_X = np.linspace(-12.0, 12.0, 4801)
 
 _MASS_TOL = {"w_pert": 1e-9, "w_pert_numeric": 1e-9, "w_exact": 1e-8, "w_fd": 1e-8, "w_mc": 1e-9}
 
-
-def _fmt(v) -> str:
-    return f"{v:.17g}"
+# density.csv columns after x and t, in order
+_COLUMNS = ("w_pert", "w_pert_numeric", "w_exact", "w_fd", "w_mc")
 
 
 def _jsonable(obj):
@@ -269,31 +274,46 @@ def _config_dict(cfg: ValidatedConfig):
     }
 
 
+@contextmanager
+def _replacing(path: Path):
+    """Open a text file that replaces ``path`` when the block ends without an
+    error.  It is written under a temporary name in the same directory, so
+    the rename is atomic and a failed write leaves ``path`` as it was."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_outputs(fields: dict, summary: dict, cfg: ValidatedConfig):
     out_dir = Path(cfg.raw.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid = cfg.grid
-    columns = ["w_pert", "w_pert_numeric", "w_exact", "w_fd", "w_mc"]
-    lines = ["x,t," + ",".join(columns)]
-    x_strs = [_fmt(xv) for xv in grid.x]
-    for j, tj in enumerate(grid.t):
-        t_str = _fmt(tj)
-        cells = {}
-        for name in columns:
-            field = fields[name]
-            cells[name] = [_fmt(v) for v in field.values[j]] if field.populated[j] else None
-        for i in range(grid.nx):
-            row = [x_strs[i], t_str]
-            row.extend(cells[name][i] if cells[name] is not None else "" for name in columns)
-            lines.append(",".join(row))
-    (out_dir / "density.csv").write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    x_strs = ["%.17g" % xv for xv in grid.x.tolist()]
+    with _replacing(out_dir / "density.csv") as fh:
+        fh.write("x,t," + ",".join(_COLUMNS) + "\n")
+        # one %-format per slice: the row template repeated nx times, filled
+        # with x and the populated columns' values interleaved row by row
+        for j, tj in enumerate(grid.t.tolist()):
+            live = [fields[name].populated[j] for name in _COLUMNS]
+            row = "%s," + "%.17g" % tj + "," + ",".join("%.17g" if on else "" for on in live) + "\n"
+            cols = [fields[name].values[j].tolist() for name, on in zip(_COLUMNS, live) if on]
+            fh.write((row * grid.nx) % tuple(chain.from_iterable(zip(x_strs, *cols))))
     payload = json.dumps(_jsonable(summary), indent=2, sort_keys=True)
-    (out_dir / "summary.json").write_bytes((payload + "\n").encode("ascii"))
+    with _replacing(out_dir / "summary.json") as fh:
+        fh.write(payload + "\n")
     return out_dir
 
 
 def _run(args, family: str | None, lambda_sweep=None):
     cfg = validate_config(_config_from_args(args, family))
+    try:
+        Path(cfg.raw.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.raw.out_dir!r}: {exc}") from exc
     fields = _run_solvers(cfg)
     _check_emission(fields, cfg)
     summary = _summarize(fields, cfg, lambda_sweep)

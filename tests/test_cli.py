@@ -1,9 +1,15 @@
 import csv
+import errno
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
+from fpcascade import cli
 from fpcascade.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
+from fpcascade.model import DensityField, RunConfig, validate_config
 
 FAST = [
     "--t0", "0.1", "--t-max", "2", "--x-min", "-16", "--x-max", "16",
@@ -142,7 +148,116 @@ def test_narrow_domain_solver_abort(tmp_path):
 def test_cli_float_format_is_17g(tmp_path):
     out = tmp_path / "fmt"
     assert run_example1(out) == EXIT_OK
-    rows = read_density(out)
-    # a full-precision value round-trips exactly through the text form
-    val = rows[len(rows) // 2]["w_pert"]
-    assert float(val) == float(f"{float(val):.17g}")
+    checkpoint_t = set(read_summary(out)["masses"]["w_mc"]["t"])
+    lines = (out / "density.csv").read_bytes().decode("ascii").split("\n")
+    assert lines[-1] == ""  # LF after the last row; a CR would fail the cell check
+    for line in lines[1:-1]:
+        cells = line.split(",")
+        # every number is exactly its own %.17g text ("0.1" would fail)
+        assert all(c == "%.17g" % float(c) for c in cells if c)
+        # only w_mc has empty cells, and only off the checkpoint slices
+        assert all(cells[:-1])
+        assert (cells[-1] == "") == (float(cells[1]) not in checkpoint_t)
+
+
+class TestFailures:
+    @pytest.mark.parametrize("below_file", ["file", "file/sub"])
+    def test_unwritable_out_rejected_before_solvers(self, tmp_path, monkeypatch, capsys, below_file):
+        (tmp_path / "file").write_text("not a directory")
+
+        def must_not_run(cfg):
+            raise AssertionError("a solver ran before the output directory was made")
+
+        monkeypatch.setattr(cli, "_run_solvers", must_not_run)
+        assert run_example1(tmp_path / below_file) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config rejected: cannot create output directory")
+
+    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
+                                       KeyboardInterrupt()], ids=["disk-full", "interrupt"])
+    def test_failed_write_keeps_previous_outputs(self, tmp_path, error):
+        cfg, fields = _writer_case(tmp_path, checkpoints=(0.3,))
+        earlier = {"density.csv": b"x,t\nearlier run\n", "summary.json": b"{}\n"}
+        for name, data in earlier.items():
+            (tmp_path / name).write_bytes(data)
+        seen_tmp = []
+        w_fd = fields["w_fd"]
+
+        class FailsAtSlice:
+            """w_fd values that raise when the writer reaches slice 3."""
+
+            def __getitem__(self, j):
+                if j == 3:
+                    seen_tmp.extend(p.name for p in tmp_path.iterdir() if p.name not in earlier)
+                    raise error
+                return w_fd.values[j]
+
+        fields["w_fd"] = SimpleNamespace(values=FailsAtSlice(), populated=w_fd.populated)
+        with pytest.raises(type(error)):
+            cli._write_outputs(fields, {}, cfg)
+        assert seen_tmp, "the writer should stream into a temporary file"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(earlier)
+        for name, data in earlier.items():
+            assert (tmp_path / name).read_bytes() == data
+
+
+# values at the edges of %.17g: signed zero, a tiny undershoot, the smallest
+# subnormal, both sides of the switch to exponent notation, and two values
+# that need all 17 digits
+_EDGE_VALUES = [-0.0, -1e-13, 5e-324, 1e-5, 1e16, 1e17, 0.1, 1.0 / 3.0]
+
+
+def _writer_case(out_dir, checkpoints):
+    """A 9 x 5 grid and five fields that cycle through the edge values, with
+    w_fd unpopulated on slice 2 and w_mc populated on the checkpoints only."""
+    cfg = validate_config(replace(RunConfig(), x_min=-4.0, x_max=4.0, nx=9, t0=0.1, t_max=0.5,
+                                  nt=5, checkpoints=checkpoints, out_dir=str(out_dir)))
+    grid = cfg.grid
+    fields = {}
+    for c, name in enumerate(cli._COLUMNS):
+        vals = np.roll(np.resize(_EDGE_VALUES, grid.nt * grid.nx), c).reshape(grid.nt, grid.nx)
+        populated = np.ones(grid.nt, dtype=bool)
+        if name == "w_fd":
+            populated[2] = False
+            vals[2] = np.nan
+        if name == "w_mc":
+            populated[:] = False
+            populated[cli._checkpoint_indices(cfg)] = True
+        fields[name] = DensityField(grid=grid, values=vals, populated=populated)
+    return cfg, fields
+
+
+def _per_value_writer(fields, summary, cfg):
+    """The writer as it was before density.csv was streamed: one f-string
+    per numpy scalar, the rows joined in memory.  Kept as the oracle."""
+    grid = cfg.grid
+    fmt = lambda v: f"{v:.17g}"  # noqa: E731
+    columns = ["w_pert", "w_pert_numeric", "w_exact", "w_fd", "w_mc"]
+    lines = ["x,t," + ",".join(columns)]
+    x_strs = [fmt(xv) for xv in grid.x]
+    for j, tj in enumerate(grid.t):
+        t_str = fmt(tj)
+        cells = {}
+        for name in columns:
+            field = fields[name]
+            cells[name] = [fmt(v) for v in field.values[j]] if field.populated[j] else None
+        for i in range(grid.nx):
+            row = [x_strs[i], t_str]
+            row.extend(cells[name][i] if cells[name] is not None else "" for name in columns)
+            lines.append(",".join(row))
+    density = ("\n".join(lines) + "\n").encode("ascii")
+    payload = json.dumps(cli._jsonable(summary), indent=2, sort_keys=True)
+    return density, (payload + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("checkpoints", [(0.5,), (0.1, 0.3, 0.5)], ids=["one", "three"])
+def test_writer_matches_per_value_oracle(tmp_path, checkpoints):
+    cfg, fields = _writer_case(tmp_path, checkpoints)
+    summary = {"config": cli._config_dict(cfg), "edges": np.array(_EDGE_VALUES)}
+    density, summary_bytes = _per_value_writer(fields, summary, cfg)
+    assert cli._write_outputs(fields, summary, cfg) == tmp_path
+    assert (tmp_path / "density.csv").read_bytes() == density
+    assert (tmp_path / "summary.json").read_bytes() == summary_bytes
+    # the edge values and the unpopulated w_fd slice really reach the file
+    rows = [line.split(",") for line in density.decode("ascii").split("\n")[1:-1]]
+    assert {"%.17g" % v for v in _EDGE_VALUES} <= {cell for row in rows for cell in row}
+    assert [row[5] == "" for row in rows[::9]] == [False, False, True, False, False]
