@@ -3,7 +3,10 @@
 
 Runs each hot kernel in both lanes on representative workloads and prints a
 timing table.  The numba lane is warmed first so JIT compilation does not
-pollute the numbers.
+pollute the numbers.  The Euler-Maruyama step (drift into a work buffer plus
+the in-place update, ``reference.em_step``) has no numba lane; it is timed at
+the path-chunk widths of the default example1 run and of a 100k-path OU run
+on two CPUs.
 
     python3 benchmarks/bench_kernels.py [--repeats 5]
 """
@@ -14,6 +17,9 @@ import time
 import numpy as np
 
 import fpcascade.kernels as K
+from fpcascade.model import linear_time_modulated, quadratic_ou
+from fpcascade.oracles import ModulationV
+from fpcascade.reference import em_step
 
 
 def best_of(fn, repeats):
@@ -82,6 +88,21 @@ def bench_normals(n_paths=100000, n_steps=200):
     }
 
 
+def bench_em_step(drift, lam, n_paths, n_steps=1000):
+    rng = np.random.default_rng(20107)
+    x0 = rng.normal(size=n_paths)
+    z = 0.045 * rng.normal(size=n_paths)  # sqrt(2 D h) * N(0, 1) at h = 1e-3
+    x = np.empty(n_paths)
+    a = np.empty(n_paths)
+
+    def run():
+        x[:] = x0
+        for j in range(n_steps):
+            em_step(drift, lam, x, 0.05 + j * 1e-3, 1e-3, z, a)
+
+    return {"numpy": run}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=5)
@@ -90,14 +111,17 @@ def main():
     if not K.HAS_NUMBA:
         print("numba is not importable; only the numpy lane will run")
 
+    example1 = linear_time_modulated(ModulationV("cos", 1.0))
     benches = {
         "cascade CN loop (801 x 500)": bench_cascade(),
         "density CN loop (1601 x 1101)": bench_fp(),
         "normals (1e5 paths x 200 steps)": bench_normals(),
+        "EM step, example1 (1e4 x 1000)": bench_em_step(example1, 0.2, 10000),
+        "EM step, OU (5e4 x 1000)": bench_em_step(quadratic_ou(), 0.1, 50000),
     }
     print(f"{'kernel':<34} {'numba':>10} {'numpy':>10} {'speedup':>9}")
     for name, lanes in benches.items():
-        if K.HAS_NUMBA:
+        if K.HAS_NUMBA and "numba" in lanes:
             lanes["numba"]()  # warm the JIT cache
             t_nb = best_of(lanes["numba"], args.repeats)
         else:

@@ -168,14 +168,17 @@ def _padded_nodes(grid: Grid, d_coeff: float):
     return xp, m
 
 
-def _require_zero_base(drift: DriftSpec, grid: Grid):
-    x_probe = np.array([grid.x_min, 0.5 * (grid.x_min + grid.x_max), grid.x_max])
+def _require_zero_base(drift: DriftSpec, grid: Grid, xp):
+    """Reject a base term (order-0 potential) that is nonzero on any of the
+    nodes ``xp`` the cascade evaluates, at t0, mid-run or t_max."""
+    base = drift.orders[0]
     for t_probe in (grid.t0, 0.5 * (grid.t0 + grid.t_max), grid.t_max):
-        if np.any(drift.orders[0].u(x_probe, t_probe) != 0.0):
-            raise SolverError(
-                "the cascade requires a vanishing base drift term (order-0 potential); "
-                "this drift has a nonzero base and is out of scope"
-            )
+        for which in (base.u, base.du_dx, base.d2u_dx2, base.du_dt):
+            if np.any(which(xp, t_probe) != 0.0):
+                raise SolverError(
+                    "the cascade requires a vanishing base drift term (order-0 potential); "
+                    "this drift has a nonzero base and is out of scope"
+                )
 
 
 def solve_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, grid: Grid) -> ActionExpansion:
@@ -188,8 +191,8 @@ def solve_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, gr
     """
     if grid.nx < 5:
         raise SolverError("the cascade solver needs nx >= 5 for its boundary closure")
-    _require_zero_base(drift, grid)
     xp, m = _padded_nodes(grid, d_coeff)
+    _require_zero_base(drift, grid, xp)
     t_nodes = grid.t
     sol_padded = [np.array([s0_log_heat_kernel(xp, tj, d_coeff) for tj in t_nodes])]
     for n in range(1, order + 1):

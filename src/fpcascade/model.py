@@ -138,7 +138,9 @@ class PotentialTerm:
     """One order of the drift potential with its analytic derivatives.
 
     All four evaluators take (x, t) with x scalar or ndarray and t scalar, and
-    return values broadcast like x.
+    return values that broadcast against x: an array shaped like x, or a
+    scalar where the term is constant in x.  They may return x itself, so
+    callers must not write into a result.
     """
 
     u: _EvalFn
@@ -147,11 +149,11 @@ class PotentialTerm:
     du_dt: _EvalFn
 
 
-def _zeros(x, t):
-    return np.zeros_like(np.asarray(x, dtype=float))
+def _zero(x, t):
+    return 0.0
 
 
-ZERO_TERM = PotentialTerm(u=_zeros, du_dx=_zeros, d2u_dx2=_zeros, du_dt=_zeros)
+ZERO_TERM = PotentialTerm(u=_zero, du_dx=_zero, d2u_dx2=_zero, du_dt=_zero)
 
 FAMILY_ZERO = "zero"
 FAMILY_LINEAR = "linear_time_modulated"
@@ -182,8 +184,8 @@ class DriftSpec:
         """U(x,t) at the given lam."""
         return self._total("u", x, t, lam)
 
-    def du_dx_total(self, x, t, lam):
-        return self._total("du_dx", x, t, lam)
+    def du_dx_total(self, x, t, lam, out=None):
+        return self._total("du_dx", x, t, lam, out)
 
     def d2u_dx2_total(self, x, t, lam):
         return self._total("d2u_dx2", x, t, lam)
@@ -191,18 +193,35 @@ class DriftSpec:
     def du_dt_total(self, x, t, lam):
         return self._total("du_dt", x, t, lam)
 
-    def drift_coefficient(self, x, t, lam):
-        """D1(x,t) = -dU/dx, the force entering the Fokker-Planck equation."""
-        return -self.du_dx_total(x, t, lam)
+    def drift_coefficient(self, x, t, lam, out=None):
+        """D1(x,t) = -dU/dx, the force entering the Fokker-Planck equation,
+        written into ``out`` when one is given (see ``_total``)."""
+        out = self.du_dx_total(x, t, lam, out)
+        return np.negative(out, out=out)
 
-    def _total(self, which, x, t, lam):
+    def _total(self, which, x, t, lam, out=None):
+        """sum_n lam^n (term n).which(x, t), summed in order n = 0, 1, 2, ...
+
+        The sum is written into ``out`` (float64, shaped like x, not sharing
+        memory with x), or into a fresh array when ``out`` is None.  The first
+        two terms form U_1*lam + U_0, which is U_0 + lam*U_1 bit for bit (IEEE
+        addition and multiplication commute), so a drift of order 1 needs no
+        temporary beyond what its evaluators return.
+        """
         x = np.asarray(x, dtype=float)
-        acc = getattr(self.orders[0], which)(x, t).astype(float, copy=True)
-        lam_n = 1.0
-        for n in range(1, len(self.orders)):
+        if out is None:
+            out = np.empty(x.shape)
+        base = getattr(self.orders[0], which)(x, t)
+        if len(self.orders) == 1:
+            np.copyto(out, base)
+            return out
+        np.multiply(getattr(self.orders[1], which)(x, t), lam, out=out)
+        out += base
+        lam_n = lam
+        for term in self.orders[2:]:
             lam_n *= lam
-            acc += lam_n * getattr(self.orders[n], which)(x, t)
-        return acc
+            out += lam_n * getattr(term, which)(x, t)
+        return out
 
 
 def zero_drift() -> DriftSpec:
@@ -217,12 +236,12 @@ def linear_time_modulated(v: ModulationV) -> DriftSpec:
         return np.asarray(x, dtype=float) * v.value(t)
 
     def du_dx(x, t):
-        return np.ones_like(np.asarray(x, dtype=float)) * v.value(t)
+        return v.value(t)
 
     def du_dt(x, t):
         return np.asarray(x, dtype=float) * v.derivative(t)
 
-    term = PotentialTerm(u=u, du_dx=du_dx, d2u_dx2=_zeros, du_dt=du_dt)
+    term = PotentialTerm(u=u, du_dx=du_dx, d2u_dx2=_zero, du_dt=du_dt)
     return DriftSpec(family=FAMILY_LINEAR, orders=(ZERO_TERM, term), modulation=v)
 
 
@@ -234,12 +253,12 @@ def quadratic_ou() -> DriftSpec:
         return 0.5 * x * x
 
     def du_dx(x, t):
-        return np.asarray(x, dtype=float).copy()
+        return np.asarray(x, dtype=float)
 
     def d2u_dx2(x, t):
-        return np.ones_like(np.asarray(x, dtype=float))
+        return 1.0
 
-    term = PotentialTerm(u=u, du_dx=du_dx, d2u_dx2=d2u_dx2, du_dt=_zeros)
+    term = PotentialTerm(u=u, du_dx=du_dx, d2u_dx2=d2u_dx2, du_dt=_zero)
     return DriftSpec(family=FAMILY_QUADRATIC, orders=(ZERO_TERM, term))
 
 

@@ -111,9 +111,10 @@ def fp_fd_solve(
             )
 
     check_slice(0)
+    a_half = np.empty(grid.nx - 1)
     for j in range(grid.nt - 1):
         tm = grid.t[j] + 0.5 * dt
-        a_half = drift.drift_coefficient(x_half, tm, lam)
+        drift.drift_coefficient(x_half, tm, lam, out=a_half)
         try:
             kernels.fp_cn_step(a_half, d_coeff, dt, dx, vals[j], vals[j + 1])
         except ZeroDivisionError as exc:
@@ -216,7 +217,8 @@ def em_simulate(
         # work arrays are made here, on the calling thread, so that worker
         # threads do not grow their own malloc arenas
         z = np.empty((max(1, _EM_BATCH_NORMALS // (hi - lo)), hi - lo))
-        jobs.append((states[lo:hi], positions[:, lo:hi], z, kernels.normals_scratch(z.size)))
+        scratch = kernels.normals_scratch(z.size)
+        jobs.append((states[lo:hi], positions[:, lo:hi], z, scratch, np.empty(hi - lo)))
 
     def run(job):
         _em_paths(drift, lam, t0, segments, mean0, sd0, *job)
@@ -232,41 +234,47 @@ def em_simulate(
     return SampleEnsemble(checkpoints=tuple(checkpoints), positions=tuple(positions), seed=seed)
 
 
-def _em_paths(drift, lam, t0, segments, mean0, sd0, states, positions, z, scratch):
+def _em_paths(drift, lam, t0, segments, mean0, sd0, states, positions, z, scratch, a):
     """Step the paths of ``states`` through ``segments``; row j of
     ``positions`` receives them at checkpoint j.
 
-    Normals are drawn ``len(z)`` steps per call into ``z``.  The update keeps
-    the order (x + a*h) + (scale*z) of the one-step-at-a-time formula.
+    Normals are drawn up to ``len(z)`` steps of one segment per call into
+    ``z`` and scaled by the segment's noise scale in one operation; ``a`` is
+    the drift buffer of ``em_step``.
     """
     kernels.bm_normals(states, 0, z[0], scratch)
     x = positions[-1]  # the last checkpoint row doubles as the current positions
     np.multiply(z[0], sd0, out=x)
     np.add(x, mean0, out=x)
     k = 1  # index of the next normal to draw
-    left = sum(seg[1] for seg in segments)  # normals still to draw
-    row = len(z)
     t_now = t0
     for j, (c, n_steps, h, scale) in enumerate(segments):
-        for _ in range(n_steps):
-            if row == len(z):
-                batch = z[: min(len(z), left)]
-                kernels.bm_normals(states, k, batch, scratch)
-                k += len(batch)
-                left -= len(batch)
-                row = 0
-            a = drift.drift_coefficient(x, t_now, lam)
-            np.multiply(a, h, out=a)
-            np.add(x, a, out=x)
-            dz = z[row]
-            np.multiply(dz, scale, out=dz)
-            np.add(x, dz, out=x)
-            row += 1
-            t_now += h
+        for done in range(0, n_steps, len(z)):
+            batch = z[: min(len(z), n_steps - done)]
+            kernels.bm_normals(states, k, batch, scratch)
+            k += len(batch)
+            np.multiply(batch, scale, out=batch)
+            for dz in batch:
+                em_step(drift, lam, x, t_now, h, dz, a)
+                t_now += h
         if n_steps:
             t_now = c
         if j < len(segments) - 1:
             positions[j] = x
+
+
+def em_step(drift, lam, x, t, h, dz, a):
+    """One Euler-Maruyama step in place: x <- (x + D1(x,t)*h) + dz.
+
+    dU/dx goes into the work buffer ``a`` (shaped like x, not sharing memory
+    with it), so the step allocates nothing.  ``dU/dx * (-h)`` is
+    ``(-dU/dx) * h`` bit for bit, so the result equals the allocating
+    ``x + drift_coefficient(x, t, lam)*h + dz`` in every bit.
+    """
+    drift.du_dx_total(x, t, lam, out=a)
+    np.multiply(a, -h, out=a)
+    np.add(x, a, out=x)
+    np.add(x, dz, out=x)
 
 
 def density_from_samples(ensemble: SampleEnsemble, grid: Grid) -> DensityField:

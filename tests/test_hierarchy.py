@@ -139,6 +139,25 @@ class TestSolveExpansion:
         with pytest.raises(SolverError, match="base"):
             solve_expansion(drift, 1.0, 0.1, 1, small_grid)
 
+    @pytest.mark.parametrize("which", ["u", "du_dx", "d2u_dx2", "du_dt"])
+    @pytest.mark.parametrize("center", [1.3, 11.0], ids=["grid", "padding"])
+    def test_nonzero_base_bump_rejected(self, small_grid, which, center):
+        # a base that vanishes at x_min, mid-domain and x_max but not on the
+        # nodes near ``center``: inside the grid, or in the padding the
+        # cascade solves on beyond x_max = 10
+        def bump(x, t):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.abs(x - center) < 0.2, 1.0, 0.0)
+
+        def zero(x, t):
+            return np.zeros_like(np.asarray(x, dtype=float))
+
+        names = ("u", "du_dx", "d2u_dx2", "du_dt")
+        base = PotentialTerm(**{name: bump if name == which else zero for name in names})
+        drift = DriftSpec(family="custom", orders=(base, quadratic_ou().orders[1]))
+        with pytest.raises(SolverError, match="base"):
+            solve_expansion(drift, 1.0, 0.1, 1, small_grid)
+
     def test_ou_s2_matches_oracle(self):
         grid = Grid(-10.0, 10.0, 401, 0.01, 5.0, 250)
         exp = solve_expansion(quadratic_ou(), 1.0, 0.1, 2, grid)

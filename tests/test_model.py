@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,63 @@ def test_drift_coefficient_is_negative_gradient():
     assert np.allclose(ou.drift_coefficient(x, 0.0, 0.1), -0.1 * x)
     lin = linear_time_modulated(ModulationV("const", v0=2.0))
     assert np.allclose(lin.drift_coefficient(x, 0.7, 0.25), -0.5)
+
+
+BUILT_IN_DRIFTS = [
+    zero_drift(),
+    linear_time_modulated(ModulationV("cos", 1.3)),
+    linear_time_modulated(ModulationV("sin", 2.0)),
+    linear_time_modulated(ModulationV("const", v0=0.7)),
+    quadratic_ou(),
+]
+BUILT_IN_IDS = ["zero", "cos", "sin", "const", "ou"]
+
+
+def _du_dx_before_out(drift, x, t, lam):
+    """dU/dx of a built-in family as summed before DriftSpec took an ``out``
+    buffer: array-valued evaluators and 0 + lam*U1' in a fresh array."""
+    acc = np.zeros_like(x)
+    if drift.family == "linear_time_modulated":
+        acc += lam * (np.ones_like(x) * drift.modulation.value(t))
+    elif drift.family == "quadratic_ou":
+        acc += lam * x.copy()
+    return acc
+
+
+EDGE_X = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.37, -2.5])
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, -0.1])
+@pytest.mark.parametrize("drift", BUILT_IN_DRIFTS, ids=BUILT_IN_IDS)
+def test_drift_out_is_bit_identical_to_allocating_sum(drift, lam):
+    expected = _du_dx_before_out(drift, EDGE_X, 0.9, lam)
+    out = np.full_like(EDGE_X, np.nan)
+    assert drift.du_dx_total(EDGE_X, 0.9, lam, out=out) is out
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+    assert drift.drift_coefficient(EDGE_X, 0.9, lam, out=out) is out
+    assert np.array_equal(out.view(np.uint64), (-expected).view(np.uint64))
+    fresh = drift.drift_coefficient(EDGE_X, 0.9, lam)
+    assert np.array_equal(fresh.view(np.uint64), (-expected).view(np.uint64))
+
+
+@pytest.mark.parametrize("drift", BUILT_IN_DRIFTS, ids=BUILT_IN_IDS)
+def test_drift_out_allocates_no_path_sized_array(drift):
+    x = np.linspace(-5.0, 5.0, 100_000)
+    out = np.empty_like(x)
+
+    def peak_bytes(call):
+        call()  # first call outside the trace
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(lambda: drift.drift_coefficient(x, 0.3, 0.1, out=out)) < x.nbytes
+    assert peak_bytes(lambda: drift.du_dx_total(x, 0.3, 0.1, out=out)) < x.nbytes
+    # the trace does see numpy's buffers: the allocating call shows its result
+    assert peak_bytes(lambda: drift.drift_coefficient(x, 0.3, 0.1)) >= x.nbytes
 
 
 def test_build_drift_unknown_family():

@@ -105,6 +105,18 @@ class TestEmSimulate:
             em_simulate(zero_drift(), 1.0, 0.0, 0.05, [1.0], -1e-2, 10, 1)
 
 
+def _drift_allocating(drift, x, t, lam):
+    """D1 = -dU/dx by the allocating sum that DriftSpec used before it took
+    an ``out`` buffer, kept here so that the oracle does not move with it."""
+    x = np.asarray(x, dtype=float)
+    acc = np.broadcast_to(np.asarray(drift.orders[0].du_dx(x, t), dtype=float), x.shape).copy()
+    lam_n = 1.0
+    for n in range(1, len(drift.orders)):
+        lam_n *= lam
+        acc += lam_n * drift.orders[n].du_dx(x, t)
+    return -acc
+
+
 def _em_one_step_at_a_time(drift, d_coeff, lam, t0, checkpoints, dt, n_paths, seed):
     """Reference for em_simulate: all paths together, one normal per step."""
     states = kernels.path_stream_states(seed, n_paths)
@@ -126,7 +138,7 @@ def _em_one_step_at_a_time(drift, d_coeff, lam, t0, checkpoints, dt, n_paths, se
             for _ in range(n_steps):
                 kernels.bm_normals(states, k, z)
                 k += 1
-                xpos = xpos + drift.drift_coefficient(xpos, t_now, lam) * h + noise_scale * sqrt_h * z
+                xpos = xpos + _drift_allocating(drift, xpos, t_now, lam) * h + noise_scale * sqrt_h * z
                 t_now += h
             t_now = c
         out.append(xpos.copy())
