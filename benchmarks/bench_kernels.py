@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the numpy/LAPACK fallbacks.
+"""Time the hot kernels on representative workloads.
 
-Runs each hot kernel in both lanes on representative workloads and prints a
-timing table.  The numba lane is warmed first so JIT compilation does not
-pollute the numbers.  The Euler-Maruyama step (drift into a work buffer plus
-the in-place update, ``reference.em_step``) has no numba lane; it is timed at
-the path-chunk widths of the default example1 run and of a 100k-path OU run
-on two CPUs.
+Prints the best-of-N wall time of each kernel loop: the two Crank-Nicolson
+steps, the normal generator, and the Euler-Maruyama step (drift into a work
+buffer plus the in-place update, ``reference.em_step``) at the path-chunk
+widths of the default example1 run and of a 100k-path OU run on two CPUs.
 
     python3 benchmarks/bench_kernels.py [--repeats 5]
 """
@@ -39,17 +37,14 @@ def bench_cascade(nx=801, nt=500):
     s = -(x * x) / 4.0
     q = 0.5 * np.ones_like(x)
 
-    def run(step):
+    def run():
         cur = s.copy()
         nxt = np.empty_like(cur)
         for j in range(nt - 1):
-            step(x, t[j] + 0.5 * dt, 1.0, dt, dx, cur, q, nxt)
+            K.cascade_cn_step(x, t[j] + 0.5 * dt, 1.0, dt, dx, cur, q, nxt)
             cur, nxt = nxt, cur
 
-    return {
-        "numba": lambda: run(K.cascade_cn_step_numba),
-        "numpy": lambda: run(K.cascade_cn_step_numpy),
-    }
+    return run
 
 
 def bench_fp(nx=1601, nt=1101):
@@ -61,31 +56,25 @@ def bench_fp(nx=1601, nt=1101):
     w[0] = w[-1] = 0.0
     a_half = -0.1 * (x[:-1] + dx / 2)
 
-    def run(step):
+    def run():
         cur = w.copy()
         nxt = np.empty_like(cur)
         for _ in range(nt - 1):
-            step(a_half, 1.0, dt, dx, cur, nxt)
+            K.fp_cn_step(a_half, 1.0, dt, dx, cur, nxt)
             cur, nxt = nxt, cur
 
-    return {
-        "numba": lambda: run(K.fp_cn_step_numba),
-        "numpy": lambda: run(K.fp_cn_step_numpy),
-    }
+    return run
 
 
 def bench_normals(n_paths=100000, n_steps=200):
     states = K.path_stream_states(20107, n_paths)
     z = np.empty(n_paths)
 
-    def run(gen):
+    def run():
         for k in range(n_steps):
-            gen(states, k, z)
+            K.bm_normals(states, k, z)
 
-    return {
-        "numba": lambda: run(K.bm_normals_numba),
-        "numpy": lambda: run(K.bm_normals_numpy),
-    }
+    return run
 
 
 def bench_em_step(drift, lam, n_paths, n_steps=1000):
@@ -100,16 +89,13 @@ def bench_em_step(drift, lam, n_paths, n_steps=1000):
         for j in range(n_steps):
             em_step(drift, lam, x, 0.05 + j * 1e-3, 1e-3, z, a)
 
-    return {"numpy": run}
+    return run
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
-
-    if not K.HAS_NUMBA:
-        print("numba is not importable; only the numpy lane will run")
 
     example1 = linear_time_modulated(ModulationV("cos", 1.0))
     benches = {
@@ -119,16 +105,9 @@ def main():
         "EM step, example1 (1e4 x 1000)": bench_em_step(example1, 0.2, 10000),
         "EM step, OU (5e4 x 1000)": bench_em_step(quadratic_ou(), 0.1, 50000),
     }
-    print(f"{'kernel':<34} {'numba':>10} {'numpy':>10} {'speedup':>9}")
-    for name, lanes in benches.items():
-        if K.HAS_NUMBA and "numba" in lanes:
-            lanes["numba"]()  # warm the JIT cache
-            t_nb = best_of(lanes["numba"], args.repeats)
-        else:
-            t_nb = float("nan")
-        t_np = best_of(lanes["numpy"], args.repeats)
-        speedup = t_np / t_nb if t_nb == t_nb else float("nan")
-        print(f"{name:<34} {t_nb:>9.4f}s {t_np:>9.4f}s {speedup:>8.2f}x")
+    print(f"{'kernel':<34} {'best':>10}")
+    for name, run in benches.items():
+        print(f"{name:<34} {best_of(run, args.repeats):>9.4f}s")
 
 
 if __name__ == "__main__":

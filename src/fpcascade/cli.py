@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
 from .analysis import (
     METRICS,
     field_distance,
@@ -83,17 +82,46 @@ def _jsonable(obj):
     return obj
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # JSON true/false load as bool, not int
+
+
+# what a config value must be, by the type of its RunConfig/Tolerances default
+_JSON_KINDS = {
+    float: ("a number", _is_number),
+    int: ("an integer", lambda v: type(v) is int),
+    str: ("a string", lambda v: type(v) is str),
+    tuple: ("a list of numbers", lambda v: type(v) is list and all(map(_is_number, v))),
+}
+
+
 def _load_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     known = set(RunConfig.__dataclass_fields__)
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "tolerances" in data:
-        data["tolerances"] = Tolerances(**data["tolerances"])
+    tolerances = data.pop("tolerances", {})
+    if type(tolerances) is not dict:
+        raise ConfigError(f"tolerances must be a JSON object, got {json.dumps(tolerances)}")
+    unknown = set(tolerances) - set(Tolerances.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
+    defaults, tol_defaults = RunConfig(), Tolerances()
+    values = [(key, value, getattr(defaults, key)) for key, value in data.items()]
+    values += [(f"tolerances.{key}", value, getattr(tol_defaults, key)) for key, value in tolerances.items()]
+    for name, value, default in values:
+        kind, accepts = _JSON_KINDS[type(default)]
+        if not accepts(value):
+            raise ConfigError(f"{name} must be {kind}, got {json.dumps(value)}")
+    if tolerances:
+        data["tolerances"] = Tolerances(**tolerances)
     if "checkpoints" in data:
         data["checkpoints"] = tuple(data["checkpoints"])
     return data
@@ -267,10 +295,8 @@ def _config_dict(cfg: ValidatedConfig):
         "checkpoints": list(cfg.checkpoints),
         "tolerances": {
             "mass_tol": raw.tolerances.mass_tol,
-            "solver_tol": raw.tolerances.solver_tol,
             "boundary_tol": raw.tolerances.boundary_tol,
         },
-        "kernel_lane": kernels.active_lane(),
     }
 
 

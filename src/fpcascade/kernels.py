@@ -1,27 +1,14 @@
-"""Hot numeric kernels with two interchangeable lanes.
+"""Hot numeric kernels, vectorized with numpy and LAPACK.
 
-Every kernel exists twice: a numba ``@njit`` version (``*_numba``) and a
-vectorized numpy/LAPACK version (``*_numpy``).  The public names bind to one
-lane at import time, selected by the ``FPCASCADE_NUMBA`` environment variable:
-
-    FPCASCADE_NUMBA=auto   use numba when importable (default)
-    FPCASCADE_NUMBA=0      force the numpy lane
-    FPCASCADE_NUMBA=1      require numba, fail loudly if missing
-
-The tridiagonal solver is a port of LAPACK's ``dgtsv`` (Gaussian elimination
-with partial pivoting), so the two lanes produce bit-identical results for the
-Crank-Nicolson steps.  The Box-Muller normal generator evaluates log/cos
-through libm in the numba lane and through numpy ufuncs in the numpy lane;
-those may differ in the last ulp, which is why cross-lane tests on sampled
-paths use a tiny tolerance instead of exact equality.
+The Crank-Nicolson steps assemble their tridiagonal band with array
+expressions and solve it with LAPACK ``dgtsv`` (Gaussian elimination with
+partial pivoting; the early cascade steps are advection-dominated, so the
+band is not diagonally dominant and the pivoting is needed).
 
 Deterministic random numbers use splitmix64 with random access: the k-th
 output of a stream seeded with ``s`` is ``mix64(s + k*GOLDEN)``, so per-path
 substreams are independent of how paths are partitioned across workers.
 """
-
-import math
-import os
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv as _lapack_dgtsv
@@ -32,103 +19,17 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 1.0 / 9007199254740992.0  # 2**-53
 _S11, _S27, _S30, _S31 = (np.uint64(b) for b in (11, 27, 30, 31))
 
-_flag = os.environ.get("FPCASCADE_NUMBA", "auto").strip().lower()
-if _flag in ("0", "off", "false", "no"):
-    NUMBA_ENABLED = False
-    _numba_required = False
-elif _flag in ("1", "on", "true", "yes", "require"):
-    NUMBA_ENABLED = True
-    _numba_required = True
-else:
-    NUMBA_ENABLED = True
-    _numba_required = False
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-    if _numba_required:
-        raise ImportError(
-            "FPCASCADE_NUMBA=1 requires numba, which is not importable"
-        )
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-
-        return deco
-
-
-USE_NUMBA = NUMBA_ENABLED and HAS_NUMBA
-
-
-def active_lane():
-    """Name of the kernel lane selected at import time."""
-    return "numba" if USE_NUMBA else "numpy"
-
-
 # ---------------------------------------------------------------------------
-# tridiagonal solve (dgtsv port)
+# tridiagonal solve
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _gtsv_inplace(dl, d, du, b):
-    """Solve a tridiagonal system by LU with partial pivoting, LAPACK dgtsv style.
-
-    dl, d, du, b are overwritten; the solution ends up in b.
-    """
-    n = d.shape[0]
-    du2 = 0.0
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            # no row interchange
-            if d[i] == 0.0:
-                raise ZeroDivisionError("singular tridiagonal matrix")
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            b[i + 1] = b[i + 1] - fact * b[i]
-            if i < n - 2:
-                dl[i] = 0.0  # stores du2 slot unused
-        else:
-            # interchange rows i and i+1
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            tmp = d[i + 1]
-            d[i + 1] = du[i] - fact * tmp
-            du2 = 0.0
-            if i < n - 2:
-                du2 = du[i + 1]
-                du[i + 1] = -fact * du2
-            du[i] = tmp
-            tmp = b[i]
-            b[i] = b[i + 1]
-            b[i + 1] = tmp - fact * b[i]
-            if i < n - 2:
-                dl[i] = du2  # remember second superdiagonal entry
-    if d[n - 1] == 0.0:
-        raise ZeroDivisionError("singular tridiagonal matrix")
-    # back substitution; dl[i] holds the second superdiagonal where pivoted
-    b[n - 1] = b[n - 1] / d[n - 1]
-    if n > 1:
-        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
-    return b
-
-
-def tridiag_solve_numpy(dl, d, du, b):
+def tridiag_solve(dl, d, du, b):
     """LAPACK dgtsv on copies of the band arrays."""
     _, _, _, x, info = _lapack_dgtsv(dl, d, du, b)
     if info != 0:
         raise ZeroDivisionError("singular tridiagonal matrix")
     return x
-
-
-def tridiag_solve_numba(dl, d, du, b):
-    return _gtsv_inplace(dl.copy(), d.copy(), du.copy(), b.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +41,7 @@ def tridiag_solve_numba(dl, d, du, b):
 
 
 def _cascade_coeffs(x, tm, d_coeff, dt, dx, s_in, qbar):
-    """Band and rhs for the interior unknowns (index 1..n-2), numpy lane."""
+    """Band and rhs for the interior unknowns (index 1..n-2)."""
     n = x.shape[0]
     alpha = d_coeff * dt / (2.0 * dx * dx)
     a = -x / tm
@@ -163,53 +64,13 @@ def _cascade_coeffs(x, tm, d_coeff, dt, dx, s_in, qbar):
     return lower, diag, upper, rhs
 
 
-def cascade_cn_step_numpy(x, tm, d_coeff, dt, dx, s_in, qbar, s_out):
+def cascade_cn_step(x, tm, d_coeff, dt, dx, s_in, qbar, s_out):
     lower, diag, upper, rhs = _cascade_coeffs(x, tm, d_coeff, dt, dx, s_in, qbar)
-    sol = tridiag_solve_numpy(lower, diag, upper, rhs)
+    sol = tridiag_solve(lower, diag, upper, rhs)
     s_out[1:-1] = sol
     s_out[0] = 2.0 * sol[0] - sol[1]
     s_out[-1] = 2.0 * sol[-1] - sol[-2]
     return s_out
-
-
-@njit(cache=True)
-def _cascade_cn_step_jit(x, tm, d_coeff, dt, dx, s_in, qbar, s_out):
-    n = x.shape[0]
-    m = n - 2
-    alpha = d_coeff * dt / (2.0 * dx * dx)
-    lower = np.empty(m - 1)
-    diag = np.empty(m)
-    upper = np.empty(m - 1)
-    rhs = np.empty(m)
-    for i in range(1, n - 1):
-        beta_i = (-x[i] / tm) * dt / (4.0 * dx)
-        rhs[i - 1] = (
-            (alpha - beta_i) * s_in[i - 1]
-            + (1.0 - 2.0 * alpha) * s_in[i]
-            + (alpha + beta_i) * s_in[i + 1]
-            + dt * qbar[i]
-        )
-        diag[i - 1] = 1.0 + 2.0 * alpha
-        if i > 1:
-            lower[i - 2] = -(alpha - beta_i)
-        if i < n - 2:
-            upper[i - 1] = -(alpha + beta_i)
-    beta_1 = (-x[1] / tm) * dt / (4.0 * dx)
-    beta_r = (-x[n - 2] / tm) * dt / (4.0 * dx)
-    diag[0] = 1.0 + 2.0 * beta_1
-    upper[0] = -2.0 * beta_1
-    diag[m - 1] = 1.0 - 2.0 * beta_r
-    lower[m - 2] = 2.0 * beta_r
-    sol = _gtsv_inplace(lower, diag, upper, rhs)
-    for i in range(1, n - 1):
-        s_out[i] = sol[i - 1]
-    s_out[0] = 2.0 * sol[0] - sol[1]
-    s_out[n - 1] = 2.0 * sol[m - 1] - sol[m - 2]
-    return s_out
-
-
-def cascade_cn_step_numba(x, tm, d_coeff, dt, dx, s_in, qbar, s_out):
-    return _cascade_cn_step_jit(x, tm, d_coeff, dt, dx, s_in, qbar, s_out)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +80,7 @@ def cascade_cn_step_numba(x, tm, d_coeff, dt, dx, s_in, qbar, s_out):
 # ---------------------------------------------------------------------------
 
 
-def fp_cn_step_numpy(a_half, d_coeff, dt, dx, w_in, w_out):
+def fp_cn_step(a_half, d_coeff, dt, dx, w_in, w_out):
     n = w_in.shape[0]
     alpha = d_coeff * dt / (2.0 * dx * dx)
     g = dt / (4.0 * dx)
@@ -233,46 +94,11 @@ def fp_cn_step_numpy(a_half, d_coeff, dt, dx, w_in, w_out):
         + (1.0 - 2.0 * alpha - g * (ar - al)) * w_in[1:-1]
         + (alpha - g * ar) * w_in[2:]
     )
-    sol = tridiag_solve_numpy(lower, diag, upper, rhs)
+    sol = tridiag_solve(lower, diag, upper, rhs)
     w_out[1:-1] = sol
     w_out[0] = 0.0
     w_out[-1] = 0.0
     return w_out
-
-
-@njit(cache=True)
-def _fp_cn_step_jit(a_half, d_coeff, dt, dx, w_in, w_out):
-    n = w_in.shape[0]
-    m = n - 2
-    alpha = d_coeff * dt / (2.0 * dx * dx)
-    g = dt / (4.0 * dx)
-    lower = np.empty(m - 1)
-    diag = np.empty(m)
-    upper = np.empty(m - 1)
-    rhs = np.empty(m)
-    for i in range(1, n - 1):
-        ar = a_half[i]
-        al = a_half[i - 1]
-        diag[i - 1] = 1.0 + 2.0 * alpha + g * (ar - al)
-        if i < n - 2:
-            upper[i - 1] = -(alpha - g * ar)
-        if i > 1:
-            lower[i - 2] = -(alpha + g * al)
-        rhs[i - 1] = (
-            (alpha + g * al) * w_in[i - 1]
-            + (1.0 - 2.0 * alpha - g * (ar - al)) * w_in[i]
-            + (alpha - g * ar) * w_in[i + 1]
-        )
-    sol = _gtsv_inplace(lower, diag, upper, rhs)
-    for i in range(1, n - 1):
-        w_out[i] = sol[i - 1]
-    w_out[0] = 0.0
-    w_out[n - 1] = 0.0
-    return w_out
-
-
-def fp_cn_step_numba(a_half, d_coeff, dt, dx, w_in, w_out):
-    return _fp_cn_step_jit(a_half, d_coeff, dt, dx, w_in, w_out)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +106,7 @@ def fp_cn_step_numba(a_half, d_coeff, dt, dx, w_in, w_out):
 # ---------------------------------------------------------------------------
 
 
-def splitmix64_mix_numpy(z):
+def splitmix64_mix(z):
     """Output function of splitmix64 on uint64 array input."""
     z = np.asarray(z, dtype=np.uint64)
     z = (z ^ (z >> np.uint64(30))) * _MIX1
@@ -288,10 +114,10 @@ def splitmix64_mix_numpy(z):
     return z ^ (z >> np.uint64(31))
 
 
-def path_stream_states_numpy(master_seed, n_paths):
+def path_stream_states(master_seed, n_paths):
     """Substream state for each path: mix64(master + (p+1)*GOLDEN)."""
     p = np.arange(1, n_paths + 1, dtype=np.uint64)
-    return splitmix64_mix_numpy(np.uint64(master_seed) + p * _GOLDEN)
+    return splitmix64_mix(np.uint64(master_seed) + p * _GOLDEN)
 
 
 def normals_scratch(size):
@@ -321,7 +147,7 @@ def _uniform_bits(states, first, tmp, u):
     np.right_shift(u, _S11, out=u)
 
 
-def bm_normals_numpy(states, k, out, scratch=None):
+def bm_normals(states, k, out, scratch=None):
     """Normals k, k+1, ... of every substream (Box-Muller, fresh pair each).
 
     ``out`` of shape (n,) receives normal k; of shape (B, n), row b receives
@@ -351,50 +177,3 @@ def bm_normals_numpy(states, k, out, scratch=None):
     np.cos(f, out=f)
     rows *= f
     return out
-
-
-@njit(cache=True)
-def _bm_normals_jit(states, k, out):
-    n = states.shape[0]
-    kk = np.uint64(2 * k)
-    one = np.uint64(1)
-    two = np.uint64(2)
-    for i in range(n):
-        z1 = states[i] + (kk + one) * _GOLDEN
-        z1 = (z1 ^ (z1 >> np.uint64(30))) * _MIX1
-        z1 = (z1 ^ (z1 >> np.uint64(27))) * _MIX2
-        z1 = z1 ^ (z1 >> np.uint64(31))
-        z2 = states[i] + (kk + two) * _GOLDEN
-        z2 = (z2 ^ (z2 >> np.uint64(30))) * _MIX1
-        z2 = (z2 ^ (z2 >> np.uint64(27))) * _MIX2
-        z2 = z2 ^ (z2 >> np.uint64(31))
-        f1 = (float(z1 >> np.uint64(11)) + 1.0) * _U53
-        f2 = float(z2 >> np.uint64(11)) * _U53
-        out[i] = math.sqrt(-2.0 * math.log(f1)) * math.cos(2.0 * math.pi * f2)
-    return out
-
-
-def bm_normals_numba(states, k, out, scratch=None):
-    """Same contract as ``bm_normals_numpy``; ``scratch`` is not needed."""
-    rows = _rows(states, out)
-    # the mod-2**64 wraparound is the stream; without numba the loop runs on
-    # numpy scalars, which would warn about it
-    with np.errstate(over="ignore"):
-        for b in range(rows.shape[0]):
-            _bm_normals_jit(states, np.uint64(int(k) + b), rows[b])
-    return out
-
-
-# public bindings for the selected lane
-if USE_NUMBA:
-    tridiag_solve = tridiag_solve_numba
-    cascade_cn_step = cascade_cn_step_numba
-    fp_cn_step = fp_cn_step_numba
-    bm_normals = bm_normals_numba
-else:
-    tridiag_solve = tridiag_solve_numpy
-    cascade_cn_step = cascade_cn_step_numpy
-    fp_cn_step = fp_cn_step_numpy
-    bm_normals = bm_normals_numpy
-
-path_stream_states = path_stream_states_numpy

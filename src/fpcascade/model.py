@@ -305,11 +305,10 @@ class ActionExpansion:
 @dataclass(frozen=True)
 class Tolerances:
     mass_tol: float = 1e-8
-    solver_tol: float = 1e-6
     boundary_tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("mass_tol", "solver_tol", "boundary_tol"):
+        for name in ("mass_tol", "boundary_tol"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0")
 

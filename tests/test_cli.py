@@ -9,7 +9,7 @@ import pytest
 
 from fpcascade import cli
 from fpcascade.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
-from fpcascade.model import DensityField, RunConfig, validate_config
+from fpcascade.model import DensityField, RunConfig, Tolerances, validate_config
 
 FAST = [
     "--t0", "0.1", "--t-max", "2", "--x-min", "-16", "--x-max", "16",
@@ -136,6 +136,13 @@ class TestCustom:
         path.write_text(json.dumps({"familly": "zero"}))
         assert main(["custom", "--config", str(path)]) == EXIT_CONFIG
 
+    def test_int_accepted_for_float(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"lam": 1, "checkpoints": [1, 2.5], "tolerances": {"mass_tol": 1}}))
+        overrides = cli._load_config_file(path)
+        assert overrides["lam"] == 1 and overrides["checkpoints"] == (1, 2.5)
+        assert overrides["tolerances"] == Tolerances(mass_tol=1)
+
 
 def test_narrow_domain_solver_abort(tmp_path):
     # FD boundary-leak guard trips on a domain that cannot hold the density
@@ -171,6 +178,39 @@ class TestFailures:
         monkeypatch.setattr(cli, "_run_solvers", must_not_run)
         assert run_example1(tmp_path / below_file) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config rejected: cannot create output directory")
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"tolerances": {"bogus": 1}}, "unknown tolerance keys: ['bogus']"),
+        ({"tolerances": 5}, "tolerances must be a JSON object, got 5"),
+        ({"tolerances": {"mass_tol": "x"}}, 'tolerances.mass_tol must be a number, got "x"'),
+        ({"checkpoints": 5}, "checkpoints must be a list of numbers, got 5"),
+        ({"checkpoints": [0.5, None]}, "checkpoints must be a list of numbers, got [0.5, null]"),
+        ({"lam": None}, "lam must be a number, got null"),
+        ({"lam": True}, "lam must be a number, got true"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"nx": "241"}, 'nx must be an integer, got "241"'),
+        ({"family": 0}, "family must be a string, got 0"),
+    ], ids=["unknown-tolerance", "tolerances-int", "tolerance-str", "checkpoints-int",
+            "checkpoint-null", "lam-null", "lam-bool", "seed-float", "nx-str", "family-int"])
+    def test_mistyped_config_value_rejected(self, tmp_path, monkeypatch, capsys, bad, message):
+        def must_not_run(cfg):
+            raise AssertionError("a solver ran on a rejected config")
+
+        monkeypatch.setattr(cli, "_run_solvers", must_not_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"family": "zero", "out_dir": str(tmp_path / "out"), **bad}))
+        assert main(["custom", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config rejected: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [None, '{"family": "zero",', b"\xff"], ids=["missing", "truncated", "not-utf8"])
+    def test_unreadable_config_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert main(["custom", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config rejected: cannot read config file {path}: ")
 
     @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
                                        KeyboardInterrupt()], ids=["disk-full", "interrupt"])
