@@ -26,7 +26,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import chain
 from pathlib import Path
 
@@ -127,38 +127,16 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _config_from_args(args, family: str | None) -> RunConfig:
+def _config_from_args(args) -> RunConfig:
     overrides = {}
     if args.config:
         overrides.update(_load_config_file(args.config))
-    if family is not None:
-        overrides["family"] = family
-    flag_map = {
-        "v": "v_kind",
-        "omega": "omega",
-        "v0": "v0",
-        "lam": "lam",
-        "d": "d_coeff",
-        "order": "order",
-        "x_min": "x_min",
-        "x_max": "x_max",
-        "nx": "nx",
-        "nt": "nt",
-        "t0": "t0",
-        "t_max": "t_max",
-        "paths": "n_paths",
-        "seed": "seed",
-        "mc_dt": "mc_dt",
-        "out": "out_dir",
-    }
-    for flag, field_name in flag_map.items():
-        val = getattr(args, flag, None)
+    # each flag's dest is the RunConfig field it sets; example1 and ou set family
+    for name in RunConfig.__dataclass_fields__:
+        val = getattr(args, name, None)
         if val is not None:
-            overrides[field_name] = val
-    try:
-        return replace(RunConfig(), **overrides)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+            overrides[name] = val
+    return replace(RunConfig(), **overrides)
 
 
 def _checkpoint_indices(cfg: ValidatedConfig):
@@ -168,10 +146,11 @@ def _checkpoint_indices(cfg: ValidatedConfig):
 
 def _run_solvers(cfg: ValidatedConfig):
     grid, drift = cfg.grid, cfg.drift
-    d, lam = cfg.d_coeff, cfg.lam
+    raw = cfg.raw
+    d, lam = raw.d_coeff, raw.lam
     fields = {}
-    fields["w_pert"] = assemble_density(analytic_expansion(drift, d, lam, cfg.order, grid), drift)
-    fields["w_pert_numeric"] = assemble_density(solve_expansion(drift, d, lam, cfg.order, grid), drift)
+    fields["w_pert"] = assemble_density(analytic_expansion(drift, d, lam, raw.order, grid), drift)
+    fields["w_pert_numeric"] = assemble_density(solve_expansion(drift, d, lam, raw.order, grid), drift)
 
     exact_vals = np.array([oracle_density(drift, d, lam, grid.x, tj) for tj in grid.t])
     fields["w_exact"] = DensityField(grid=grid, values=exact_vals)
@@ -180,12 +159,10 @@ def _run_solvers(cfg: ValidatedConfig):
     w_init = w_init / float(trapezoid(w_init, grid.dx))
     fields["w_fd"] = fp_fd_solve(
         drift, d, lam, grid, w_init,
-        mass_tol=cfg.tolerances.mass_tol, boundary_tol=cfg.tolerances.boundary_tol,
+        mass_tol=raw.tolerances.mass_tol, boundary_tol=raw.tolerances.boundary_tol,
     )
 
-    ensemble = em_simulate(
-        drift, d, lam, grid.t0, cfg.checkpoints, cfg.raw.mc_dt, cfg.raw.n_paths, cfg.raw.seed
-    )
+    ensemble = em_simulate(drift, d, lam, grid.t0, cfg.checkpoints, raw.mc_dt, raw.n_paths, raw.seed)
     fields["w_mc"] = density_from_samples(ensemble, grid)
     return fields
 
@@ -250,14 +227,14 @@ def _summarize(fields: dict, cfg: ValidatedConfig, lambda_sweep):
     }
     if drift.family == FAMILY_LINEAR:
         summary["translation_residual"] = translation_residual(
-            fields["w_pert"], cfg.d_coeff, cfg.lam, drift.modulation
+            fields["w_pert"], cfg.raw.d_coeff, cfg.raw.lam, drift.modulation
         )
     if drift.family == FAMILY_QUADRATIC:
         lams = lambda_sweep if lambda_sweep else [0.02, 0.04, 0.08, 0.16]
         errors = []
         for lam in lams:
-            exact = ou_density_exact(_SWEEP_X, _SWEEP_T, cfg.d_coeff, lam)
-            pert = ou_density_pert(_SWEEP_X, _SWEEP_T, cfg.d_coeff, lam)
+            exact = ou_density_exact(_SWEEP_X, _SWEEP_T, cfg.raw.d_coeff, lam)
+            pert = ou_density_pert(_SWEEP_X, _SWEEP_T, cfg.raw.d_coeff, lam)
             errors.append(float(np.abs(pert - exact).max() / exact.max()))
         summary["scaling_fit"] = {
             "lambdas": [float(l) for l in lams],
@@ -266,38 +243,16 @@ def _summarize(fields: dict, cfg: ValidatedConfig, lambda_sweep):
         }
         summary["resummation_gaps"] = {
             "t": [float(tj) for tj in grid.t],
-            "gap": [float(log_resummation_gap(cfg.lam, tj)) for tj in grid.t],
+            "gap": [float(log_resummation_gap(cfg.raw.lam, tj)) for tj in grid.t],
         }
     return summary
 
 
 def _config_dict(cfg: ValidatedConfig):
-    raw = cfg.raw
-    return {
-        "family": raw.family,
-        "v_kind": raw.v_kind,
-        "omega": raw.omega,
-        "v0": raw.v0,
-        "d_coeff": raw.d_coeff,
-        "lam": raw.lam,
-        "order": raw.order,
-        "x_min": raw.x_min,
-        "x_max": raw.x_max,
-        "nx": raw.nx,
-        "t0": raw.t0,
-        "t_max": raw.t_max,
-        "nt": raw.nt,
-        "dx": cfg.grid.dx,
-        "dt": cfg.grid.dt,
-        "n_paths": raw.n_paths,
-        "seed": raw.seed,
-        "mc_dt": raw.mc_dt,
-        "checkpoints": list(cfg.checkpoints),
-        "tolerances": {
-            "mass_tol": raw.tolerances.mass_tol,
-            "boundary_tol": raw.tolerances.boundary_tol,
-        },
-    }
+    config = asdict(cfg.raw)
+    del config["out_dir"]
+    config.update(dx=cfg.grid.dx, dt=cfg.grid.dt, checkpoints=list(cfg.checkpoints))
+    return config
 
 
 @contextmanager
@@ -334,8 +289,8 @@ def _write_outputs(fields: dict, summary: dict, cfg: ValidatedConfig):
     return out_dir
 
 
-def _run(args, family: str | None, lambda_sweep=None):
-    cfg = validate_config(_config_from_args(args, family))
+def _run(args, lambda_sweep=None) -> int:
+    cfg = validate_config(_config_from_args(args))
     try:
         Path(cfg.raw.out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -348,10 +303,6 @@ def _run(args, family: str | None, lambda_sweep=None):
     return EXIT_OK
 
 
-def cmd_example1(args) -> int:
-    return _run(args, FAMILY_LINEAR)
-
-
 def cmd_ou(args) -> int:
     sweep = None
     if args.lambda_sweep:
@@ -361,18 +312,18 @@ def cmd_ou(args) -> int:
             raise ConfigError(f"bad --lambda-sweep list: {args.lambda_sweep!r}") from exc
         if len(sweep) < 3:
             raise ConfigError("--lambda-sweep needs at least 3 values for a slope fit")
-    return _run(args, FAMILY_QUADRATIC, lambda_sweep=sweep)
+    return _run(args, lambda_sweep=sweep)
 
 
 def cmd_custom(args) -> int:
     if not args.config:
         raise ConfigError("custom runs need --config pointing at a JSON file")
-    return _run(args, None)
+    return _run(args)
 
 
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="perturbation strength")
-    p.add_argument("--d", type=float, default=None, help="diffusion constant D")
+    p.add_argument("--d", dest="d_coeff", type=float, default=None, help="diffusion constant D")
     p.add_argument("--order", type=int, default=None, help="expansion order N (<= 8)")
     p.add_argument("--x-min", dest="x_min", type=float, default=None)
     p.add_argument("--x-max", dest="x_max", type=float, default=None)
@@ -380,10 +331,10 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--nt", type=int, default=None)
     p.add_argument("--t0", type=float, default=None, help="start time (> 0)")
     p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--paths", type=int, default=None, help="Monte Carlo path count")
+    p.add_argument("--paths", dest="n_paths", type=int, default=None, help="Monte Carlo path count")
     p.add_argument("--seed", type=int, default=None, help="master seed (64-bit)")
     p.add_argument("--mc-dt", dest="mc_dt", type=float, default=None, help="max Monte Carlo step")
-    p.add_argument("--out", type=str, default=None, help="output directory")
+    p.add_argument("--out", dest="out_dir", type=str, default=None, help="output directory")
     p.add_argument("--config", type=str, default=None, help="JSON config file; flags override it")
 
 
@@ -396,11 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p1 = sub.add_parser("example1", help="linear drift potential x*V(t)")
-    p1.add_argument("--v", choices=["cos", "sin", "const"], default=None, help="modulation V(t)")
+    p1.add_argument("--v", dest="v_kind", choices=["cos", "sin", "const"], default=None, help="modulation V(t)")
     p1.add_argument("--omega", type=float, default=None, help="angular frequency of V")
     p1.add_argument("--v0", type=float, default=None, help="constant V value")
     _add_common_flags(p1)
-    p1.set_defaults(func=cmd_example1)
+    p1.set_defaults(func=_run, family=FAMILY_LINEAR)
 
     p2 = sub.add_parser("ou", help="quadratic drift potential x^2/2")
     p2.add_argument(
@@ -411,10 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of lambdas for the scaling fit (default 0.02,0.04,0.08,0.16)",
     )
     _add_common_flags(p2)
-    p2.set_defaults(func=cmd_ou)
+    p2.set_defaults(func=cmd_ou, family=FAMILY_QUADRATIC)
 
     p3 = sub.add_parser("custom", help="any built-in drift family from a JSON config")
-    p3.add_argument("--v", choices=["cos", "sin", "const"], default=None)
+    p3.add_argument("--v", dest="v_kind", choices=["cos", "sin", "const"], default=None)
     p3.add_argument("--omega", type=float, default=None)
     p3.add_argument("--v0", type=float, default=None)
     _add_common_flags(p3)

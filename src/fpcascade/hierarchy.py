@@ -60,6 +60,13 @@ def s0_closed_form(grid: Grid, d_coeff: float) -> ScalarField:
     return ScalarField(grid=grid, values=vals, tag=TAG_ACTION, order=0)
 
 
+# S_2k = c_k t^(2k-1) (D t + k x^2) for the quadratic family, with
+# c_k = -B_2k 4^(k-1) / (k (2k)!) (B_2k the Bernoulli numbers), from the
+# series in lam of the family's exact action; S_2 is oracles.ou_s2 and the odd
+# orders beyond S_1 vanish
+_OU_EVEN_COEFFS = {4: 1.0 / 360.0, 6: -1.0 / 5670.0, 8: 1.0 / 75600.0}
+
+
 def _closed_form_term(drift: DriftSpec, d_coeff: float, n: int, x, t):
     """Closed-form S_n(x, t) for the built-in families; None when unknown."""
     if n == 0:
@@ -77,7 +84,11 @@ def _closed_form_term(drift: DriftSpec, d_coeff: float, n: int, x, t):
             return ou_s1(t, d_coeff) * np.ones_like(np.asarray(x, dtype=float))
         if n == 2:
             return ou_s2(x, t, d_coeff)
-        return np.zeros_like(np.asarray(x, dtype=float))
+        if n % 2:
+            return np.zeros_like(np.asarray(x, dtype=float))
+        if n in _OU_EVEN_COEFFS:
+            x = np.asarray(x, dtype=float)
+            return _OU_EVEN_COEFFS[n] * t ** (n - 1) * (d_coeff * t + (n // 2) * x * x)
     return None
 
 
@@ -90,7 +101,7 @@ def analytic_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int,
         for j, tj in enumerate(grid.t):
             slice_vals = _closed_form_term(drift, d_coeff, n, x, tj)
             if slice_vals is None:
-                raise ValueError(f"no closed-form action terms for drift family {drift.family!r}")
+                raise ValueError(f"no closed-form action term S_{n} for drift family {drift.family!r}")
             vals[j] = slice_vals
         terms.append(ScalarField(grid=grid, values=vals, tag=TAG_ACTION, order=n))
     return ActionExpansion(d_coeff=d_coeff, lam=lam, terms=tuple(terms))
@@ -185,7 +196,7 @@ def solve_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, gr
     """Numeric cascade: S0 closed form, then orders 1..order by Crank-Nicolson.
 
     Initial slices come from the closed forms of the built-in families (zero
-    for orders they do not populate), inheriting the finiteness-at-zero choice
+    for an order with no known closed form), inheriting the finiteness-at-zero choice
     of integration constants.  The solve itself runs on a padded domain (see
     _padded_nodes) and is cropped back to the requested grid.
     """

@@ -4,7 +4,8 @@ All types are immutable after construction (frozen dataclasses, read-only
 arrays) and therefore safe to share across threads.
 """
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -17,7 +18,6 @@ MAX_EXPANSION_ORDER = 8
 # quantity tags for ScalarField
 TAG_ACTION = "action"
 TAG_POTENTIAL_ORDER = "potential-order"
-TAG_DENSITY = "density"
 TAG_WAVEFUNCTION = "wavefunction"
 
 _EvalFn = Callable[[np.ndarray, float], np.ndarray]
@@ -89,12 +89,6 @@ class ScalarField:
         if vals.shape != (self.grid.nt, self.grid.nx):
             raise ValueError(f"field shape {vals.shape} != grid shape {(self.grid.nt, self.grid.nx)}")
         object.__setattr__(self, "values", _readonly(vals))
-
-    def require_finite(self, context: str = "field"):
-        if not np.all(np.isfinite(self.values)):
-            j, i = np.argwhere(~np.isfinite(self.values))[0]
-            raise ValueError(f"{context}: non-finite value at t-slice {j}, x-node {i}")
-        return self
 
 
 NEGATIVITY_FLOOR = -1e-12
@@ -347,28 +341,16 @@ class ValidatedConfig:
     grid: Grid
     checkpoints: tuple
 
-    @property
-    def d_coeff(self):
-        return self.raw.d_coeff
-
-    @property
-    def lam(self):
-        return self.raw.lam
-
-    @property
-    def order(self):
-        return self.raw.order
-
-    @property
-    def tolerances(self):
-        return self.raw.tolerances
-
 
 def build_drift(cfg: RunConfig) -> DriftSpec:
     if cfg.family == FAMILY_ZERO:
         return zero_drift()
     if cfg.family == FAMILY_LINEAR:
-        return linear_time_modulated(ModulationV(kind=cfg.v_kind, omega=cfg.omega, v0=cfg.v0))
+        try:
+            modulation = ModulationV(kind=cfg.v_kind, omega=cfg.omega, v0=cfg.v0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        return linear_time_modulated(modulation)
     if cfg.family == FAMILY_QUADRATIC:
         return quadratic_ou()
     raise ConfigError(f"unknown drift family {cfg.family!r}")
@@ -379,6 +361,12 @@ def validate_config(cfg: RunConfig) -> ValidatedConfig:
 
     Raises ConfigError naming the violated bound.
     """
+    schema = [(f.name, getattr(cfg, f.name), f.type) for f in fields(RunConfig)]
+    schema += [(f"tolerances.{f.name}", getattr(cfg.tolerances, f.name), f.type) for f in fields(Tolerances)]
+    schema += [(f"checkpoints[{i}]", c, float) for i, c in enumerate(cfg.checkpoints)]
+    for name, value, kind in schema:
+        if kind is float and not abs(value) <= sys.float_info.max:  # NaN, +-inf, an int past the float range
+            raise ConfigError(f"{name} must be finite, got {value}")
     if not cfg.d_coeff > 0:
         raise ConfigError(f"diffusion constant must be > 0, got {cfg.d_coeff}")
     if not 0 <= cfg.order <= MAX_EXPANSION_ORDER:

@@ -204,6 +204,38 @@ class TestFailures:
         assert err == f"config rejected: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, bad, message", [
+        (["example1", "--lambda", "nan"], None, "lam must be finite, got nan"),
+        (["example1", "--lambda=-inf"], None, "lam must be finite, got -inf"),
+        (["example1", "--d", "inf"], None, "d_coeff must be finite, got inf"),
+        (["ou", "--x-max", "inf"], None, "x_max must be finite, got inf"),
+        (["ou", "--t-max", "inf"], None, "t_max must be finite, got inf"),
+        (["example1", "--v", "const", "--v0", "nan"], None, "v0 must be finite, got nan"),
+        (["custom"], {"lam": float("nan")}, "lam must be finite, got nan"),
+        (["custom"], {"lam": 10**400}, f"lam must be finite, got {10**400}"),
+        (["custom"], {"tolerances": {"mass_tol": float("inf")}}, "tolerances.mass_tol must be finite, got inf"),
+        (["custom"], {"checkpoints": [0.5, float("nan")]}, "checkpoints[1] must be finite, got nan"),
+        (["custom"], {"checkpoints": [10**400]}, f"checkpoints[0] must be finite, got {10**400}"),
+        (["example1", "--omega", "-1"], None, "omega must be > 0 for cos/sin modulation"),
+        (["example1", "--v", "sin", "--omega", "0"], None, "omega must be > 0 for cos/sin modulation"),
+        (["custom"], {"v_kind": "tan"}, "unknown modulation kind 'tan'"),
+    ], ids=["lam-nan", "lam-minus-inf", "d-inf", "x-max-inf", "t-max-inf", "v0-nan", "json-lam-nan",
+            "json-lam-huge-int", "json-mass-tol-inf", "json-checkpoint-nan", "json-checkpoint-huge-int",
+            "omega-negative", "sin-omega-zero", "json-v-kind-tan"])
+    def test_nonfinite_or_invalid_value_rejected(self, tmp_path, monkeypatch, capsys, argv, bad, message):
+        def must_not_run(cfg):
+            raise AssertionError("a solver ran on a rejected config")
+
+        monkeypatch.setattr(cli, "_run_solvers", must_not_run)
+        if bad is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(bad))  # NaN and Infinity, as Python's json reads them
+            argv = [*argv, "--config", str(path)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config rejected: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text", [None, '{"family": "zero",', b"\xff"], ids=["missing", "truncated", "not-utf8"])
     def test_unreadable_config_rejected(self, tmp_path, capsys, text):
         path = tmp_path / "cfg.json"
@@ -238,6 +270,76 @@ class TestFailures:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(earlier)
         for name, data in earlier.items():
             assert (tmp_path / name).read_bytes() == data
+
+
+def _hand_written_config_dict(cfg):
+    """The config echo as it was written field by field before it was built
+    from the RunConfig schema.  Kept as the oracle."""
+    raw = cfg.raw
+    return {
+        "family": raw.family,
+        "v_kind": raw.v_kind,
+        "omega": raw.omega,
+        "v0": raw.v0,
+        "d_coeff": raw.d_coeff,
+        "lam": raw.lam,
+        "order": raw.order,
+        "x_min": raw.x_min,
+        "x_max": raw.x_max,
+        "nx": raw.nx,
+        "t0": raw.t0,
+        "t_max": raw.t_max,
+        "nt": raw.nt,
+        "dx": cfg.grid.dx,
+        "dt": cfg.grid.dt,
+        "n_paths": raw.n_paths,
+        "seed": raw.seed,
+        "mc_dt": raw.mc_dt,
+        "checkpoints": list(cfg.checkpoints),
+        "tolerances": {
+            "mass_tol": raw.tolerances.mass_tol,
+            "boundary_tol": raw.tolerances.boundary_tol,
+        },
+    }
+
+
+_ECHO_CONFIG = {"family": "quadratic_ou", "lam": 1, "d_coeff": 2, "x_min": -16, "nx": 301,
+                "checkpoints": [1, 2.5], "tolerances": {"boundary_tol": 1}}
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["custom"], {}),
+    (["custom"], _ECHO_CONFIG),
+    (["custom"], {"tolerances": {"mass_tol": 1e-7}}),
+    (["custom"], {"checkpoints": [0.07, 2.4, 2.41]}),
+    (["example1", "--v", "sin", "--omega", "2", "--d", "1.5", "--paths", "7", "--lambda", "0.1",
+      "--order", "3", "--x-min", "-9", "--x-max", "9", "--nx", "37", "--nt", "11", "--t0", "0.1",
+      "--t-max", "3", "--seed", "7", "--mc-dt", "0.01"], _ECHO_CONFIG),
+], ids=["default", "ints-for-floats", "partial-tolerances", "checkpoints", "flag-overrides"])
+def test_config_echo_matches_hand_written_oracle(tmp_path, argv, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    args = cli.build_parser().parse_args([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
+    cfg = validate_config(cli._config_from_args(args))
+    echo = json.dumps(cli._jsonable(cli._config_dict(cfg)), sort_keys=True)
+    assert echo == json.dumps(cli._jsonable(_hand_written_config_dict(cfg)), sort_keys=True)
+
+
+def test_subcommand_family_overrides_config_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": "zero"}))
+    families = {"example1": "linear_time_modulated", "ou": "quadratic_ou", "custom": "zero"}
+    for command, family in families.items():
+        args = cli.build_parser().parse_args([command, "--config", str(path)])
+        assert cli._config_from_args(args).family == family
+
+
+def test_every_flag_dest_is_a_run_config_field():
+    parser = cli.build_parser()
+    fields = set(RunConfig.__dataclass_fields__)
+    for command in ("example1", "ou", "custom"):
+        dests = set(vars(parser.parse_args([command]))) - {"config", "lambda_sweep", "command", "func"}
+        assert dests and dests <= fields, (command, sorted(dests - fields))
 
 
 # values at the edges of %.17g: signed zero, a tiny undershoot, the smallest

@@ -1,9 +1,16 @@
-"""Traceability: every test name cited in the verification guide must exist."""
+"""Traceability: every test name cited in the verification guide must exist,
+and every command line the docs show must parse."""
 
 import re
+import shlex
 from pathlib import Path
 
-DOCS = Path(__file__).resolve().parent.parent / "docs"
+import pytest
+
+from fpcascade import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = ROOT / "docs"
 TESTS = Path(__file__).resolve().parent
 
 
@@ -37,3 +44,27 @@ def test_acceptance_criteria_all_cited():
     acceptance = (TESTS / "test_acceptance.py").read_text(encoding="utf-8")
     for name in re.findall(r"^def (test_criterion\w+)", acceptance, flags=re.M):
         assert name in text, f"acceptance test {name} is not referenced by the guide"
+
+
+def documented_commands():
+    """Every ``fpcascade ...`` command in README.md and docs/verification.md,
+    as a code-block line or an inline code span; elided ones (``...``) are
+    skipped."""
+    commands = []
+    for path in (ROOT / "README.md", DOCS / "verification.md"):
+        text = path.read_text(encoding="utf-8")
+        found = re.findall(r"^(fpcascade .+)$", text, flags=re.M) + re.findall(r"`(fpcascade [^`]+)`", text)
+        commands += [cmd for cmd in found if "..." not in cmd]
+    return list(dict.fromkeys(commands))
+
+
+def test_docs_show_commands():
+    assert len(documented_commands()) >= 8
+
+
+@pytest.mark.parametrize("command", documented_commands())
+def test_documented_command_parses(command):
+    try:
+        cli.build_parser().parse_args(shlex.split(command)[1:])
+    except SystemExit as exc:
+        pytest.fail(f"{command!r} does not parse (exit {exc.code})")

@@ -25,6 +25,7 @@ from fpcascade.model import (
 from fpcascade.oracles import (
     ModulationV,
     example1_s1,
+    ou_density_exact,
     ou_s1,
     ou_s2,
     s0_log_heat_kernel,
@@ -175,6 +176,48 @@ class TestSolveExpansion:
         drift = DriftSpec(family="custom", orders=(PotentialTerm(bad.u, bad.u, bad.u, bad.u), bad))
         with pytest.raises(SolverError, match="order 1"):
             solve_expansion(drift, 1.0, 0.1, 1, small_grid)
+
+
+class TestOuAllOrders:
+    """Quadratic-family closed forms past order 2: S_2k = c_k t^(2k-1) (D t + k x^2)
+    with c = -1/12, 1/360, -1/5670, 1/75600, and every odd order beyond S_1 zero."""
+
+    def test_truncation_error_falls_with_order(self):
+        # analytic density at t = 2 against the exact one; measured 8.1e-4,
+        # 2.8e-5, 1.0e-6 and 3.6e-8 at orders 2, 4, 6 and 8
+        drift = quadratic_ou()
+        grid = Grid(-12.0, 12.0, 641, 0.05, 2.0, 79)
+        exact = ou_density_exact(grid.x, grid.t_max, 1.0, 0.3)
+        errs = []
+        for order in (2, 4, 6, 8):
+            w = assemble_density(analytic_expansion(drift, 1.0, 0.3, order, grid), drift)
+            errs.append(np.abs(w.values[-1] - exact).max() / exact.max())
+        assert all(coarser / finer >= 10.0 for coarser, finer in zip(errs, errs[1:])), errs
+
+    def test_numeric_terms_converge_to_closed_forms(self):
+        # each slice of S_n carries a free constant: compare after subtracting
+        # the x = 0 value; measured S_4, S_6, S_8 errors fall 3.7x, 4.3x and
+        # 4.3x when dx and dt are halved, odd orders stay below 1e-14
+        drift = quadratic_ou()
+        coarse = Grid(-8.0, 8.0, 241, 0.05, 2.0, 101)
+        errs = []
+        for grid in (coarse, coarse.refined()):
+            numeric = solve_expansion(drift, 1.0, 0.3, 8, grid)
+            closed = analytic_expansion(drift, 1.0, 0.3, 8, grid)
+            for n in (3, 5, 7):
+                assert np.abs(numeric.terms[n].values).max() <= 1e-12
+                assert not closed.terms[n].values.any()
+            per_order = []
+            for n in (4, 6, 8):
+                diff = numeric.terms[n].values - closed.terms[n].values
+                per_order.append(np.abs(diff - diff[:, [grid.nx // 2]]).max())
+            errs.append(per_order)
+        ratios = [c / f for c, f in zip(*errs)]
+        assert all(r >= 3.0 for r in ratios), (errs, ratios)
+
+    def test_orders_past_the_derived_ones_rejected(self, small_grid):
+        with pytest.raises(ValueError, match="S_10"):
+            analytic_expansion(quadratic_ou(), 1.0, 0.1, 10, small_grid)
 
 
 class TestAssembleDensity:
