@@ -2,9 +2,10 @@
 """Time the hot kernels on representative workloads.
 
 Prints the best-of-N wall time of each kernel loop: the two Crank-Nicolson
-steps, the normal generator, and the Euler-Maruyama step (drift into a work
-buffer plus the in-place update, ``reference.em_step``) at the path-chunk
-widths of the default example1 run and of a 100k-path OU run on two CPUs.
+steps, the sampler's normal draws (one ``Generator(SFC64)`` per block of
+paths), and the Euler-Maruyama step (drift into a work buffer plus the
+in-place update, ``reference.em_step``) at the path-chunk widths of the
+default example1 run and of a 100k-path OU run on two CPUs.
 
     python3 benchmarks/bench_kernels.py [--repeats 5]
 """
@@ -13,11 +14,12 @@ import argparse
 import time
 
 import numpy as np
+from numpy.random import SFC64, Generator, SeedSequence
 
 import fpcascade.kernels as K
 from fpcascade.model import linear_time_modulated, quadratic_ou
 from fpcascade.oracles import ModulationV
-from fpcascade.reference import em_step
+from fpcascade.reference import _EM_BLOCK, em_step
 
 
 def best_of(fn, repeats):
@@ -67,12 +69,14 @@ def bench_fp(nx=1601, nt=1101):
 
 
 def bench_normals(n_paths=100000, n_steps=200):
-    states = K.path_stream_states(20107, n_paths)
+    # one draw per block and step into a slice of z, as reference._em_paths does
+    gens = [Generator(SFC64(SeedSequence(20107, spawn_key=(b,)))) for b in range(-(-n_paths // _EM_BLOCK))]
     z = np.empty(n_paths)
 
     def run():
-        for k in range(n_steps):
-            K.bm_normals(states, k, z)
+        for _ in range(n_steps):
+            for b, gen in enumerate(gens):
+                gen.standard_normal(out=z[b * _EM_BLOCK : (b + 1) * _EM_BLOCK])
 
     return run
 

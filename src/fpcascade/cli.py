@@ -312,6 +312,8 @@ def cmd_ou(args) -> int:
             raise ConfigError(f"bad --lambda-sweep list: {args.lambda_sweep!r}") from exc
         if len(sweep) < 3:
             raise ConfigError("--lambda-sweep needs at least 3 values for a slope fit")
+        if not all(0 < lam <= sys.float_info.max for lam in sweep):
+            raise ConfigError(f"--lambda-sweep values must be finite and > 0, got {args.lambda_sweep!r}")
     return _run(args, lambda_sweep=sweep)
 
 

@@ -377,6 +377,8 @@ def validate_config(cfg: RunConfig) -> ValidatedConfig:
         raise ConfigError(f"seed must fit in 64 bits, got {cfg.seed}")
     if not cfg.mc_dt > 0:
         raise ConfigError(f"mc_dt must be > 0, got {cfg.mc_dt}")
+    if cfg.nx < 5:
+        raise ConfigError(f"nx must be >= 5 for the cascade and FD solvers, got {cfg.nx}")
     grid = Grid(cfg.x_min, cfg.x_max, cfg.nx, cfg.t0, cfg.t_max, cfg.nt)  # raises ConfigError
     drift = build_drift(cfg)
     checkpoints = tuple(float(c) for c in cfg.checkpoints)

@@ -7,9 +7,9 @@ Two back ends validate the cascade output:
   with Crank-Nicolson time stepping and absorbing (zero) boundary values.
 
 * ``em_simulate`` runs Euler-Maruyama paths of the matching stochastic
-  process dx = D1(x,t) dt + sqrt(2D) dB.  Normal increments come from
-  Box-Muller over per-path splitmix64 substreams, so ensembles are
-  bit-reproducible and independent of any path partitioning.
+  process dx = D1(x,t) dt + sqrt(2D) dB.  Normal increments come from one
+  numpy ``Generator(SFC64)`` per fixed block of 4096 paths, so ensembles are
+  bit-reproducible and independent of how the blocks are spread over threads.
 
 Both start from the family's closed-form density at t0 > 0, the same initial
 data the cascade uses, so all solvers address one initial-value problem.
@@ -19,6 +19,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import SFC64, Generator, SeedSequence
 
 from . import kernels
 from .analysis import trapezoid
@@ -152,11 +153,9 @@ if hasattr(os, "sched_getaffinity"):
     _EM_CHUNKS = len(os.sched_getaffinity(0))
 else:
     _EM_CHUNKS = os.cpu_count() or 1
-# fewer paths per chunk than this run on the calling thread alone
-_EM_MIN_CHUNK = 4096
-# normals drawn per bm_normals call and chunk (steps x paths), which
-# amortises the per-call overhead when chunks are narrow
-_EM_BATCH_NORMALS = 65536
+# paths per normal-generator block; a chunk is a run of whole blocks, and
+# fewer paths than two blocks run on the calling thread alone
+_EM_BLOCK = 4096
 
 
 def em_simulate(
@@ -172,13 +171,14 @@ def em_simulate(
     """Euler-Maruyama paths from the closed-form density at t0.
 
     ``dt`` is the maximum step; each inter-checkpoint interval is subdivided
-    evenly so checkpoints are hit exactly.  Path p draws its initial position
-    and all increments from substream mix64(seed + (p+1)*GOLDEN), normal k of
-    the path consuming stream outputs 2k+1 and 2k+2 (Box-Muller).
+    evenly so checkpoints are hit exactly.  Block b of 4096 paths draws from
+    ``Generator(SFC64(SeedSequence(seed, spawn_key=(b,))))``: first one normal
+    per path for the initial positions, then one per path and step, in path
+    order.
 
-    Paths are independent, so they run in contiguous chunks, one thread per
-    usable CPU (numpy releases the GIL inside the array operations); the
-    result does not depend on the number of chunks.
+    Blocks are independent, so they run in chunks of whole blocks, one thread
+    per usable CPU (numpy releases the GIL inside the array operations and
+    the draws); the result does not depend on the number of chunks.
     """
     if not t0 > 0:
         raise ValueError("t0 must be > 0")
@@ -207,18 +207,18 @@ def em_simulate(
         segments.append((c, n_steps, h, scale))
     mean0, var0 = oracle_moments(drift, d_coeff, lam, t0)
 
-    states = kernels.path_stream_states(seed, n_paths)
     positions = np.empty((len(checkpoints), n_paths))
-    n_chunks = max(1, min(_EM_CHUNKS, n_paths // _EM_MIN_CHUNK))
-    bounds = [n_paths * i // n_chunks for i in range(n_chunks + 1)]
+    n_blocks = -(-n_paths // _EM_BLOCK)
+    n_chunks = max(1, min(_EM_CHUNKS, n_paths // _EM_BLOCK))
+    block_bounds = [n_blocks * i // n_chunks for i in range(n_chunks + 1)]
     sd0 = np.sqrt(var0)
     jobs = []
-    for lo, hi in zip(bounds, bounds[1:]):
+    for first, end in zip(block_bounds, block_bounds[1:]):
+        lo, hi = first * _EM_BLOCK, min(end * _EM_BLOCK, n_paths)
+        gens = [Generator(SFC64(SeedSequence(seed, spawn_key=(b,)))) for b in range(first, end)]
         # work arrays are made here, on the calling thread, so that worker
         # threads do not grow their own malloc arenas
-        z = np.empty((max(1, _EM_BATCH_NORMALS // (hi - lo)), hi - lo))
-        scratch = kernels.normals_scratch(z.size)
-        jobs.append((states[lo:hi], positions[:, lo:hi], z, scratch, np.empty(hi - lo)))
+        jobs.append((gens, positions[:, lo:hi], np.empty(hi - lo), np.empty(hi - lo)))
 
     def run(job):
         _em_paths(drift, lam, t0, segments, mean0, sd0, *job)
@@ -234,29 +234,30 @@ def em_simulate(
     return SampleEnsemble(checkpoints=tuple(checkpoints), positions=tuple(positions), seed=seed)
 
 
-def _em_paths(drift, lam, t0, segments, mean0, sd0, states, positions, z, scratch, a):
-    """Step the paths of ``states`` through ``segments``; row j of
+def _em_paths(drift, lam, t0, segments, mean0, sd0, gens, positions, z, a):
+    """Step the paths of the blocks ``gens`` through ``segments``; row j of
     ``positions`` receives them at checkpoint j.
 
-    Normals are drawn up to ``len(z)`` steps of one segment per call into
-    ``z`` and scaled by the segment's noise scale in one operation; ``a`` is
-    the drift buffer of ``em_step``.
+    Each step draws one normal per path into ``z``, block by block, and
+    scales it by the segment's noise scale; ``a`` is the drift buffer of
+    ``em_step``.
     """
-    kernels.bm_normals(states, 0, z[0], scratch)
+
+    def draw():
+        for b, gen in enumerate(gens):
+            gen.standard_normal(out=z[b * _EM_BLOCK : (b + 1) * _EM_BLOCK])
+
+    draw()
     x = positions[-1]  # the last checkpoint row doubles as the current positions
-    np.multiply(z[0], sd0, out=x)
+    np.multiply(z, sd0, out=x)
     np.add(x, mean0, out=x)
-    k = 1  # index of the next normal to draw
     t_now = t0
     for j, (c, n_steps, h, scale) in enumerate(segments):
-        for done in range(0, n_steps, len(z)):
-            batch = z[: min(len(z), n_steps - done)]
-            kernels.bm_normals(states, k, batch, scratch)
-            k += len(batch)
-            np.multiply(batch, scale, out=batch)
-            for dz in batch:
-                em_step(drift, lam, x, t_now, h, dz, a)
-                t_now += h
+        for _ in range(n_steps):
+            draw()
+            np.multiply(z, scale, out=z)
+            em_step(drift, lam, x, t_now, h, z, a)
+            t_now += h
         if n_steps:
             t_now = c
         if j < len(segments) - 1:

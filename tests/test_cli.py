@@ -92,6 +92,9 @@ class TestOu:
     def test_bad_sweep_rejected(self, tmp_path):
         assert main(["ou", "--lambda-sweep", "0.1,oops", "--out", str(tmp_path)]) == EXIT_CONFIG
         assert main(["ou", "--lambda-sweep", "0.1,0.2", "--out", str(tmp_path)]) == EXIT_CONFIG
+        # each of these ran every solver and then crashed in the scaling fit
+        for sweep in ("0.01,-0.02,0.05", "0,0.1,0.2", "nan,0.1,0.2", "inf,0.1,0.2"):
+            assert main(["ou", "--lambda-sweep", sweep, "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
 class TestCustom:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fpcascade import kernels, reference
+from fpcascade import reference
 from fpcascade.analysis import trapezoid
 from fpcascade.errors import SolverError
 from fpcascade.model import Grid, linear_time_modulated, quadratic_ou, zero_drift
@@ -96,6 +96,16 @@ class TestEmSimulate:
         b = em_simulate(zero_drift(), 1.0, 0.0, 0.05, [1.0], 2e-3, 500, 8)
         assert not np.array_equal(a.positions[0], b.positions[0])
 
+    def test_stream_v2_frozen_values(self):
+        # numpy does not promise to keep Generator distribution streams fixed
+        # across releases (NEP 19); these are the first three normals of
+        # blocks 0 and 1 at SEED on numpy 2.4.6.  sd0 = sqrt(2 * 0.5 * 1) = 1,
+        # so the t0 positions are the normals themselves.
+        ens = em_simulate(zero_drift(), 0.5, 0.0, 1.0, [1.0], 0.1, 4099, SEED)
+        x = ens.positions[0]
+        assert x[:3].tolist() == [0.22768900846720733, -0.5469519682795477, -0.87332237899652]
+        assert x[4096:].tolist() == [0.06535214159510895, -1.8258448055918879, 0.920612330944]
+
     def test_checkpoints_validation(self):
         with pytest.raises(ValueError, match="ascending"):
             em_simulate(zero_drift(), 1.0, 0.0, 0.05, [1.0, 0.5], 1e-2, 10, 1)
@@ -118,14 +128,17 @@ def _drift_allocating(drift, x, t, lam):
 
 
 def _em_one_step_at_a_time(drift, d_coeff, lam, t0, checkpoints, dt, n_paths, seed):
-    """Reference for em_simulate: all paths together, one normal per step."""
-    states = kernels.path_stream_states(seed, n_paths)
-    z = np.empty(n_paths)
-    k = 0
-    kernels.bm_normals(states, k, z)
-    k += 1
+    """Reference for em_simulate: all paths together, one normal per path and
+    step, drawn from the generator of the path's block of 4096 (stream v2)."""
+    widths = [min(4096, n_paths - lo) for lo in range(0, n_paths, 4096)]
+    gens = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
+            for b in range(len(widths))]
+
+    def normals():
+        return np.concatenate([gen.standard_normal(w) for gen, w in zip(gens, widths)])
+
     mean0, var0 = oracle_moments(drift, d_coeff, lam, t0)
-    xpos = mean0 + np.sqrt(var0) * z
+    xpos = mean0 + np.sqrt(var0) * normals()
     noise_scale = np.sqrt(2.0 * d_coeff)
     out = []
     t_now = t0
@@ -136,8 +149,7 @@ def _em_one_step_at_a_time(drift, d_coeff, lam, t0, checkpoints, dt, n_paths, se
             h = span / n_steps
             sqrt_h = np.sqrt(h)
             for _ in range(n_steps):
-                kernels.bm_normals(states, k, z)
-                k += 1
+                z = normals()
                 xpos = xpos + _drift_allocating(drift, xpos, t_now, lam) * h + noise_scale * sqrt_h * z
                 t_now += h
             t_now = c
@@ -151,7 +163,7 @@ def _assert_same_bits(positions, expected):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-# the first checkpoint takes no step; the steps overrun the normal batches
+# the first checkpoint takes no step
 EM_CASE = dict(d_coeff=1.0, t0=0.02, checkpoints=[0.02, 0.2, 0.35], dt=0.01, seed=SEED)
 
 
@@ -163,29 +175,32 @@ class TestEmChunking:
         ids=["zero", "example1", "ou"],
     )
     def test_matches_one_step_reference(self, monkeypatch, drift, lam, extra):
-        # two chunks start at twice the minimum chunk size
+        # two chunks start at two blocks; one path more or less crosses a block boundary
         monkeypatch.setattr(reference, "_EM_CHUNKS", 2)
-        n = 2 * reference._EM_MIN_CHUNK + extra
+        n = 2 * reference._EM_BLOCK + extra
         ens = em_simulate(drift, lam=lam, n_paths=n, **EM_CASE)
         _assert_same_bits(ens.positions, _em_one_step_at_a_time(drift, lam=lam, n_paths=n, **EM_CASE))
 
     def test_chunk_count_does_not_change_bits(self, monkeypatch):
         n = 13001
-        first_draws = []  # width of each chunk, from its initial draw
-        draw = kernels.bm_normals
+        chunks = []  # (address of the first path, width) of each chunk
+        em_paths = reference._em_paths
 
-        def recording(states, k, out, scratch=None):
-            if k == 0:
-                first_draws.append(len(states))
-            return draw(states, k, out, scratch)
+        def recording(*args):
+            positions = args[7]
+            chunks.append((positions.ctypes.data, positions.shape[1]))
+            return em_paths(*args)
 
-        monkeypatch.setattr(kernels, "bm_normals", recording)
+        monkeypatch.setattr(reference, "_em_paths", recording)
         results = []
         for n_chunks in (1, 2, 3):
             monkeypatch.setattr(reference, "_EM_CHUNKS", n_chunks)
-            first_draws.clear()
+            chunks.clear()
             results.append(em_simulate(quadratic_ou(), lam=0.1, n_paths=n, **EM_CASE).positions)
-            assert len(first_draws) == n_chunks and sum(first_draws) == n
+            starts, widths = zip(*sorted(chunks))  # in path order
+            assert len(widths) == n_chunks and sum(widths) == n
+            assert all(w % reference._EM_BLOCK == 0 for w in widths[:-1])
+            assert all(b - a == 8 * w for a, b, w in zip(starts, starts[1:], widths))
         for other in results[1:]:
             _assert_same_bits(other, results[0])
 
