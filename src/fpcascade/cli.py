@@ -70,18 +70,6 @@ _MASS_TOL = {"w_pert": 1e-9, "w_pert_numeric": 1e-9, "w_exact": 1e-8, "w_fd": 1e
 _COLUMNS = ("w_pert", "w_pert_numeric", "w_exact", "w_fd", "w_mc")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _is_number(value) -> bool:
     return type(value) in (int, float)  # JSON true/false load as bool, not int
 
@@ -152,11 +140,10 @@ def _run_solvers(cfg: ValidatedConfig):
     fields["w_pert"] = assemble_density(analytic_expansion(drift, d, lam, raw.order, grid), drift)
     fields["w_pert_numeric"] = assemble_density(solve_expansion(drift, d, lam, raw.order, grid), drift)
 
-    exact_vals = np.array([oracle_density(drift, d, lam, grid.x, tj) for tj in grid.t])
-    fields["w_exact"] = DensityField(grid=grid, values=exact_vals)
+    exact = oracle_density(drift, d, lam, grid.x, grid.t[:, None])
+    fields["w_exact"] = DensityField(grid=grid, values=exact)
 
-    w_init = oracle_density(drift, d, lam, grid.x, grid.t0)
-    w_init = w_init / float(trapezoid(w_init, grid.dx))
+    w_init = exact[0] / float(trapezoid(exact[0], grid.dx))
     fields["w_fd"] = fp_fd_solve(
         drift, d, lam, grid, w_init,
         mass_tol=raw.tolerances.mass_tol, boundary_tol=raw.tolerances.boundary_tol,
@@ -181,7 +168,24 @@ def _check_emission(fields: dict, cfg: ValidatedConfig):
             raise InvariantViolation(f"{name} holds a value below -1e-12")
 
 
-def _summarize(fields: dict, cfg: ValidatedConfig, lambda_sweep):
+def _scaling_fit(lams, d_coeff: float) -> dict:
+    """Oracle-vs-oracle lambda sweep of the resummed quadratic-drift density
+    and its log-log slope.  A sweep whose errors or slope are not finite (an
+    extreme lambda over- or underflows the closed forms) is a config error."""
+    errors = []
+    with np.errstate(all="ignore"):
+        for lam in lams:
+            exact = ou_density_exact(_SWEEP_X, _SWEEP_T, d_coeff, lam)
+            pert = ou_density_pert(_SWEEP_X, _SWEEP_T, d_coeff, lam)
+            errors.append(float(np.abs(pert - exact).max() / exact.max()))
+        # the fit rejects an error of 0, and a NaN error is no fit either
+        slope = scaling_order_fit(list(zip(lams, errors))) if all(e > 0 for e in errors) else float("nan")
+    if not np.all(np.isfinite([*errors, slope])):
+        raise ConfigError(f"lambda sweep {list(lams)} gives no finite scaling fit: errors {errors}, slope {slope}")
+    return {"lambdas": [float(l) for l in lams], "errors": errors, "slope": slope}
+
+
+def _summarize(fields: dict, cfg: ValidatedConfig, scaling_fit):
     grid, drift = cfg.grid, cfg.drift
     idx = _checkpoint_indices(cfg)
     masses = {}
@@ -222,7 +226,7 @@ def _summarize(fields: dict, cfg: ValidatedConfig, lambda_sweep):
         "moments": moments,
         "distances": distances,
         "translation_residual": None,
-        "scaling_fit": None,
+        "scaling_fit": scaling_fit,  # None unless the drift is quadratic
         "resummation_gaps": None,
     }
     if drift.family == FAMILY_LINEAR:
@@ -230,20 +234,9 @@ def _summarize(fields: dict, cfg: ValidatedConfig, lambda_sweep):
             fields["w_pert"], cfg.raw.d_coeff, cfg.raw.lam, drift.modulation
         )
     if drift.family == FAMILY_QUADRATIC:
-        lams = lambda_sweep if lambda_sweep else [0.02, 0.04, 0.08, 0.16]
-        errors = []
-        for lam in lams:
-            exact = ou_density_exact(_SWEEP_X, _SWEEP_T, cfg.raw.d_coeff, lam)
-            pert = ou_density_pert(_SWEEP_X, _SWEEP_T, cfg.raw.d_coeff, lam)
-            errors.append(float(np.abs(pert - exact).max() / exact.max()))
-        summary["scaling_fit"] = {
-            "lambdas": [float(l) for l in lams],
-            "errors": errors,
-            "slope": scaling_order_fit(list(zip(lams, errors))),
-        }
         summary["resummation_gaps"] = {
-            "t": [float(tj) for tj in grid.t],
-            "gap": [float(log_resummation_gap(cfg.raw.lam, tj)) for tj in grid.t],
+            "t": grid.t.tolist(),
+            "gap": log_resummation_gap(cfg.raw.lam, grid.t).tolist(),
         }
     return summary
 
@@ -283,7 +276,7 @@ def _write_outputs(fields: dict, summary: dict, cfg: ValidatedConfig):
             row = "%s," + "%.17g" % tj + "," + ",".join("%.17g" if on else "" for on in live) + "\n"
             cols = [fields[name].values[j].tolist() for name, on in zip(_COLUMNS, live) if on]
             fh.write((row * grid.nx) % tuple(chain.from_iterable(zip(x_strs, *cols))))
-    payload = json.dumps(_jsonable(summary), indent=2, sort_keys=True)
+    payload = json.dumps(summary, indent=2, sort_keys=True)
     with _replacing(out_dir / "summary.json") as fh:
         fh.write(payload + "\n")
     return out_dir
@@ -291,13 +284,16 @@ def _write_outputs(fields: dict, summary: dict, cfg: ValidatedConfig):
 
 def _run(args, lambda_sweep=None) -> int:
     cfg = validate_config(_config_from_args(args))
+    scaling_fit = None
+    if cfg.drift.family == FAMILY_QUADRATIC:
+        scaling_fit = _scaling_fit(lambda_sweep or [0.02, 0.04, 0.08, 0.16], cfg.raw.d_coeff)
     try:
         Path(cfg.raw.out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.raw.out_dir!r}: {exc}") from exc
     fields = _run_solvers(cfg)
     _check_emission(fields, cfg)
-    summary = _summarize(fields, cfg, lambda_sweep)
+    summary = _summarize(fields, cfg, scaling_fit)
     out_dir = _write_outputs(fields, summary, cfg)
     print(f"wrote {out_dir / 'density.csv'} and {out_dir / 'summary.json'}")
     return EXIT_OK

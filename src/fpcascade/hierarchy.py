@@ -53,10 +53,7 @@ def s0_closed_form(grid: Grid, d_coeff: float) -> ScalarField:
     """Order-0 action sampled on the grid (point-source initial profile)."""
     if not d_coeff > 0:
         raise ValueError("diffusion constant must be > 0")
-    vals = np.empty((grid.nt, grid.nx))
-    x = grid.x
-    for j, tj in enumerate(grid.t):
-        vals[j] = s0_log_heat_kernel(x, tj, d_coeff)
+    vals = s0_log_heat_kernel(grid.x, grid.t[:, None], d_coeff)
     return ScalarField(grid=grid, values=vals, tag=TAG_ACTION, order=0)
 
 
@@ -68,7 +65,8 @@ _OU_EVEN_COEFFS = {4: 1.0 / 360.0, 6: -1.0 / 5670.0, 8: 1.0 / 75600.0}
 
 
 def _closed_form_term(drift: DriftSpec, d_coeff: float, n: int, x, t):
-    """Closed-form S_n(x, t) for the built-in families; None when unknown."""
+    """Closed-form S_n(x, t) for the built-in families; None when unknown.
+    Elementwise, so a column t (``grid.t[:, None]``) gives the whole lattice."""
     if n == 0:
         return s0_log_heat_kernel(x, t, d_coeff)
     if drift.family == FAMILY_ZERO:
@@ -88,21 +86,19 @@ def _closed_form_term(drift: DriftSpec, d_coeff: float, n: int, x, t):
             return np.zeros_like(np.asarray(x, dtype=float))
         if n in _OU_EVEN_COEFFS:
             x = np.asarray(x, dtype=float)
-            return _OU_EVEN_COEFFS[n] * t ** (n - 1) * (d_coeff * t + (n // 2) * x * x)
+            # float_power: numpy's vectorized float64 ** can be an ulp off the scalar pow
+            return _OU_EVEN_COEFFS[n] * np.float_power(t, n - 1) * (d_coeff * t + (n // 2) * x * x)
     return None
 
 
 def analytic_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, grid: Grid) -> ActionExpansion:
     """Expansion built from the closed-form action terms (no PDE solves)."""
     terms = [s0_closed_form(grid, d_coeff)]
-    x = grid.x
     for n in range(1, order + 1):
-        vals = np.empty((grid.nt, grid.nx))
-        for j, tj in enumerate(grid.t):
-            slice_vals = _closed_form_term(drift, d_coeff, n, x, tj)
-            if slice_vals is None:
-                raise ValueError(f"no closed-form action term S_{n} for drift family {drift.family!r}")
-            vals[j] = slice_vals
+        vals = _closed_form_term(drift, d_coeff, n, grid.x, grid.t[:, None])
+        if vals is None:
+            raise ValueError(f"no closed-form action term S_{n} for drift family {drift.family!r}")
+        vals = np.broadcast_to(vals, (grid.nt, grid.nx))  # a vanishing term is shaped like x
         terms.append(ScalarField(grid=grid, values=vals, tag=TAG_ACTION, order=n))
     return ActionExpansion(d_coeff=d_coeff, lam=lam, terms=tuple(terms))
 
@@ -110,6 +106,7 @@ def analytic_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int,
 def _source_arrays(n: int, drift: DriftSpec, d_coeff: float, x, t_nodes, dx, solved_values):
     """Order-n source sampled at the given nodes; solved_values holds orders 0..n-1."""
     vals = np.empty((len(t_nodes), len(x)))
+    # per slice: a lattice call's (nt, nx) temporaries cost 4% peak RSS (docs/method.md)
     for j, tj in enumerate(t_nodes):
         vals[j] = effective_potential_order(drift, d_coeff, n, x, tj)
     if n >= 2:
@@ -205,6 +202,7 @@ def solve_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, gr
     xp, m = _padded_nodes(grid, d_coeff)
     _require_zero_base(drift, grid, xp)
     t_nodes = grid.t
+    # per slice: a lattice call here costs 4% peak RSS on the acceptance grids (docs/method.md)
     sol_padded = [np.array([s0_log_heat_kernel(xp, tj, d_coeff) for tj in t_nodes])]
     for n in range(1, order + 1):
         q = _source_arrays(n, drift, d_coeff, xp, t_nodes, grid.dx, sol_padded)
@@ -216,11 +214,10 @@ def solve_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, gr
         except SolverError as exc:
             raise SolverError(f"cascade failed at order {n}: {exc}") from exc
         sol_padded.append(vals)
-    terms = [s0_closed_form(grid, d_coeff)]
-    for n in range(1, order + 1):
-        terms.append(
-            ScalarField(grid=grid, values=sol_padded[n][:, m : m + grid.nx], tag=TAG_ACTION, order=n)
-        )
+    terms = [  # the cropped padded nodes are the grid's nodes bit for bit
+        ScalarField(grid=grid, values=vals[:, m : m + grid.nx], tag=TAG_ACTION, order=n)
+        for n, vals in enumerate(sol_padded)
+    ]
     return ActionExpansion(d_coeff=d_coeff, lam=lam, terms=tuple(terms))
 
 
@@ -254,13 +251,10 @@ def cascade_residual(n: int, expansion: ActionExpansion, drift: DriftSpec) -> fl
     grid = expansion.grid
     term = expansion.terms[n].values
     source = cascade_source(n, drift, expansion.d_coeff, expansion.terms[:n]).values
-    x = grid.x[1:-1]
     dx, dt = grid.dx, grid.dt
-    worst = 0.0
-    for j in range(1, grid.nt - 1):
-        dsdt = (term[j + 1, 1:-1] - term[j - 1, 1:-1]) / (2.0 * dt)
-        d2 = (term[j, 2:] - 2.0 * term[j, 1:-1] + term[j, :-2]) / (dx * dx)
-        d1 = (term[j, 2:] - term[j, :-2]) / (2.0 * dx)
-        rhs = expansion.d_coeff * d2 - (x / grid.t[j]) * d1 + source[j, 1:-1]
-        worst = max(worst, float(np.abs(dsdt - rhs).max()))
-    return worst
+    mid = term[1:-1]
+    dsdt = (term[2:, 1:-1] - term[:-2, 1:-1]) / (2.0 * dt)
+    d2 = (mid[:, 2:] - 2.0 * mid[:, 1:-1] + mid[:, :-2]) / (dx * dx)
+    d1 = (mid[:, 2:] - mid[:, :-2]) / (2.0 * dx)
+    rhs = expansion.d_coeff * d2 - (grid.x[1:-1] / grid.t[1:-1, None]) * d1 + source[1:-1, 1:-1]
+    return float(np.abs(dsdt - rhs).max(initial=0.0))

@@ -131,10 +131,11 @@ class DensityField:
 class PotentialTerm:
     """One order of the drift potential with its analytic derivatives.
 
-    All four evaluators take (x, t) with x scalar or ndarray and t scalar, and
-    return values that broadcast against x: an array shaped like x, or a
-    scalar where the term is constant in x.  They may return x itself, so
-    callers must not write into a result.
+    All four evaluators take (x, t), each a scalar or an ndarray, t broadcasting
+    against x (``grid.t[:, None]`` for the whole lattice), and must be
+    elementwise, so one lattice call equals the per-slice calls bit for bit.
+    They return values that broadcast against x and t, a scalar where the term
+    is constant in x, or x itself, so callers must not write into a result.
     """
 
     u: _EvalFn
@@ -380,6 +381,8 @@ def validate_config(cfg: RunConfig) -> ValidatedConfig:
     if cfg.nx < 5:
         raise ConfigError(f"nx must be >= 5 for the cascade and FD solvers, got {cfg.nx}")
     grid = Grid(cfg.x_min, cfg.x_max, cfg.nx, cfg.t0, cfg.t_max, cfg.nt)  # raises ConfigError
+    if not np.isfinite((cfg.t_max - cfg.t0) / cfg.mc_dt):  # no Monte Carlo segment spans more
+        raise ConfigError(f"mc_dt must give a finite step count (t_max - t0) / mc_dt, got {cfg.mc_dt}")
     drift = build_drift(cfg)
     checkpoints = tuple(float(c) for c in cfg.checkpoints)
     if checkpoints:
@@ -389,13 +392,8 @@ def validate_config(cfg: RunConfig) -> ValidatedConfig:
             raise ConfigError("checkpoints must be ascending")
     else:
         # default: midpoint-ish node and the final node
-        t_nodes = grid.t
-        checkpoints = (float(t_nodes[(grid.nt - 1) // 2]), float(t_nodes[-1]))
+        checkpoints = (grid.t[(grid.nt - 1) // 2], grid.t[-1])
     # snap each checkpoint to the nearest grid node so histogram slices align
-    t_nodes = grid.t
-    snapped = []
-    for c in checkpoints:
-        j = int(np.argmin(np.abs(t_nodes - c)))
-        snapped.append(float(t_nodes[j]))
-    checkpoints = tuple(dict.fromkeys(snapped))
+    nearest = np.abs(grid.t[:, None] - np.array(checkpoints)).argmin(axis=0)
+    checkpoints = tuple(dict.fromkeys(grid.t[nearest].tolist()))
     return ValidatedConfig(raw=cfg, drift=drift, grid=grid, checkpoints=checkpoints)

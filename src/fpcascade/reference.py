@@ -32,18 +32,16 @@ from .model import (
     FAMILY_ZERO,
     Grid,
 )
-from .oracles import ou_density_exact, w0_diffusion
+from .oracles import example1_density_exact, ou_density_exact, w0_diffusion
 
 
 def oracle_density(drift: DriftSpec, d_coeff: float, lam: float, x, t):
     """Closed-form density of a built-in family at time t (lam = 0 falls back
-    to the heat kernel)."""
+    to the heat kernel); a column t (``grid.t[:, None]``) gives the lattice."""
     if drift.family == FAMILY_ZERO or lam == 0.0:
         return w0_diffusion(x, t, d_coeff)
     if drift.family == FAMILY_LINEAR:
-        return w0_diffusion(
-            np.asarray(x, dtype=float) + lam * drift.modulation.antiderivative(t), t, d_coeff
-        )
+        return example1_density_exact(x, t, d_coeff, lam, drift.modulation)
     if drift.family == FAMILY_QUADRATIC:
         return ou_density_exact(x, t, d_coeff, lam)
     raise ValueError(f"no closed-form density for drift family {drift.family!r}")

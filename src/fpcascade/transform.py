@@ -45,17 +45,14 @@ def effective_potential_order(drift: DriftSpec, d_coeff: float, n: int, x, t):
 
 
 def potential_exponent(drift: DriftSpec, d_coeff: float, lam: float, grid):
-    t_nodes = grid.t
-    x_nodes = grid.x
-    expo = np.empty((grid.nt, grid.nx))
-    for j, tj in enumerate(t_nodes):
-        expo[j] = drift.u_total(x_nodes, tj, lam) / (2.0 * d_coeff)
+    expo = drift.u_total(np.broadcast_to(grid.x, (grid.nt, grid.nx)), grid.t[:, None], lam)
+    expo /= 2.0 * d_coeff
     bad = np.argwhere(np.abs(expo) > _EXP_LIMIT)
     if bad.size:
         j, i = bad[0]
         raise TransformOverflowError(
             f"U/2D = {expo[j, i]:.3e} exceeds the exp() range at node "
-            f"(t={t_nodes[j]:.6g}, x={x_nodes[i]:.6g}); shrink the domain or lam"
+            f"(t={grid.t[j]:.6g}, x={grid.x[i]:.6g}); shrink the domain or lam"
         )
     return expo
 

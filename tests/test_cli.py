@@ -23,9 +23,13 @@ def run_example1(out, extra=()):
                  *FAST, *extra, "--out", str(out)])
 
 
+def _not_json(token):
+    raise ValueError(f"summary.json holds {token}, which is not JSON")
+
+
 def read_summary(out):
     with open(out / "summary.json", "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_not_json)
 
 
 def read_density(out):
@@ -89,11 +93,17 @@ class TestOu:
         dist = s["distances"]["w_pert_vs_w_exact"]["peak-relative-Linf"]["value"]
         assert max(dist) <= 2e-3
 
-    def test_bad_sweep_rejected(self, tmp_path):
+    def test_bad_sweep_rejected(self, tmp_path, monkeypatch):
+        def must_not_run(cfg):
+            raise AssertionError("a solver ran on a rejected sweep")
+
+        monkeypatch.setattr(cli, "_run_solvers", must_not_run)
         assert main(["ou", "--lambda-sweep", "0.1,oops", "--out", str(tmp_path)]) == EXIT_CONFIG
         assert main(["ou", "--lambda-sweep", "0.1,0.2", "--out", str(tmp_path)]) == EXIT_CONFIG
-        # each of these ran every solver and then crashed in the scaling fit
-        for sweep in ("0.01,-0.02,0.05", "0,0.1,0.2", "nan,0.1,0.2", "inf,0.1,0.2"):
+        # the first four ran every solver and then crashed in the scaling fit;
+        # the last two ran and wrote NaN into summary.json
+        for sweep in ("0.01,-0.02,0.05", "0,0.1,0.2", "nan,0.1,0.2", "inf,0.1,0.2",
+                      "1e300,2e300,3e300", "1e-300,2e-300,3e-300"):
             assert main(["ou", "--lambda-sweep", sweep, "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
@@ -222,9 +232,14 @@ class TestFailures:
         (["example1", "--omega", "-1"], None, "omega must be > 0 for cos/sin modulation"),
         (["example1", "--v", "sin", "--omega", "0"], None, "omega must be > 0 for cos/sin modulation"),
         (["custom"], {"v_kind": "tan"}, "unknown modulation kind 'tan'"),
+        # these two ran the cascade and FD, then crashed counting the EM steps
+        (["example1", "--mc-dt", "5e-324"], None,
+         "mc_dt must give a finite step count (t_max - t0) / mc_dt, got 5e-324"),
+        (["ou", "--mc-dt", "1e-320"], None,
+         "mc_dt must give a finite step count (t_max - t0) / mc_dt, got 1e-320"),
     ], ids=["lam-nan", "lam-minus-inf", "d-inf", "x-max-inf", "t-max-inf", "v0-nan", "json-lam-nan",
             "json-lam-huge-int", "json-mass-tol-inf", "json-checkpoint-nan", "json-checkpoint-huge-int",
-            "omega-negative", "sin-omega-zero", "json-v-kind-tan"])
+            "omega-negative", "sin-omega-zero", "json-v-kind-tan", "mc-dt-subnormal", "mc-dt-tiny-ou"])
     def test_nonfinite_or_invalid_value_rejected(self, tmp_path, monkeypatch, capsys, argv, bad, message):
         def must_not_run(cfg):
             raise AssertionError("a solver ran on a rejected config")
@@ -324,8 +339,8 @@ def test_config_echo_matches_hand_written_oracle(tmp_path, argv, config):
     path.write_text(json.dumps(config))
     args = cli.build_parser().parse_args([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
     cfg = validate_config(cli._config_from_args(args))
-    echo = json.dumps(cli._jsonable(cli._config_dict(cfg)), sort_keys=True)
-    assert echo == json.dumps(cli._jsonable(_hand_written_config_dict(cfg)), sort_keys=True)
+    echo = json.dumps(cli._config_dict(cfg), sort_keys=True)
+    assert echo == json.dumps(_hand_written_config_dict(cfg), sort_keys=True)
 
 
 def test_subcommand_family_overrides_config_file(tmp_path):
@@ -390,14 +405,14 @@ def _per_value_writer(fields, summary, cfg):
             row.extend(cells[name][i] if cells[name] is not None else "" for name in columns)
             lines.append(",".join(row))
     density = ("\n".join(lines) + "\n").encode("ascii")
-    payload = json.dumps(cli._jsonable(summary), indent=2, sort_keys=True)
+    payload = json.dumps(summary, indent=2, sort_keys=True)
     return density, (payload + "\n").encode("ascii")
 
 
 @pytest.mark.parametrize("checkpoints", [(0.5,), (0.1, 0.3, 0.5)], ids=["one", "three"])
 def test_writer_matches_per_value_oracle(tmp_path, checkpoints):
     cfg, fields = _writer_case(tmp_path, checkpoints)
-    summary = {"config": cli._config_dict(cfg), "edges": np.array(_EDGE_VALUES)}
+    summary = {"config": cli._config_dict(cfg), "edges": list(_EDGE_VALUES)}
     density, summary_bytes = _per_value_writer(fields, summary, cfg)
     assert cli._write_outputs(fields, summary, cfg) == tmp_path
     assert (tmp_path / "density.csv").read_bytes() == density
