@@ -2,12 +2,15 @@
 """Time the hot kernels on representative workloads.
 
 Prints the best-of-N wall time of each kernel loop: the two Crank-Nicolson
-steps, the sampler's normal draws (one ``Generator(SFC64)`` per block of
+steps with their band assembly (one cascade band per step; one density band
+for a drift constant in time), the whole numeric cascade
+(``hierarchy.solve_expansion``) at orders 2 and 8 on the refined criterion-2
+grid, the sampler's normal draws (one ``Generator(SFC64)`` per block of
 paths), and the Euler-Maruyama step (drift into a work buffer plus the
 in-place update, ``reference.em_step``) at the path-chunk widths of the
 default example1 run and of a 100k-path OU run on two CPUs.
 
-    python3 benchmarks/bench_kernels.py [--repeats 5]
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats 5]
 """
 
 import argparse
@@ -17,7 +20,8 @@ import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
 import fpcascade.kernels as K
-from fpcascade.model import linear_time_modulated, quadratic_ou
+from fpcascade.hierarchy import solve_expansion
+from fpcascade.model import Grid, linear_time_modulated, quadratic_ou
 from fpcascade.oracles import ModulationV
 from fpcascade.reference import _EM_BLOCK, em_step
 
@@ -37,13 +41,13 @@ def bench_cascade(nx=801, nt=500):
     dt = 4.99 / (nt - 1)
     t = 0.01 + np.arange(nt) * dt
     s = -(x * x) / 4.0
-    q = 0.5 * np.ones_like(x)
+    dq = dt * 0.5 * np.ones_like(x)
 
     def run():
         cur = s.copy()
         nxt = np.empty_like(cur)
-        for j in range(nt - 1):
-            K.cascade_cn_step(x, t[j] + 0.5 * dt, 1.0, dt, dx, cur, q, nxt)
+        for band in K.cascade_bands(x, t[:-1] + 0.5 * dt, 1.0, dt, dx):
+            K.cascade_cn_step(cur, band, dq, nxt)
             cur, nxt = nxt, cur
 
     return run
@@ -61,11 +65,20 @@ def bench_fp(nx=1601, nt=1101):
     def run():
         cur = w.copy()
         nxt = np.empty_like(cur)
+        band = K.fp_band(a_half, 1.0, dt, dx)
         for _ in range(nt - 1):
-            K.fp_cn_step(a_half, 1.0, dt, dx, cur, nxt)
+            K.fp_cn_step(cur, band, nxt)
             cur, nxt = nxt, cur
 
     return run
+
+
+def bench_solve_expansion(order):
+    # the refined criterion-2 cascade grid of the lib_acceptance_grids
+    # benchmark workload (1601 x 999, padded to 2265 nodes), example1 at lam 0.5
+    grid = Grid(-10.0, 10.0, 801, 0.01, 5.0, 500).refined()
+    drift = linear_time_modulated(ModulationV("cos", 1.0))
+    return lambda: solve_expansion(drift, 1.0, 0.5, order, grid)
 
 
 def bench_normals(n_paths=100000, n_steps=200):
@@ -105,13 +118,15 @@ def main():
     benches = {
         "cascade CN loop (801 x 500)": bench_cascade(),
         "density CN loop (1601 x 1101)": bench_fp(),
+        "solve_expansion order 2 (1601 x 999)": bench_solve_expansion(2),
+        "solve_expansion order 8 (1601 x 999)": bench_solve_expansion(8),
         "normals (1e5 paths x 200 steps)": bench_normals(),
         "EM step, example1 (1e4 x 1000)": bench_em_step(example1, 0.2, 10000),
         "EM step, OU (5e4 x 1000)": bench_em_step(quadratic_ou(), 0.1, 50000),
     }
-    print(f"{'kernel':<34} {'best':>10}")
+    print(f"{'kernel':<38} {'best':>10}")
     for name, run in benches.items():
-        print(f"{name:<34} {best_of(run, args.repeats):>9.4f}s")
+        print(f"{name:<38} {best_of(run, args.repeats):>9.4f}s")
 
 
 if __name__ == "__main__":

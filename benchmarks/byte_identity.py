@@ -28,9 +28,11 @@ FAST = ("--x-min", "-16", "--x-max", "16", "--nx", "161", "--t0", "0.1", "--t-ma
         "--nt", "29", "--paths", "3000", "--mc-dt", "0.01", "--seed", "7")
 
 # (name, argv, JSON config or None): every subcommand and family, the three
-# modulations, orders 0, 3 and 8, lam = 0 and negative, and small stand-ins
-# for the two CLI benchmark workloads at two seeds each.  Every case exits 0
-# (later flags override earlier ones).
+# modulations, orders 0, 3 and 8, lam = 0 and negative, two cascades that
+# march through several time blocks with a partial last one (99 and 66 steps
+# against hierarchy._BLOCK = 32), and small stand-ins for the two CLI
+# benchmark workloads at two seeds each.  Every case exits 0 (later flags
+# override earlier ones).
 CASES = (
     ("example1-cos", ("example1", *FAST), None),
     ("example1-sin-order3", ("example1", "--v", "sin", "--omega", "2", "--order", "3", *FAST), None),
@@ -40,6 +42,9 @@ CASES = (
     ("ou-order2", ("ou", *FAST), None),
     ("ou-order3", ("ou", "--order", "3", *FAST), None),
     ("ou-order8", ("ou", "--order", "8", "--lambda", "0.3", *FAST), None),
+    ("ou-order8-blocks", ("ou", "--order", "8", *FAST, "--nt", "100"), None),
+    ("example1-sin-order3-blocks", ("example1", "--v", "sin", "--omega", "2", "--order", "3", *FAST, "--nt", "67"),
+     None),
     ("ou-lambda0", ("ou", "--lambda", "0", *FAST), None),
     ("ou-negative-lambda", ("ou", "--lambda", "-0.2", *FAST, "--x-min", "-20", "--x-max", "20", "--nx", "201"),
      None),

@@ -67,13 +67,14 @@ def field_distance(a: DensityField, b: DensityField, metric: str) -> np.ndarray:
 def scaling_order_fit(errors) -> float:
     """Least-squares slope of log(error) against log(lambda).
 
-    ``errors`` is an iterable of (lambda, error) pairs, all entries positive.
+    ``errors`` is an iterable of (lambda, error) pairs, all entries positive,
+    with at least 3 distinct lambdas.
     """
     pairs = list(errors)
-    if len(pairs) < 3:
-        raise ValueError(f"need at least 3 points for a slope fit, got {len(pairs)}")
     lams = np.array([p[0] for p in pairs], dtype=float)
     errs = np.array([p[1] for p in pairs], dtype=float)
+    if len(np.unique(lams)) < 3:
+        raise ValueError(f"need at least 3 distinct lambdas for a slope fit, got {lams.tolist()}")
     if np.any(lams <= 0) or np.any(errs <= 0):
         raise ValueError("scaling fit requires positive lambdas and errors")
     slope, _ = np.polyfit(np.log(lams), np.log(errs), 1)

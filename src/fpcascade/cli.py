@@ -306,8 +306,10 @@ def cmd_ou(args) -> int:
             sweep = [float(s) for s in args.lambda_sweep.split(",") if s.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --lambda-sweep list: {args.lambda_sweep!r}") from exc
-        if len(sweep) < 3:
-            raise ConfigError("--lambda-sweep needs at least 3 values for a slope fit")
+        if len(set(sweep)) < 3:
+            raise ConfigError(
+                f"--lambda-sweep needs at least 3 distinct values for a slope fit, got {args.lambda_sweep!r}"
+            )
         if not all(0 < lam <= sys.float_info.max for lam in sweep):
             raise ConfigError(f"--lambda-sweep values must be finite and > 0, got {args.lambda_sweep!r}")
     return _run(args, lambda_sweep=sweep)

@@ -103,17 +103,20 @@ def analytic_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int,
     return ActionExpansion(d_coeff=d_coeff, lam=lam, terms=tuple(terms))
 
 
-def _source_arrays(n: int, drift: DriftSpec, d_coeff: float, x, t_nodes, dx, solved_values):
-    """Order-n source sampled at the given nodes; solved_values holds orders 0..n-1."""
+def _source_arrays(n: int, drift: DriftSpec, d_coeff: float, x, t_nodes, grads):
+    """Order-n source on the (t_nodes, x) lattice; grads[k - 1] holds the x
+    gradient of order k on that lattice, for k = 1..n-1."""
     vals = np.empty((len(t_nodes), len(x)))
-    # per slice: a lattice call's (nt, nx) temporaries cost 4% peak RSS (docs/method.md)
-    for j, tj in enumerate(t_nodes):
-        vals[j] = effective_potential_order(drift, d_coeff, n, x, tj)
-    if n >= 2:
-        grads = {k: np.gradient(solved_values[k], dx, axis=1, edge_order=2) for k in range(1, n)}
-        for k in range(1, n):
-            vals += grads[k] * grads[n - k]
+    vals[...] = effective_potential_order(drift, d_coeff, n, x, t_nodes[:, None])
+    for k in range(1, n):
+        vals += grads[k - 1] * grads[n - k - 1]
     return vals
+
+
+def _gradient(values, dx):
+    """x derivative row by row: central differences, second-order one-sided
+    at the boundary columns."""
+    return np.gradient(values, dx, axis=1, edge_order=2)
 
 
 def cascade_source(n: int, drift: DriftSpec, d_coeff: float, solved) -> ScalarField:
@@ -130,26 +133,63 @@ def cascade_source(n: int, drift: DriftSpec, d_coeff: float, solved) -> ScalarFi
     if len(solved) < n:
         raise ValueError(f"order-{n} source needs orders 0..{n - 1} solved, have {len(solved)}")
     grid = solved[0].grid
-    vals = _source_arrays(n, drift, d_coeff, grid.x, grid.t, grid.dx, [s.values for s in solved])
+    grads = [_gradient(s.values, grid.dx) for s in solved[1:n]]
+    vals = _source_arrays(n, drift, d_coeff, grid.x, grid.t, grads)
     return ScalarField(grid=grid, values=vals, tag=TAG_POTENTIAL_ORDER, order=n)
 
 
-def _advance_arrays(n: int, x, t_nodes, dx, dt, d_coeff, q, init):
-    """Crank-Nicolson time loop on raw node arrays; returns (nt, len(x))."""
-    vals = np.empty((len(t_nodes), len(x)))
-    vals[0] = init
-    qbar = np.empty(len(x))
-    for j in range(len(t_nodes) - 1):
-        tm = t_nodes[j] + 0.5 * dt
-        np.add(q[j], q[j + 1], out=qbar)
-        qbar *= 0.5
-        try:
-            kernels.cascade_cn_step(x, tm, d_coeff, dt, dx, vals[j], qbar, vals[j + 1])
-        except ZeroDivisionError as exc:
-            raise SolverError(f"order-{n} tridiagonal solve failed at step {j}") from exc
-    if not np.all(np.isfinite(vals)):
-        raise SolverError(f"order-{n} solve produced non-finite values")
-    return vals
+# time steps per block of the cascade march; a block's bands, sources and
+# gradients take a few MB on the padded acceptance grids (docs/method.md)
+_BLOCK = 32
+
+
+def _march(orders, x, t_nodes, dx, dt, d_coeff, inits, source):
+    """Crank-Nicolson march of the cascade orders ``orders`` from their t0
+    slices ``inits``, in blocks of _BLOCK steps.
+
+    Each block builds the bands of its steps once and solves every order on
+    them, lowest first.  ``source(i, rows, grads)`` returns the source of the
+    i-th order on the time rows ``rows`` (a slice), given grads[k], the x
+    gradient of the k-th order (k < i) on those rows.  Yields ``(rows,
+    solved)`` per block: solved[i] holds the i-th order on ``rows``, the
+    block's new rows, plus row 0 in the first block.  Each order's last row
+    and last source row carry over to the next block.
+    """
+    nt = len(t_nodes)
+    last = list(inits)  # each order's latest solved row
+    q_last = [None] * len(orders)  # each order's source at that row
+    lo = 0
+    while orders and lo < nt - 1:
+        hi = min(lo + _BLOCK, nt - 1)
+        rows = slice(0 if lo == 0 else lo + 1, hi + 1)
+        bands = kernels.cascade_bands(x, t_nodes[lo:hi] + 0.5 * dt, d_coeff, dt, dx)
+        solved, grads = [], []
+        for i, n in enumerate(orders):
+            q = source(i, rows, grads)
+            if lo > 0:
+                q = np.concatenate((q_last[i][None], q))
+            dq = q[:-1] + q[1:]
+            dq *= 0.5
+            dq *= dt
+            vals = np.empty((hi - lo + 1, len(x)))
+            vals[0] = last[i]
+            for j, band in enumerate(bands):
+                try:
+                    kernels.cascade_cn_step(vals[j], band, dq[j], vals[j + 1])
+                except ZeroDivisionError as exc:
+                    raise SolverError(
+                        f"cascade failed at order {n}: tridiagonal solve failed at step {lo + j}"
+                    ) from exc
+            if not np.all(np.isfinite(vals)):
+                raise SolverError(f"cascade failed at order {n}: non-finite values by step {hi}")
+            last[i], q_last[i] = vals[-1].copy(), q[-1].copy()
+            if lo > 0:
+                vals = vals[1:]
+            solved.append(vals)
+            if i < len(orders) - 1:
+                grads.append(_gradient(vals, dx))
+        yield rows, solved
+        lo = hi
 
 
 def advance_term(n: int, source: ScalarField, d_coeff: float, grid: Grid, init: np.ndarray) -> ScalarField:
@@ -159,7 +199,12 @@ def advance_term(n: int, source: ScalarField, d_coeff: float, grid: Grid, init: 
     init = np.asarray(init, dtype=float)
     if init.shape != (grid.nx,):
         raise ValueError(f"initial slice must have shape ({grid.nx},)")
-    vals = _advance_arrays(n, grid.x, grid.t, grid.dx, grid.dt, d_coeff, source.values, init)
+    def given(i, rows, grads):
+        return source.values[rows]
+
+    vals = np.empty((grid.nt, grid.nx))
+    for rows, (solved,) in _march([n], grid.x, grid.t, grid.dx, grid.dt, d_coeff, [init], given):
+        vals[rows] = solved
     return ScalarField(grid=grid, values=vals, tag=TAG_ACTION, order=n)
 
 
@@ -195,29 +240,34 @@ def solve_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, gr
     Initial slices come from the closed forms of the built-in families (zero
     for an order with no known closed form), inheriting the finiteness-at-zero choice
     of integration constants.  The solve itself runs on a padded domain (see
-    _padded_nodes) and is cropped back to the requested grid.
+    _padded_nodes) and is cropped back to the requested grid, block by block
+    (see _march).
     """
     if grid.nx < 5:
         raise SolverError("the cascade solver needs nx >= 5 for its boundary closure")
     xp, m = _padded_nodes(grid, d_coeff)
     _require_zero_base(drift, grid, xp)
-    t_nodes = grid.t
-    # per slice: a lattice call here costs 4% peak RSS on the acceptance grids (docs/method.md)
-    sol_padded = [np.array([s0_log_heat_kernel(xp, tj, d_coeff) for tj in t_nodes])]
-    for n in range(1, order + 1):
-        q = _source_arrays(n, drift, d_coeff, xp, t_nodes, grid.dx, sol_padded)
+    orders = range(1, order + 1)
+    inits = []
+    for n in orders:
         init = _closed_form_term(drift, d_coeff, n, xp, grid.t0)
-        if init is None:
-            init = np.zeros(len(xp))
-        try:
-            vals = _advance_arrays(n, xp, t_nodes, grid.dx, grid.dt, d_coeff, q, init)
-        except SolverError as exc:
-            raise SolverError(f"cascade failed at order {n}: {exc}") from exc
-        sol_padded.append(vals)
-    terms = [  # the cropped padded nodes are the grid's nodes bit for bit
-        ScalarField(grid=grid, values=vals[:, m : m + grid.nx], tag=TAG_ACTION, order=n)
-        for n, vals in enumerate(sol_padded)
-    ]
+        inits.append(np.zeros(len(xp)) if init is None else init)
+    # S0 enters the cascade only through its advection -x/t, so it is
+    # evaluated on the requested nodes alone, and per slice: a lattice call
+    # costs 13 MB of peak RSS on the acceptance grids (docs/method.md)
+    s0 = np.empty((grid.nt, grid.nx))
+    for j, tj in enumerate(grid.t):
+        s0[j] = s0_log_heat_kernel(grid.x, tj, d_coeff)
+    terms = [ScalarField(grid=grid, values=s0, tag=TAG_ACTION, order=0)]
+    cropped = [np.empty((grid.nt, grid.nx)) for _ in orders]
+
+    def source(i, rows, grads):
+        return _source_arrays(orders[i], drift, d_coeff, xp, grid.t[rows], grads)
+
+    for rows, solved in _march(orders, xp, grid.t, grid.dx, grid.dt, d_coeff, inits, source):
+        for out, vals in zip(cropped, solved):
+            out[rows] = vals[:, m : m + grid.nx]  # the cropped padded nodes are the grid's nodes bit for bit
+    terms += [ScalarField(grid=grid, values=vals, tag=TAG_ACTION, order=n) for n, vals in zip(orders, cropped)]
     return ActionExpansion(d_coeff=d_coeff, lam=lam, terms=tuple(terms))
 
 

@@ -6,6 +6,7 @@ arrays) and therefore safe to share across threads.
 
 import sys
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,12 +62,13 @@ class Grid:
     def dt(self) -> float:
         return (self.t_max - self.t0) / (self.nt - 1)
 
-    @property
+    # x and t are built once per grid (the frozen fields cannot change)
+    @cached_property
     def x(self) -> np.ndarray:
         # node formula x_min + i*dx is the reproducibility contract
         return _readonly(self.x_min + np.arange(self.nx) * self.dx)
 
-    @property
+    @cached_property
     def t(self) -> np.ndarray:
         return _readonly(self.t0 + np.arange(self.nt) * self.dt)
 

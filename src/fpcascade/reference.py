@@ -110,12 +110,18 @@ def fp_fd_solve(
             )
 
     check_slice(0)
-    a_half = np.empty(grid.nx - 1)
+    # the band is rebuilt only when the interface drift changes in a bit:
+    # never for a drift constant in time (the zero and quadratic families)
+    a_half, a_next = np.empty(grid.nx - 1), np.empty(grid.nx - 1)
+    band = None
     for j in range(grid.nt - 1):
         tm = grid.t[j] + 0.5 * dt
-        drift.drift_coefficient(x_half, tm, lam, out=a_half)
+        drift.drift_coefficient(x_half, tm, lam, out=a_next)
+        if band is None or not np.array_equal(a_next.view(np.uint64), a_half.view(np.uint64)):
+            band = kernels.fp_band(a_next, d_coeff, dt, dx)
+            a_half, a_next = a_next, a_half
         try:
-            kernels.fp_cn_step(a_half, d_coeff, dt, dx, vals[j], vals[j + 1])
+            kernels.fp_cn_step(vals[j], band, vals[j + 1])
         except ZeroDivisionError as exc:
             raise SolverError(f"FD tridiagonal solve failed at step {j}") from exc
         check_slice(j + 1)

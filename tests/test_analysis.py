@@ -130,6 +130,12 @@ class TestScalingFit:
         with pytest.raises(ValueError):
             scaling_order_fit([(0.1, 1.0), (0.2, 2.0)])
 
+    def test_rejects_fewer_than_three_distinct_lambdas(self):
+        # polyfit would fit a line through one or two abscissae
+        for lams in ((0.1, 0.1, 0.1), (0.1, 0.2, 0.1, 0.2)):
+            with pytest.raises(ValueError, match="distinct"):
+                scaling_order_fit([(lam, 1e-3) for lam in lams])
+
 
 def test_normalized_reference_unit_mass(small_grid):
     ref = normalized_reference(small_grid, lambda x, t: w0_diffusion(x, t, 1.0))

@@ -100,6 +100,9 @@ class TestOu:
         monkeypatch.setattr(cli, "_run_solvers", must_not_run)
         assert main(["ou", "--lambda-sweep", "0.1,oops", "--out", str(tmp_path)]) == EXIT_CONFIG
         assert main(["ou", "--lambda-sweep", "0.1,0.2", "--out", str(tmp_path)]) == EXIT_CONFIG
+        # three values but one distinct lambda: the fit is rank-deficient
+        for sweep in ("0.1,0.1,0.1", "0.1,0.2,0.1"):
+            assert main(["ou", "--lambda-sweep", sweep, "--out", str(tmp_path)]) == EXIT_CONFIG
         # the first four ran every solver and then crashed in the scaling fit;
         # the last two ran and wrote NaN into summary.json
         for sweep in ("0.01,-0.02,0.05", "0,0.1,0.2", "nan,0.1,0.2", "inf,0.1,0.2",

@@ -103,7 +103,8 @@ class TestStepKernels:
         q = np.cos(x)
         for tm in (0.0105, 0.05, 0.5, 3.0):
             for dt in (0.01, 0.002):
-                out = K.cascade_cn_step(x, tm, 1.0, dt, dx, s, q, np.empty_like(x))
+                (band,) = K.cascade_bands(x, np.array([tm]), 1.0, dt, dx)
+                out = K.cascade_cn_step(s, band, dt * q, np.empty_like(x))
                 assert np.array_equal(_bits(out), _bits(_cascade_step_loop(x, tm, 1.0, dt, dx, s, q)))
 
     def test_fp_step_matches_loop_oracle_bitwise(self):
@@ -113,7 +114,7 @@ class TestStepKernels:
         w[0] = w[-1] = 0.0
         for lam in (0.0, -0.1, 0.3):
             a_half = -lam * (x[:-1] + dx / 2)
-            out = K.fp_cn_step(a_half, 1.0, 1e-3, dx, w, np.empty_like(x))
+            out = K.fp_cn_step(w, K.fp_band(a_half, 1.0, 1e-3, dx), np.empty_like(x))
             assert np.array_equal(_bits(out), _bits(_fp_step_loop(a_half, 1.0, 1e-3, dx, w)))
 
     def test_fp_step_conserves_interior_flux_balance(self):
@@ -123,6 +124,6 @@ class TestStepKernels:
         w = np.exp(-x * x)
         w[0] = w[-1] = 0.0
         out = np.empty_like(x)
-        K.fp_cn_step(np.zeros(len(x) - 1), 1.0, 1e-3, dx, w, out)
+        K.fp_cn_step(w, K.fp_band(np.zeros(len(x) - 1), 1.0, 1e-3, dx), out)
         assert np.allclose(out, out[::-1], atol=1e-15)
 
