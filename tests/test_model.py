@@ -94,6 +94,15 @@ class TestGrid:
         g = Grid(-1.0, 1.0, 11, 0.1, 1.0, 5)
         with pytest.raises(ValueError):
             g.x[0] = 3.0
+        with pytest.raises(ValueError):
+            g.t[0] = 3.0
+
+    def test_nodes_built_once_per_grid(self):
+        g = Grid(-1.0, 1.0, 11, 0.1, 1.0, 5)
+        assert g.x is g.x and g.t is g.t
+        # the cached arrays are no fields: equality and hashing ignore them
+        fresh = Grid(-1.0, 1.0, 11, 0.1, 1.0, 5)
+        assert fresh == g and hash(fresh) == hash(g)
 
 
 def _central(f, x, t, h):
