@@ -8,11 +8,9 @@ a direct finite-difference integration and Euler-Maruyama sampling.
 from .analysis import field_distance, scaling_order_fit, slice_mass, slice_moments
 from .errors import ConfigError, InvariantViolation, SolverError, TransformOverflowError
 from .hierarchy import (
-    advance_term,
     analytic_expansion,
     assemble_density,
     cascade_residual,
-    cascade_source,
     s0_closed_form,
     solve_expansion,
 )
@@ -41,11 +39,6 @@ from .oracles import (
     w0_diffusion,
 )
 from .reference import SampleEnsemble, density_from_samples, em_simulate, fp_fd_solve
-from .transform import (
-    effective_potential,
-    effective_potential_order,
-    from_wavefunction,
-    to_wavefunction,
-)
+from .transform import effective_potential_order
 
 __version__ = "0.1.0"

@@ -42,8 +42,6 @@ from .model import (
     FAMILY_ZERO,
     Grid,
     ScalarField,
-    TAG_ACTION,
-    TAG_POTENTIAL_ORDER,
 )
 from .oracles import example1_s1, example1_s2, ou_s1, ou_s2, s0_log_heat_kernel
 from .transform import potential_exponent, effective_potential_order
@@ -54,7 +52,7 @@ def s0_closed_form(grid: Grid, d_coeff: float) -> ScalarField:
     if not d_coeff > 0:
         raise ValueError("diffusion constant must be > 0")
     vals = s0_log_heat_kernel(grid.x, grid.t[:, None], d_coeff)
-    return ScalarField(grid=grid, values=vals, tag=TAG_ACTION, order=0)
+    return ScalarField(grid=grid, values=vals, order=0)
 
 
 # S_2k = c_k t^(2k-1) (D t + k x^2) for the quadratic family, with
@@ -99,13 +97,15 @@ def analytic_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int,
         if vals is None:
             raise ValueError(f"no closed-form action term S_{n} for drift family {drift.family!r}")
         vals = np.broadcast_to(vals, (grid.nt, grid.nx))  # a vanishing term is shaped like x
-        terms.append(ScalarField(grid=grid, values=vals, tag=TAG_ACTION, order=n))
+        terms.append(ScalarField(grid=grid, values=vals, order=n))
     return ActionExpansion(d_coeff=d_coeff, lam=lam, terms=tuple(terms))
 
 
 def _source_arrays(n: int, drift: DriftSpec, d_coeff: float, x, t_nodes, grads):
-    """Order-n source on the (t_nodes, x) lattice; grads[k - 1] holds the x
-    gradient of order k on that lattice, for k = 1..n-1."""
+    """Source of the order-n equation, sum_{k=1}^{n-1} S_k' S_{n-k}' + Ubar_n,
+    on the (t_nodes, x) lattice; grads[k - 1] holds the x gradient of order k
+    on that lattice, for k = 1..n-1.  The k = 0 and k = n convolution terms
+    form the advection of the linear operator, which the march handles."""
     vals = np.empty((len(t_nodes), len(x)))
     vals[...] = effective_potential_order(drift, d_coeff, n, x, t_nodes[:, None])
     for k in range(1, n):
@@ -119,41 +119,21 @@ def _gradient(values, dx):
     return np.gradient(values, dx, axis=1, edge_order=2)
 
 
-def cascade_source(n: int, drift: DriftSpec, d_coeff: float, solved) -> ScalarField:
-    """Source of the order-n equation: sum_{k=1}^{n-1} S_k' S_{n-k}' + Ubar_n.
-
-    ``solved`` holds the ScalarFields of orders 0..n-1.  The k = 0 and k = n
-    convolution terms form the advection part of the linear operator and are
-    handled by advance_term, not here.  Spatial derivatives of the solved
-    terms use central differences, second-order one-sided at the boundary
-    columns.
-    """
-    if n < 1:
-        raise ValueError(f"source is defined for orders >= 1, got {n}")
-    if len(solved) < n:
-        raise ValueError(f"order-{n} source needs orders 0..{n - 1} solved, have {len(solved)}")
-    grid = solved[0].grid
-    grads = [_gradient(s.values, grid.dx) for s in solved[1:n]]
-    vals = _source_arrays(n, drift, d_coeff, grid.x, grid.t, grads)
-    return ScalarField(grid=grid, values=vals, tag=TAG_POTENTIAL_ORDER, order=n)
-
-
 # time steps per block of the cascade march; a block's bands, sources and
 # gradients take a few MB on the padded acceptance grids (docs/method.md)
 _BLOCK = 32
 
 
-def _march(orders, x, t_nodes, dx, dt, d_coeff, inits, source):
+def _march(drift, orders, x, t_nodes, dx, dt, d_coeff, inits):
     """Crank-Nicolson march of the cascade orders ``orders`` from their t0
     slices ``inits``, in blocks of _BLOCK steps.
 
     Each block builds the bands of its steps once and solves every order on
-    them, lowest first.  ``source(i, rows, grads)`` returns the source of the
-    i-th order on the time rows ``rows`` (a slice), given grads[k], the x
-    gradient of the k-th order (k < i) on those rows.  Yields ``(rows,
-    solved)`` per block: solved[i] holds the i-th order on ``rows``, the
-    block's new rows, plus row 0 in the first block.  Each order's last row
-    and last source row carry over to the next block.
+    them, lowest first; an order's source on the block's time rows takes the
+    x gradients of the orders below it on those rows.  Yields ``(rows,
+    solved)`` per block: solved[i] holds the i-th order on ``rows`` (a
+    slice), the block's new rows, plus row 0 in the first block.  Each
+    order's last row and last source row carry over to the next block.
     """
     nt = len(t_nodes)
     last = list(inits)  # each order's latest solved row
@@ -165,7 +145,7 @@ def _march(orders, x, t_nodes, dx, dt, d_coeff, inits, source):
         bands = kernels.cascade_bands(x, t_nodes[lo:hi] + 0.5 * dt, d_coeff, dt, dx)
         solved, grads = [], []
         for i, n in enumerate(orders):
-            q = source(i, rows, grads)
+            q = _source_arrays(n, drift, d_coeff, x, t_nodes[rows], grads)
             if lo > 0:
                 q = np.concatenate((q_last[i][None], q))
             dq = q[:-1] + q[1:]
@@ -190,22 +170,6 @@ def _march(orders, x, t_nodes, dx, dt, d_coeff, inits, source):
                 grads.append(_gradient(vals, dx))
         yield rows, solved
         lo = hi
-
-
-def advance_term(n: int, source: ScalarField, d_coeff: float, grid: Grid, init: np.ndarray) -> ScalarField:
-    """Crank-Nicolson integration of one cascade order from its t0 slice."""
-    if grid.nx < 5:
-        raise SolverError("the cascade solver needs nx >= 5 for its boundary closure")
-    init = np.asarray(init, dtype=float)
-    if init.shape != (grid.nx,):
-        raise ValueError(f"initial slice must have shape ({grid.nx},)")
-    def given(i, rows, grads):
-        return source.values[rows]
-
-    vals = np.empty((grid.nt, grid.nx))
-    for rows, (solved,) in _march([n], grid.x, grid.t, grid.dx, grid.dt, d_coeff, [init], given):
-        vals[rows] = solved
-    return ScalarField(grid=grid, values=vals, tag=TAG_ACTION, order=n)
 
 
 def _padded_nodes(grid: Grid, d_coeff: float):
@@ -258,16 +222,12 @@ def solve_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, gr
     s0 = np.empty((grid.nt, grid.nx))
     for j, tj in enumerate(grid.t):
         s0[j] = s0_log_heat_kernel(grid.x, tj, d_coeff)
-    terms = [ScalarField(grid=grid, values=s0, tag=TAG_ACTION, order=0)]
+    terms = [ScalarField(grid=grid, values=s0, order=0)]
     cropped = [np.empty((grid.nt, grid.nx)) for _ in orders]
-
-    def source(i, rows, grads):
-        return _source_arrays(orders[i], drift, d_coeff, xp, grid.t[rows], grads)
-
-    for rows, solved in _march(orders, xp, grid.t, grid.dx, grid.dt, d_coeff, inits, source):
+    for rows, solved in _march(drift, orders, xp, grid.t, grid.dx, grid.dt, d_coeff, inits):
         for out, vals in zip(cropped, solved):
             out[rows] = vals[:, m : m + grid.nx]  # the cropped padded nodes are the grid's nodes bit for bit
-    terms += [ScalarField(grid=grid, values=vals, tag=TAG_ACTION, order=n) for n, vals in zip(orders, cropped)]
+    terms += [ScalarField(grid=grid, values=vals, order=n) for n, vals in zip(orders, cropped)]
     return ActionExpansion(d_coeff=d_coeff, lam=lam, terms=tuple(terms))
 
 
@@ -278,9 +238,12 @@ def assemble_density(expansion: ActionExpansion, drift: DriftSpec) -> DensityFie
     the action terms.
     """
     grid = expansion.grid
-    s_over_d = expansion.action_sum() / expansion.d_coeff
-    u_expo = potential_exponent(drift, expansion.d_coeff, expansion.lam, grid)
-    w = np.exp(s_over_d - u_expo)
+    # in place on one buffer: the IEEE operations of exp(S/D - U/2D), so the
+    # same bits, with three full lattices alive at the peak, not four
+    w = expansion.action_sum()
+    w /= expansion.d_coeff
+    w -= potential_exponent(drift, expansion.d_coeff, expansion.lam, grid)
+    np.exp(w, out=w)
     if not np.all(np.isfinite(w)):
         raise SolverError("assembled density overflowed; widen the domain or reduce lam")
     masses = trapezoid(w, grid.dx)
@@ -300,7 +263,8 @@ def cascade_residual(n: int, expansion: ActionExpansion, drift: DriftSpec) -> fl
         raise ValueError(f"residual needs 1 <= n <= {expansion.order}, got {n}")
     grid = expansion.grid
     term = expansion.terms[n].values
-    source = cascade_source(n, drift, expansion.d_coeff, expansion.terms[:n]).values
+    grads = [_gradient(s.values, grid.dx) for s in expansion.terms[1:n]]
+    source = _source_arrays(n, drift, expansion.d_coeff, grid.x, grid.t, grads)
     dx, dt = grid.dx, grid.dt
     mid = term[1:-1]
     dsdt = (term[2:, 1:-1] - term[:-2, 1:-1]) / (2.0 * dt)

@@ -11,15 +11,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .oracles import ModulationV
 
 MAX_EXPANSION_ORDER = 8
 
-# quantity tags for ScalarField
-TAG_ACTION = "action"
-TAG_POTENTIAL_ORDER = "potential-order"
-TAG_WAVEFUNCTION = "wavefunction"
+# paths x Monte Carlo steps a run may ask for: at about 16 ns per path-step,
+# 1e12 of them take hours, so a run past this would hang after every other
+# solver had finished; the benchmark runs ask for about 1e8
+_MAX_PATH_STEPS = 1e12
 
 _EvalFn = Callable[[np.ndarray, float], np.ndarray]
 
@@ -79,12 +79,11 @@ class Grid:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """One scalar quantity sampled on a grid, shape (nt, nx)."""
+    """The order-``order`` action term sampled on a grid, shape (nt, nx)."""
 
     grid: Grid
     values: np.ndarray
-    tag: str
-    order: Optional[int] = None
+    order: int
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -184,12 +183,6 @@ class DriftSpec:
     def du_dx_total(self, x, t, lam, out=None):
         return self._total("du_dx", x, t, lam, out)
 
-    def d2u_dx2_total(self, x, t, lam):
-        return self._total("d2u_dx2", x, t, lam)
-
-    def du_dt_total(self, x, t, lam):
-        return self._total("du_dt", x, t, lam)
-
     def drift_coefficient(self, x, t, lam, out=None):
         """D1(x,t) = -dU/dx, the force entering the Fokker-Planck equation,
         written into ``out`` when one is given (see ``_total``)."""
@@ -276,8 +269,8 @@ class ActionExpansion:
         for n, term in enumerate(self.terms):
             if term.grid is not g and term.grid != g:
                 raise ValueError("all expansion terms must share one grid")
-            if term.tag != TAG_ACTION or term.order != n:
-                raise ValueError(f"term {n} carries tag ({term.tag}, {term.order}), expected ({TAG_ACTION}, {n})")
+            if term.order != n:
+                raise ValueError(f"term {n} carries order {term.order}, expected {n}")
 
     @property
     def grid(self) -> Grid:
@@ -295,7 +288,7 @@ class ActionExpansion:
             lam_n *= self.lam
             acc += lam_n * term.values
         if not np.all(np.isfinite(acc)):
-            raise ValueError("action sum is not finite everywhere on the grid")
+            raise SolverError("action sum is not finite everywhere on the grid")
         return acc
 
 
@@ -383,8 +376,15 @@ def validate_config(cfg: RunConfig) -> ValidatedConfig:
     if cfg.nx < 5:
         raise ConfigError(f"nx must be >= 5 for the cascade and FD solvers, got {cfg.nx}")
     grid = Grid(cfg.x_min, cfg.x_max, cfg.nx, cfg.t0, cfg.t_max, cfg.nt)  # raises ConfigError
-    if not np.isfinite((cfg.t_max - cfg.t0) / cfg.mc_dt):  # no Monte Carlo segment spans more
+    steps = (cfg.t_max - cfg.t0) / cfg.mc_dt  # no Monte Carlo segment spans more
+    if not np.isfinite(steps):
         raise ConfigError(f"mc_dt must give a finite step count (t_max - t0) / mc_dt, got {cfg.mc_dt}")
+    # divided, not multiplied: n_paths is a Python int of any size
+    if steps > 0 and cfg.n_paths > _MAX_PATH_STEPS / steps:
+        raise ConfigError(
+            f"n_paths * (t_max - t0) / mc_dt must be <= {_MAX_PATH_STEPS:.0e} Monte Carlo path-steps, "
+            f"got {cfg.n_paths} paths x {steps:.3e} steps"
+        )
     drift = build_drift(cfg)
     checkpoints = tuple(float(c) for c in cfg.checkpoints)
     if checkpoints:

@@ -132,11 +132,10 @@ def fp_fd_solve(
 
 @dataclass(frozen=True)
 class SampleEnsemble:
-    """Particle positions at each checkpoint time, plus the seed that made them."""
+    """Particle positions at each checkpoint time."""
 
     checkpoints: tuple
-    positions: tuple  # of float arrays, one per checkpoint, each length n_paths
-    seed: int
+    positions: tuple  # of float arrays, one per checkpoint, all of one length
 
     def __post_init__(self):
         if not self.positions:
@@ -145,10 +144,6 @@ class SampleEnsemble:
         for k, arr in enumerate(self.positions):
             if len(arr) != n:
                 raise ValueError(f"checkpoint {k} has {len(arr)} paths, expected {n}")
-
-    @property
-    def n_paths(self) -> int:
-        return len(self.positions[0])
 
 
 # em_simulate runs its paths in at most this many chunks, one thread each:
@@ -235,7 +230,7 @@ def em_simulate(
         with ThreadPoolExecutor(max_workers=n_chunks) as pool:
             for future in [pool.submit(run, job) for job in jobs]:
                 future.result()
-    return SampleEnsemble(checkpoints=tuple(checkpoints), positions=tuple(positions), seed=seed)
+    return SampleEnsemble(checkpoints=tuple(checkpoints), positions=tuple(positions))
 
 
 def _em_paths(drift, lam, t0, segments, mean0, sd0, gens, positions, z, a):

@@ -1,31 +1,24 @@
-"""Mapping between the Fokker-Planck density and its Schrodinger-like form.
+"""The two pieces of the Schrodinger-like map that the solver uses.
 
 The substitution psi = exp(U/2D) W turns the density equation into
 d(psi)/dt = D psi'' + Ubar psi with the effective potential
 
     Ubar = (D/2) U'' - (1/4) (U')^2 + (1/2) dU/dt.
 
-Collecting powers of lam in Ubar gives the per-order sources consumed by the
-cascade:
+The cascade consumes Ubar order by order in lam,
 
-    Ubar_n = (D/2) U_n'' + (1/2) dU_n/dt - (1/4) sum_{j+k=n} U_j' U_k'.
+    Ubar_n = (D/2) U_n'' + (1/2) dU_n/dt - (1/4) sum_{j+k=n} U_j' U_k',
+
+and assembly subtracts the exponent U/2D to map the action back onto W.
 """
 
 import numpy as np
 
 from .errors import TransformOverflowError
-from .model import DensityField, DriftSpec, ScalarField, TAG_WAVEFUNCTION
+from .model import DriftSpec
 
 # |exponent| above this would overflow/underflow exp() in double precision
 _EXP_LIMIT = 700.0
-
-
-def effective_potential(drift: DriftSpec, d_coeff: float, lam: float, x, t):
-    """Ubar(x,t) for the full potential at the given lam."""
-    upp = drift.d2u_dx2_total(x, t, lam)
-    up = drift.du_dx_total(x, t, lam)
-    ut = drift.du_dt_total(x, t, lam)
-    return 0.5 * d_coeff * upp - 0.25 * up * up + 0.5 * ut
 
 
 def effective_potential_order(drift: DriftSpec, d_coeff: float, n: int, x, t):
@@ -45,6 +38,8 @@ def effective_potential_order(drift: DriftSpec, d_coeff: float, n: int, x, t):
 
 
 def potential_exponent(drift: DriftSpec, d_coeff: float, lam: float, grid):
+    """U/2D on the whole grid; raises TransformOverflowError naming the first
+    node where exp() of it would leave the double range."""
     expo = drift.u_total(np.broadcast_to(grid.x, (grid.nt, grid.nx)), grid.t[:, None], lam)
     expo /= 2.0 * d_coeff
     bad = np.argwhere(np.abs(expo) > _EXP_LIMIT)
@@ -55,19 +50,3 @@ def potential_exponent(drift: DriftSpec, d_coeff: float, lam: float, grid):
             f"(t={grid.t[j]:.6g}, x={grid.x[i]:.6g}); shrink the domain or lam"
         )
     return expo
-
-
-def to_wavefunction(w: DensityField, drift: DriftSpec, d_coeff: float, lam: float) -> ScalarField:
-    """psi = exp(U/2D) W, pointwise on the grid."""
-    if not d_coeff > 0:
-        raise ValueError("diffusion constant must be > 0")
-    expo = potential_exponent(drift, d_coeff, lam, w.grid)
-    return ScalarField(grid=w.grid, values=np.exp(expo) * w.values, tag=TAG_WAVEFUNCTION)
-
-
-def from_wavefunction(psi: ScalarField, drift: DriftSpec, d_coeff: float, lam: float) -> DensityField:
-    """W = exp(-U/2D) psi, the exact inverse of to_wavefunction."""
-    if not d_coeff > 0:
-        raise ValueError("diffusion constant must be > 0")
-    expo = potential_exponent(drift, d_coeff, lam, psi.grid)
-    return DensityField(grid=psi.grid, values=np.exp(-expo) * psi.values)

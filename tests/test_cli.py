@@ -1,7 +1,11 @@
 import csv
 import errno
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -108,6 +112,19 @@ class TestOu:
         for sweep in ("0.01,-0.02,0.05", "0,0.1,0.2", "nan,0.1,0.2", "inf,0.1,0.2",
                       "1e300,2e300,3e300", "1e-300,2e-300,3e-300"):
             assert main(["ou", "--lambda-sweep", sweep, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_nonfinite_action_sum_is_a_solver_abort(self, tmp_path):
+        # S_2 overflows at t = 1e300; run as the user does, since the
+        # overflow's RuntimeWarning is an error under this suite's filters
+        argv = ["ou", "--x-min", "-16", "--x-max", "16", "--nx", "161", "--t0", "0.1",
+                "--t-max", "1e300", "--nt", "3", "--paths", "3000", "--mc-dt", "1e299",
+                "--out", str(tmp_path / "out")]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "fpcascade", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_SOLVER
+        assert "solver abort: action sum is not finite everywhere on the grid" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestCustom:
@@ -240,9 +257,14 @@ class TestFailures:
          "mc_dt must give a finite step count (t_max - t0) / mc_dt, got 5e-324"),
         (["ou", "--mc-dt", "1e-320"], None,
          "mc_dt must give a finite step count (t_max - t0) / mc_dt, got 1e-320"),
+        # a finite step count that looped in EM after every other solver had run
+        (["ou", "--mc-dt", "1e-300", "--nx", "161", "--x-min", "-16", "--x-max", "16", "--nt", "21",
+          "--t-max", "1", "--paths", "1000"], None,
+         "n_paths * (t_max - t0) / mc_dt must be <= 1e+12 Monte Carlo path-steps, got 1000 paths x 9.500e+299 steps"),
     ], ids=["lam-nan", "lam-minus-inf", "d-inf", "x-max-inf", "t-max-inf", "v0-nan", "json-lam-nan",
             "json-lam-huge-int", "json-mass-tol-inf", "json-checkpoint-nan", "json-checkpoint-huge-int",
-            "omega-negative", "sin-omega-zero", "json-v-kind-tan", "mc-dt-subnormal", "mc-dt-tiny-ou"])
+            "omega-negative", "sin-omega-zero", "json-v-kind-tan", "mc-dt-subnormal", "mc-dt-tiny-ou",
+            "mc-path-steps-huge"])
     def test_nonfinite_or_invalid_value_rejected(self, tmp_path, monkeypatch, capsys, argv, bad, message):
         def must_not_run(cfg):
             raise AssertionError("a solver ran on a rejected config")

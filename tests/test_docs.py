@@ -1,12 +1,15 @@
 """Traceability: every test name cited in the verification guide must exist,
 and every command line the docs show must parse."""
 
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import fpcascade
 from fpcascade import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +47,23 @@ def test_acceptance_criteria_all_cited():
     acceptance = (TESTS / "test_acceptance.py").read_text(encoding="utf-8")
     for name in re.findall(r"^def (test_criterion\w+)", acceptance, flags=re.M):
         assert name in text, f"acceptance test {name} is not referenced by the guide"
+
+
+def test_every_cited_module_name_exists():
+    """Every backticked ``module.name`` in the docs is an attribute of
+    ``fpcascade.<module>``, so deleted code cannot stay documented."""
+    modules = sorted(m.name for m in pkgutil.iter_modules(fpcascade.__path__))
+    pattern = r"`(?:fpcascade\.)?(" + "|".join(modules) + r")\.(\w+)"
+    cited = []
+    for path in (ROOT / "README.md", DOCS / "method.md", DOCS / "verification.md"):
+        cited += re.findall(pattern, path.read_text(encoding="utf-8"))
+    cited = [(module, name) for module, name in cited if name != "py"]  # file names such as `kernels.py`
+    assert len(cited) >= 20
+    missing = sorted(
+        {f"{module}.{name}" for module, name in cited
+         if not hasattr(importlib.import_module(f"fpcascade.{module}"), name)}
+    )
+    assert not missing, f"the docs cite names that no module defines: {missing}"
 
 
 def documented_commands():

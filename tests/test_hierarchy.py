@@ -4,20 +4,20 @@ import pytest
 from fpcascade.analysis import field_distance, normalized_reference, translation_residual
 from fpcascade.errors import SolverError
 from fpcascade.hierarchy import (
-    advance_term,
+    _gradient,
+    _source_arrays,
     analytic_expansion,
     assemble_density,
     cascade_residual,
-    cascade_source,
     s0_closed_form,
     solve_expansion,
 )
 from fpcascade.model import (
+    ActionExpansion,
     DriftSpec,
     Grid,
     PotentialTerm,
     ScalarField,
-    TAG_ACTION,
     linear_time_modulated,
     quadratic_ou,
     zero_drift,
@@ -36,9 +36,8 @@ from fpcascade.analysis import trapezoid
 COS = ModulationV("cos", 1.0)
 
 
-def field_from(grid, fn, order):
-    vals = np.array([fn(grid.x, tj) for tj in grid.t])
-    return ScalarField(grid=grid, values=vals, tag=TAG_ACTION, order=order)
+def lattice(grid, fn):
+    return np.array([fn(grid.x, tj) for tj in grid.t])
 
 
 class TestS0:
@@ -65,52 +64,49 @@ class TestS0:
 
 
 class TestCascadeSource:
+    """The order-n source the march consumes, from _source_arrays with the x
+    gradients of injected lower orders."""
+
     def test_order1_is_pure_potential_term(self, small_grid):
-        drift = quadratic_ou()
-        s0 = s0_closed_form(small_grid, 1.0)
-        src = cascade_source(1, drift, 1.0, [s0])
-        assert np.allclose(src.values, 0.5)
+        src = _source_arrays(1, quadratic_ou(), 1.0, small_grid.x, small_grid.t, [])
+        assert np.allclose(src, 0.5)
 
     def test_ou_order2_with_injected_s1(self, small_grid):
-        drift = quadratic_ou()
-        s0 = s0_closed_form(small_grid, 1.0)
-        s1 = field_from(small_grid, lambda x, t: ou_s1(t, 1.0) * np.ones_like(x), 1)
-        src = cascade_source(2, drift, 1.0, [s0, s1])
+        s1 = lattice(small_grid, lambda x, t: ou_s1(t, 1.0) * np.ones_like(x))
+        grads = [_gradient(s1, small_grid.dx)]
+        src = _source_arrays(2, quadratic_ou(), 1.0, small_grid.x, small_grid.t, grads)
         expected = -small_grid.x**2 / 4.0
-        assert np.abs(src.values - expected[None, :]).max() <= 1e-10
+        assert np.abs(src - expected[None, :]).max() <= 1e-10
 
     def test_example1_order2_matches_closed_source(self, small_grid):
         # source = (S1')^2 - V^2/4 with S1' = (V - Vbar/t)/2
         drift = linear_time_modulated(COS)
-        s0 = s0_closed_form(small_grid, 1.0)
-        s1 = field_from(small_grid, lambda x, t: example1_s1(x, t, COS), 1)
-        src = cascade_source(2, drift, 1.0, [s0, s1])
+        s1 = lattice(small_grid, lambda x, t: example1_s1(x, t, COS))
+        grads = [_gradient(s1, small_grid.dx)]
+        src = _source_arrays(2, drift, 1.0, small_grid.x, small_grid.t, grads)
         t = small_grid.t[:, None]
         expected = 0.25 * (COS.value(t) - COS.antiderivative(t) / t) ** 2 - COS.value(t) ** 2 / 4
-        assert np.abs(src.values - expected).max() <= 1e-9
-
-    def test_missing_prefix_rejected(self, small_grid):
-        with pytest.raises(ValueError, match="solved"):
-            cascade_source(2, quadratic_ou(), 1.0, [s0_closed_form(small_grid, 1.0)])
+        assert np.abs(src - expected).max() <= 1e-9
 
 
 class TestAdvanceTerm:
+    """One cascade order marched by solve_expansion on profiles the scheme
+    integrates exactly."""
+
     def test_zero_source_zero_init(self, small_grid):
-        src = field_from(small_grid, lambda x, t: np.zeros_like(x), 1)
-        term = advance_term(1, src, 1.0, small_grid, np.zeros(small_grid.nx))
+        term = solve_expansion(zero_drift(), 1.0, 0.3, 1, small_grid).terms[1]
         assert np.all(term.values == 0.0)
 
     def test_ou_s1_zero_init_gives_t_minus_t0(self, small_grid):
-        # constant source D/2 with zero start: S = (t - t0)/2, exact for the scheme
-        src = field_from(small_grid, lambda x, t: 0.5 * np.ones_like(x), 1)
-        term = advance_term(1, src, 1.0, small_grid, np.zeros(small_grid.nx))
+        # the quadratic potential with no closed form to start from: source
+        # D/2 with a zero start, S = (t - t0)/2, exact for the scheme
+        drift = DriftSpec(family="custom", orders=quadratic_ou().orders)
+        term = solve_expansion(drift, 1.0, 0.1, 1, small_grid).terms[1]
         expected = 0.5 * (small_grid.t - small_grid.t0)
         assert np.abs(term.values - expected[:, None]).max() <= 1e-8
 
     def test_ou_s1_oracle_init_gives_dt_over_2(self, small_grid):
-        src = field_from(small_grid, lambda x, t: 0.5 * np.ones_like(x), 1)
-        init = np.full(small_grid.nx, ou_s1(small_grid.t0, 1.0))
-        term = advance_term(1, src, 1.0, small_grid, init)
+        term = solve_expansion(quadratic_ou(), 1.0, 0.1, 1, small_grid).terms[1]
         expected = 0.5 * small_grid.t
         assert np.abs(term.values - expected[:, None]).max() <= 1e-8
 
@@ -266,9 +262,7 @@ class TestCascadeResidual:
         prev = None
         for grid in (Grid(-8.0, 8.0, 201, 0.1, 2.0, 96), Grid(-8.0, 8.0, 401, 0.1, 2.0, 191)):
             s0 = s0_closed_form(grid, 1.0)
-            s1 = field_from(grid, lambda x, t: example1_s1(x, t, COS), 1)
-            from fpcascade.model import ActionExpansion
-
+            s1 = ScalarField(grid=grid, values=lattice(grid, lambda x, t: example1_s1(x, t, COS)), order=1)
             exp = ActionExpansion(d_coeff=1.0, lam=0.5, terms=(s0, s1))
             res = cascade_residual(1, exp, drift)
             if prev is not None:

@@ -5,7 +5,7 @@ calls at each t.  Byte comparison (``tobytes``) makes signed zeros count."""
 import numpy as np
 import pytest
 
-from fpcascade.hierarchy import _closed_form_term, cascade_residual, cascade_source, solve_expansion
+from fpcascade.hierarchy import _closed_form_term, _gradient, _source_arrays, cascade_residual, solve_expansion
 from fpcascade.model import Grid, linear_time_modulated, quadratic_ou, zero_drift
 from fpcascade.oracles import ModulationV, log_resummation_gap, s0_log_heat_kernel
 from fpcascade.reference import oracle_density
@@ -58,7 +58,8 @@ def _per_slice_residual(n, expansion, drift):
     slice at a time.  Kept as the oracle."""
     grid = expansion.grid
     term = expansion.terms[n].values
-    source = cascade_source(n, drift, expansion.d_coeff, expansion.terms[:n]).values
+    grads = [_gradient(s.values, grid.dx) for s in expansion.terms[1:n]]
+    source = _source_arrays(n, drift, expansion.d_coeff, grid.x, grid.t, grads)
     x = grid.x[1:-1]
     dx, dt = grid.dx, grid.dt
     worst = 0.0

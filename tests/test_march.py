@@ -18,8 +18,6 @@ from fpcascade.model import (
     DriftSpec,
     Grid,
     PotentialTerm,
-    ScalarField,
-    TAG_POTENTIAL_ORDER,
     linear_time_modulated,
     quadratic_ou,
     zero_drift,
@@ -123,17 +121,6 @@ def test_solve_expansion_equals_order_by_order_loop(name, nt):
         assert got.order == order
         for n, term in enumerate(got.terms):
             assert term.values.tobytes() == want[n].tobytes(), (order, n)
-
-
-@pytest.mark.parametrize("nt", NTS)
-def test_advance_term_equals_loop(nt):
-    grid = _grid(nt)
-    q = np.cos(grid.x) * grid.t[:, None] - 0.25 * grid.x * grid.x
-    init = np.sin(grid.x)
-    src = ScalarField(grid=grid, values=q, tag=TAG_POTENTIAL_ORDER, order=1)
-    got = H.advance_term(1, src, D, grid, init)
-    want = _advance_arrays(grid.x, grid.t, grid.dx, grid.dt, D, q, init)
-    assert got.values.tobytes() == want.tobytes()
 
 
 def test_one_band_per_step_for_every_order(monkeypatch):

@@ -10,7 +10,6 @@ from fpcascade.model import (
     Grid,
     RunConfig,
     ScalarField,
-    TAG_ACTION,
     build_drift,
     linear_time_modulated,
     quadratic_ou,
@@ -54,6 +53,17 @@ class TestValidateConfig:
     def test_path_count(self):
         with pytest.raises(ConfigError, match="path count"):
             validate_config(default_example1_config(n_paths=0))
+
+    def test_path_step_limit(self):
+        # the defaults (2e4 paths x 4950 steps) and the Monte Carlo-heavy
+        # benchmark run (1e5 paths x 950 steps) sit 1e4 below the limit
+        validate_config(RunConfig())
+        validate_config(RunConfig(family="quadratic_ou", lam=0.1, x_min=-12.0, x_max=12.0, nx=241,
+                                  t0=0.05, t_max=1.0, nt=21, n_paths=100000, mc_dt=1e-3))
+        validate_config(RunConfig(n_paths=2 * 10**8))  # 9.9e11 path-steps
+        for n_paths in (3 * 10**8, 10**400):  # 1.5e12 path-steps; a count past the float range
+            with pytest.raises(ConfigError, match="path-steps"):
+                validate_config(RunConfig(n_paths=n_paths))
 
     def test_negative_diffusion(self):
         with pytest.raises(ConfigError, match="diffusion"):
@@ -228,11 +238,11 @@ def test_build_drift_unknown_family():
 class TestFields:
     def test_scalar_field_shape_check(self, small_grid):
         with pytest.raises(ValueError, match="shape"):
-            ScalarField(grid=small_grid, values=np.zeros((3, 3)), tag=TAG_ACTION, order=0)
+            ScalarField(grid=small_grid, values=np.zeros((3, 3)), order=0)
 
     def test_scalar_field_immutable(self, small_grid):
         f = ScalarField(
-            grid=small_grid, values=np.zeros((small_grid.nt, small_grid.nx)), tag=TAG_ACTION, order=0
+            grid=small_grid, values=np.zeros((small_grid.nt, small_grid.nx)), order=0
         )
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
@@ -254,13 +264,13 @@ class TestFields:
 
     def test_expansion_tag_validation(self, small_grid):
         zeros = np.zeros((small_grid.nt, small_grid.nx))
-        s0 = ScalarField(grid=small_grid, values=zeros, tag=TAG_ACTION, order=0)
-        mislabeled = ScalarField(grid=small_grid, values=zeros, tag=TAG_ACTION, order=2)
-        with pytest.raises(ValueError, match="tag"):
+        s0 = ScalarField(grid=small_grid, values=zeros, order=0)
+        mislabeled = ScalarField(grid=small_grid, values=zeros, order=2)
+        with pytest.raises(ValueError, match="term 1 carries order 2, expected 1"):
             ActionExpansion(d_coeff=1.0, lam=0.1, terms=(s0, mislabeled))
 
     def test_expansion_requires_positive_d(self, small_grid):
         zeros = np.zeros((small_grid.nt, small_grid.nx))
-        s0 = ScalarField(grid=small_grid, values=zeros, tag=TAG_ACTION, order=0)
+        s0 = ScalarField(grid=small_grid, values=zeros, order=0)
         with pytest.raises(ValueError, match="diffusion"):
             ActionExpansion(d_coeff=0.0, lam=0.1, terms=(s0,))

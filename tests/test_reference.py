@@ -208,7 +208,7 @@ class TestEmChunking:
 class TestDensityFromSamples:
     def test_single_node_spike(self):
         grid = Grid(-2.0, 2.0, 9, 0.5, 1.0, 2)
-        ens = SampleEnsemble(checkpoints=(1.0,), positions=(np.full(100, grid.x[4]),), seed=0)
+        ens = SampleEnsemble(checkpoints=(1.0,), positions=(np.full(100, grid.x[4]),))
         w = density_from_samples(ens, grid)
         assert w.populated[1] and not w.populated[0]
         assert abs(trapezoid(np.nan_to_num(w.values[1]), grid.dx) - 1.0) <= 1e-12
@@ -239,13 +239,13 @@ class TestDensityFromSamples:
 
     def test_checkpoint_off_grid_rejected(self):
         grid = Grid(-2.0, 2.0, 9, 0.5, 1.0, 2)
-        ens = SampleEnsemble(checkpoints=(0.7,), positions=(np.zeros(10),), seed=0)
+        ens = SampleEnsemble(checkpoints=(0.7,), positions=(np.zeros(10),))
         with pytest.raises(ValueError, match="time node"):
             density_from_samples(ens, grid)
 
     def test_mismatched_checkpoint_lengths_rejected(self):
         with pytest.raises(ValueError, match="paths"):
-            SampleEnsemble(checkpoints=(0.5, 1.0), positions=(np.zeros(4), np.zeros(5)), seed=0)
+            SampleEnsemble(checkpoints=(0.5, 1.0), positions=(np.zeros(4), np.zeros(5)))
 
 
 @pytest.mark.parametrize(

@@ -2,15 +2,28 @@ import numpy as np
 import pytest
 
 from fpcascade.errors import TransformOverflowError
-from fpcascade.model import DensityField, Grid, linear_time_modulated, quadratic_ou, zero_drift
-from fpcascade.oracles import ModulationV, w0_diffusion
-from fpcascade.transform import (
-    effective_potential,
-    effective_potential_order,
-    from_wavefunction,
-    to_wavefunction,
-)
-from conftest import sample_density
+from fpcascade.hierarchy import analytic_expansion, assemble_density
+from fpcascade.model import Grid, linear_time_modulated, quadratic_ou, zero_drift
+from fpcascade.oracles import ModulationV
+from fpcascade.transform import effective_potential_order
+
+
+def effective_potential(drift, d_coeff, lam, x, t):
+    """Ubar(x,t) of the full potential at the given lam, summed from the
+    drift's terms directly: the oracle for the per-order coefficients."""
+    upp = up = ut = 0.0
+    for n, term in enumerate(drift.orders):
+        upp = upp + lam**n * term.d2u_dx2(x, t)
+        up = up + lam**n * term.du_dx(x, t)
+        ut = ut + lam**n * term.du_dt(x, t)
+    return 0.5 * d_coeff * upp - 0.25 * up * up + 0.5 * ut
+
+
+def potential_by_orders(drift, d_coeff, lam, x, t):
+    """sum_n lam^n Ubar_n, the production evaluator summed over every order."""
+    return sum(
+        lam**n * effective_potential_order(drift, d_coeff, n, x, t) for n in range(2 * drift.max_order + 1)
+    )
 
 
 class TestEffectivePotential:
@@ -19,18 +32,18 @@ class TestEffectivePotential:
         rng = np.random.default_rng(0)
         x, t = rng.uniform(-5, 5, 20), rng.uniform(0.1, 3, 20)
         for xi, ti in zip(x, t):
-            assert effective_potential(drift, 1.0, 0.3, xi, ti) == 0.0
+            assert potential_by_orders(drift, 1.0, 0.3, xi, ti) == 0.0
 
     def test_quadratic_hand_value(self):
         # U' = lam x, U'' = lam, dU/dt = 0:
         # Ubar = D lam/2 - (lam x)^2/4 = 0.05 - 0.01 = 0.04
         drift = quadratic_ou()
-        assert effective_potential(drift, 1.0, 0.1, 2.0, 17.3) == pytest.approx(0.04, rel=1e-14)
+        assert potential_by_orders(drift, 1.0, 0.1, 2.0, 17.3) == pytest.approx(0.04, rel=1e-14)
 
     def test_linear_hand_value(self):
         # V = cos t at t = 0: Ubar = -(lam cos 0)^2/4 + (lam x)(-sin 0)/2 = -0.0225
         drift = linear_time_modulated(ModulationV("cos", 1.0))
-        assert effective_potential(drift, 1.0, 0.3, 1.0, 0.0) == pytest.approx(-0.0225, rel=1e-14)
+        assert potential_by_orders(drift, 1.0, 0.3, 1.0, 0.0) == pytest.approx(-0.0225, rel=1e-14)
 
     def test_quadratic_order_sources(self):
         drift = quadratic_ou()
@@ -51,11 +64,7 @@ class TestEffectivePotential:
                 x = rng.uniform(-8, 8)
                 t = rng.uniform(0.05, 4.0)
                 total = effective_potential(drift, 1.0, lam, x, t)
-                by_orders = sum(
-                    lam**n * effective_potential_order(drift, 1.0, n, x, t)
-                    for n in range(2 * drift.max_order + 1)
-                )
-                assert abs(total - by_orders) <= 1e-12
+                assert abs(total - potential_by_orders(drift, 1.0, lam, x, t)) <= 1e-12
 
     def test_order_beyond_reach_is_zero(self):
         drift = quadratic_ou()
@@ -67,28 +76,11 @@ class TestEffectivePotential:
 
 
 class TestWavefunctionMap:
-    def test_zero_drift_identity(self):
-        grid = Grid(-6.0, 6.0, 101, 0.1, 1.0, 9)
-        w = sample_density(grid, lambda x, t: w0_diffusion(x, t, 1.0), normalize=False)
-        psi = to_wavefunction(w, zero_drift(), 1.0, 0.3)
-        assert np.array_equal(psi.values, w.values)
-
-    def test_round_trip(self):
-        grid = Grid(-6.0, 6.0, 101, 0.1, 1.0, 9)
-        drift = quadratic_ou()
-        w = sample_density(grid, lambda x, t: w0_diffusion(x, t, 1.0), normalize=False)
-        back = from_wavefunction(to_wavefunction(w, drift, 1.0, 0.1), drift, 1.0, 0.1)
-        assert np.abs(back.values / w.values - 1.0).max() <= 1e-14
-
-    def test_quadratic_pointwise_value(self):
-        # at x=2, lam=0.1, D=1 and W=1: psi = exp(0.1 * 4 / 4) = e^0.1
-        grid = Grid(-2.0, 2.0, 5, 0.5, 1.5, 3)
-        w = DensityField(grid=grid, values=np.ones((grid.nt, grid.nx)))
-        psi = to_wavefunction(w, quadratic_ou(), 1.0, 0.1)
-        assert psi.values[0, -1] == pytest.approx(1.1051709180756477, rel=1e-14)
+    """Assembly maps the action back through W = exp(-U/2D) psi, and its
+    exponent U/2D must stay inside the exp() range."""
 
     def test_overflow_reports_node(self):
         grid = Grid(-10.0, 10.0, 11, 0.5, 1.5, 3)
-        w = DensityField(grid=grid, values=np.ones((grid.nt, grid.nx)))
+        expansion = analytic_expansion(quadratic_ou(), 1.0, 1e6, 1, grid)
         with pytest.raises(TransformOverflowError, match="x="):
-            to_wavefunction(w, quadratic_ou(), 1.0, 1e6)
+            assemble_density(expansion, quadratic_ou())
