@@ -8,13 +8,21 @@ for a drift constant in time), the whole numeric cascade
 grid, the sampler's normal draws (one ``Generator(SFC64)`` per block of
 paths), and the Euler-Maruyama step (drift into a work buffer plus the
 in-place update, ``reference.em_step``) at the path-chunk widths of the
-default example1 run and of a 100k-path OU run on two CPUs.
+default example1 run and of a 100k-path OU run on two CPUs.  It also times
+``import fpcascade.cli``, the start-up every CLI run pays, in fresh
+``python -c`` subprocesses (the import alone, not the interpreter start).
+Each row gives the best of ``--repeats`` runs and their spread (worst minus
+best).
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats 5]
 """
 
 import argparse
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
@@ -26,13 +34,23 @@ from fpcascade.oracles import ModulationV
 from fpcascade.reference import _EM_BLOCK, em_step
 
 
-def best_of(fn, repeats):
+def timings(fn, repeats):
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return min(times)
+    return times
+
+
+def import_cli_times(repeats):
+    # each run a fresh interpreter that times the import itself
+    code = "import time; t = time.perf_counter(); import fpcascade.cli; print(time.perf_counter() - t)"
+    env = dict(os.environ, PYTHONPATH=str(Path(K.__file__).resolve().parents[1]))
+    return [
+        float(subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True).stdout)
+        for _ in range(repeats)
+    ]
 
 
 def bench_cascade(nx=801, nt=500):
@@ -124,9 +142,11 @@ def main():
         "EM step, example1 (1e4 x 1000)": bench_em_step(example1, 0.2, 10000),
         "EM step, OU (5e4 x 1000)": bench_em_step(quadratic_ou(), 0.1, 50000),
     }
-    print(f"{'kernel':<38} {'best':>10}")
-    for name, run in benches.items():
-        print(f"{name:<38} {best_of(run, args.repeats):>9.4f}s")
+    rows = {"import fpcascade.cli (fresh process)": import_cli_times(args.repeats)}
+    rows.update((name, timings(run, args.repeats)) for name, run in benches.items())
+    print(f"{'kernel':<38} {'best':>10} {'spread':>10}")
+    for name, times in rows.items():
+        print(f"{name:<38} {min(times):>9.4f}s {max(times) - min(times):>9.4f}s")
 
 
 if __name__ == "__main__":

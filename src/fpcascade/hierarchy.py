@@ -93,7 +93,9 @@ def analytic_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int,
     """Expansion built from the closed-form action terms (no PDE solves)."""
     terms = [s0_closed_form(grid, d_coeff)]
     for n in range(1, order + 1):
-        vals = _closed_form_term(drift, d_coeff, n, grid.x, grid.t[:, None])
+        # a term that overflows is inf, which action_sum rejects as a SolverError
+        with np.errstate(over="ignore"):
+            vals = _closed_form_term(drift, d_coeff, n, grid.x, grid.t[:, None])
         if vals is None:
             raise ValueError(f"no closed-form action term S_{n} for drift family {drift.family!r}")
         vals = np.broadcast_to(vals, (grid.nt, grid.nx))  # a vanishing term is shaped like x

@@ -114,8 +114,8 @@ class TestOu:
             assert main(["ou", "--lambda-sweep", sweep, "--out", str(tmp_path)]) == EXIT_CONFIG
 
     def test_nonfinite_action_sum_is_a_solver_abort(self, tmp_path):
-        # S_2 overflows at t = 1e300; run as the user does, since the
-        # overflow's RuntimeWarning is an error under this suite's filters
+        # S_2 overflows at t = 1e300; run as the user does, so that stderr
+        # shows everything the user sees: the abort line and no numpy warning
         argv = ["ou", "--x-min", "-16", "--x-max", "16", "--nx", "161", "--t0", "0.1",
                 "--t-max", "1e300", "--nt", "3", "--paths", "3000", "--mc-dt", "1e299",
                 "--out", str(tmp_path / "out")]
@@ -125,6 +125,7 @@ class TestOu:
         assert proc.returncode == EXIT_SOLVER
         assert "solver abort: action sum is not finite everywhere on the grid" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestCustom:

@@ -250,6 +250,17 @@ class TestAssembleDensity:
         assert np.array_equal(w_lin.values, w_zero.values)
 
 
+def test_overflowing_closed_form_is_a_solver_abort():
+    # S_2 of the quadratic family overflows at t = 1e300 (the grid of
+    # test_cli's TestOu::test_nonfinite_action_sum_is_a_solver_abort); under
+    # this suite's error::RuntimeWarning filter any overflow warning would
+    # surface here instead of the SolverError
+    grid = Grid(-16.0, 16.0, 161, 0.1, 1e300, 3)
+    expansion = analytic_expansion(quadratic_ou(), 1.0, 0.2, 2, grid)
+    with pytest.raises(SolverError, match="action sum is not finite"):
+        expansion.action_sum()
+
+
 class TestCascadeResidual:
     def test_zero_field_zero_source(self, small_grid):
         drift = zero_drift()

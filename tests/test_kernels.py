@@ -1,3 +1,11 @@
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgtsv
@@ -92,6 +100,35 @@ class TestTridiag:
     def test_singular_raises(self):
         with pytest.raises(ZeroDivisionError):
             K.tridiag_solve(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
+
+    def test_cli_import_skips_scipy_linalg_and_solves_as_scipy_does(self):
+        # the start-up cost kernels.py avoids: scipy.linalg's __init__; then
+        # scipy's public dgtsv, imported afterwards, solves the pivoting
+        # system of test_solves_reference_system with the same bits
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import fpcascade.cli
+            import fpcascade.kernels as K
+            assert "scipy.linalg" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+            from scipy.linalg.lapack import dgtsv
+            rng = np.random.default_rng(3)
+            n = 50
+            dl, d, du = rng.normal(size=n - 1), 1e-9 * rng.normal(size=n), rng.normal(size=n - 1)
+            b = (np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)) @ rng.normal(size=n)
+            *_, x_ref, info = dgtsv(dl, d, du, b)
+            assert info == 0
+            assert np.array_equal(K.tridiag_solve(dl, d, du, b).view(np.uint64), x_ref.view(np.uint64))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(K.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_missing_lapack_extension_names_the_directory(self, tmp_path, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(K, "find_spec", lambda name: SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+            K._load_flapack()
 
 
 class TestStepKernels:
