@@ -6,7 +6,8 @@ steps with their band assembly (one cascade band per step; one density band
 for a drift constant in time), the whole numeric cascade
 (``hierarchy.solve_expansion``) at orders 2 and 8 on the refined criterion-2
 grid, the sampler's normal draws (one ``Generator(SFC64)`` per block of
-paths), and the Euler-Maruyama step (drift into a work buffer plus the
+paths, drawn for half the block and negated into the other half), and the
+Euler-Maruyama step (drift into a work buffer plus the
 in-place update, ``reference.em_step``) at the path-chunk widths of the
 default example1 run and of a 100k-path OU run on two CPUs.  It also times
 ``import fpcascade.cli``, the start-up every CLI run pays, in fresh
@@ -100,14 +101,21 @@ def bench_solve_expansion(order):
 
 
 def bench_normals(n_paths=100000, n_steps=200):
-    # one draw per block and step into a slice of z, as reference._em_paths does
+    # per block and step, ceil(m/2) draws into the first half of its slice of
+    # z and their negations into the rest, as reference._em_paths does
     gens = [Generator(SFC64(SeedSequence(20107, spawn_key=(b,)))) for b in range(-(-n_paths // _EM_BLOCK))]
     z = np.empty(n_paths)
+    pairs = []
+    for gen, lo in zip(gens, range(0, n_paths, _EM_BLOCK)):
+        m = min(_EM_BLOCK, n_paths - lo)
+        h = (m + 1) // 2
+        pairs.append((gen, z[lo : lo + h], z[lo + h : lo + m], z[lo : lo + m - h]))
 
     def run():
         for _ in range(n_steps):
-            for b, gen in enumerate(gens):
-                gen.standard_normal(out=z[b * _EM_BLOCK : (b + 1) * _EM_BLOCK])
+            for gen, drawn, mirrored, source in pairs:
+                gen.standard_normal(out=drawn)
+                np.negative(source, out=mirrored)
 
     return run
 

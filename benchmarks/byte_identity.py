@@ -6,8 +6,10 @@ in its own ``python -m fpcascade`` subprocess, and compares the exit codes and
 ``density.csv`` and ``summary.json`` byte for byte.  Then it compares the
 sha256 of the solved fields of the ``lib_acceptance_grids`` benchmark
 workload (``fields.f64``), run from this checkout's ``perfbench/``.
-Prints one line per case and exits 1 on any difference, or on a case that
-exits nonzero in both trees (it then has no outputs to compare).
+Prints one line per case, and under a case whose outputs differ, which
+``density.csv`` columns and which ``summary.json`` keys (dotted, two levels
+deep) differ.  Exits 1 on any difference, or on a case that exits nonzero in
+both trees (it then has no outputs to compare).
 
     python3 benchmarks/byte_identity.py --parent DIR --change DIR
 
@@ -92,6 +94,36 @@ def run_case(tree: Path, argv, config, out_dir: Path):
     return proc.returncode, files
 
 
+def csv_columns_differing(a: bytes, b: bytes) -> list:
+    """Header names of the columns whose cells differ; a changed header or
+    row count differs as a whole."""
+    rows_a, rows_b = a.decode("ascii").splitlines(), b.decode("ascii").splitlines()
+    if rows_a[:1] != rows_b[:1] or len(rows_a) != len(rows_b):
+        return ["(header or row count)"]
+    columns_a = zip(*(row.split(",") for row in rows_a))
+    columns_b = zip(*(row.split(",") for row in rows_b))
+    return [col_a[0] for col_a, col_b in zip(columns_a, columns_b) if col_a != col_b]
+
+
+def summary_keys_differing(a: bytes, b: bytes) -> list:
+    """Dotted paths, two levels deep, of the summary keys whose values differ."""
+    doc_a, doc_b = json.loads(a), json.loads(b)
+    keys = []
+    for key in sorted(doc_a.keys() | doc_b.keys()):
+        val_a, val_b = doc_a.get(key), doc_b.get(key)
+        if val_a == val_b:
+            continue
+        if isinstance(val_a, dict) and isinstance(val_b, dict):
+            keys += [f"{key}.{sub}" for sub in sorted(val_a.keys() | val_b.keys()) if val_a.get(sub) != val_b.get(sub)]
+        else:
+            keys.append(key)
+    return keys
+
+
+DIFFERING_PARTS = {"density.csv": ("columns", csv_columns_differing),
+                   "summary.json": ("keys", summary_keys_differing)}
+
+
 def library_digest(tree: Path) -> str:
     proc = subprocess.run([sys.executable, "-c", LIBRARY], env=_env(tree), capture_output=True,
                           text=True, check=True)
@@ -116,6 +148,10 @@ def main(argv=None) -> int:
             diffs = [n for n in OUTPUTS if files_a[n] != files_b[n]]
             status = "DIFFERS" if diffs or code_a != code_b else "identical" if code_b == 0 else "FAILED"
             print(f"{status:9s} {name} (exit {code_a} -> {code_b}{''.join(', ' + n for n in diffs)})", flush=True)
+            for n in diffs:
+                if files_a[n] is not None and files_b[n] is not None:
+                    what, differing_parts = DIFFERING_PARTS[n]
+                    print(f"          {n} {what}: {', '.join(differing_parts(files_a[n], files_b[n]))}", flush=True)
             differing += status != "identical"
     digests = {label: library_digest(tree) for label, tree in trees.items()}
     same = digests["parent"] == digests["change"]

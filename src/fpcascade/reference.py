@@ -8,8 +8,10 @@ Two back ends validate the cascade output:
 
 * ``em_simulate`` runs Euler-Maruyama paths of the matching stochastic
   process dx = D1(x,t) dt + sqrt(2D) dB.  Normal increments come from one
-  numpy ``Generator(SFC64)`` per fixed block of 4096 paths, so ensembles are
-  bit-reproducible and independent of how the blocks are spread over threads.
+  numpy ``Generator(SFC64)`` per fixed block of 4096 paths, drawn for the
+  first half of the block's paths and negated for the second half
+  (antithetic pairs), so ensembles are bit-reproducible and independent of
+  how the blocks are spread over threads.
 
 Both start from the family's closed-form density at t0 > 0, the same initial
 data the cascade uses, so all solvers address one initial-value problem.
@@ -170,10 +172,14 @@ def em_simulate(
     """Euler-Maruyama paths from the closed-form density at t0.
 
     ``dt`` is the maximum step; each inter-checkpoint interval is subdivided
-    evenly so checkpoints are hit exactly.  Block b of 4096 paths draws from
-    ``Generator(SFC64(SeedSequence(seed, spawn_key=(b,))))``: first one normal
-    per path for the initial positions, then one per path and step, in path
-    order.
+    evenly so checkpoints are hit exactly.  Block b of m paths (4096, or fewer
+    in the last block) draws from
+    ``Generator(SFC64(SeedSequence(seed, spawn_key=(b,))))``: first for the
+    initial positions, then once per step, it draws h = ceil(m/2) normals
+    into its paths [0, h), and paths [h, m) take the negations of the first
+    m - h of them (w_mc stream v3).  With mean 0 at t0 and a drift odd in x
+    (zero drift, the quadratic family), path h + i is then the bit-exact
+    mirror -x of path i.
 
     Blocks are independent, so they run in chunks of whole blocks, one thread
     per usable CPU (numpy releases the GIL inside the array operations and
@@ -237,14 +243,20 @@ def _em_paths(drift, lam, t0, segments, mean0, sd0, gens, positions, z, a):
     """Step the paths of the blocks ``gens`` through ``segments``; row j of
     ``positions`` receives them at checkpoint j.
 
-    Each step draws one normal per path into ``z``, block by block, and
-    scales it by the segment's noise scale; ``a`` is the drift buffer of
-    ``em_step``.
+    Each step fills ``z`` block by block, the first half of a block's paths
+    with drawn normals and the rest with their negations, and scales it by
+    the segment's noise scale; ``a`` is the drift buffer of ``em_step``.
     """
+    pairs = []  # (generator, drawn half, mirrored half, its source) per block
+    for gen, lo in zip(gens, range(0, len(z), _EM_BLOCK)):
+        m = min(_EM_BLOCK, len(z) - lo)
+        h = (m + 1) // 2
+        pairs.append((gen, z[lo : lo + h], z[lo + h : lo + m], z[lo : lo + m - h]))
 
     def draw():
-        for b, gen in enumerate(gens):
-            gen.standard_normal(out=z[b * _EM_BLOCK : (b + 1) * _EM_BLOCK])
+        for gen, drawn, mirrored, source in pairs:
+            gen.standard_normal(out=drawn)
+            np.negative(source, out=mirrored)
 
     draw()
     x = positions[-1]  # the last checkpoint row doubles as the current positions

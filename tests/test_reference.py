@@ -96,15 +96,32 @@ class TestEmSimulate:
         b = em_simulate(zero_drift(), 1.0, 0.0, 0.05, [1.0], 2e-3, 500, 8)
         assert not np.array_equal(a.positions[0], b.positions[0])
 
-    def test_stream_v2_frozen_values(self):
+    def test_stream_v3_frozen_values(self):
         # numpy does not promise to keep Generator distribution streams fixed
         # across releases (NEP 19); these are the first three normals of
-        # blocks 0 and 1 at SEED on numpy 2.4.6.  sd0 = sqrt(2 * 0.5 * 1) = 1,
-        # so the t0 positions are the normals themselves.
+        # block 0 and the first two of block 1 at SEED on numpy 2.4.6.
+        # sd0 = sqrt(2 * 0.5 * 1) = 1, so the t0 positions are the normals
+        # themselves.  Block 0 draws 2048 and mirrors them into paths
+        # 2048-4095; the 3-path tail block draws two and mirrors the first.
         ens = em_simulate(zero_drift(), 0.5, 0.0, 1.0, [1.0], 0.1, 4099, SEED)
         x = ens.positions[0]
-        assert x[:3].tolist() == [0.22768900846720733, -0.5469519682795477, -0.87332237899652]
-        assert x[4096:].tolist() == [0.06535214159510895, -1.8258448055918879, 0.920612330944]
+        head = [0.22768900846720733, -0.5469519682795477, -0.87332237899652]
+        assert x[:3].tolist() == head
+        assert x[2048:2051].tolist() == [-v for v in head]
+        assert x[4096:].tolist() == [0.06535214159510895, -1.8258448055918879, -0.06535214159510895]
+
+    @pytest.mark.parametrize(
+        "drift,lam", [(zero_drift(), 0.0), (quadratic_ou(), 0.1), (quadratic_ou(), -0.2)], ids=["zero", "ou", "ou-neg"]
+    )
+    def test_mirrored_paths_are_bit_exact_negations(self, drift, lam):
+        # mean 0 at t0 and a drift odd in x: path lo + h + i is -(path lo + i)
+        n = 4096 + 1001
+        ens = em_simulate(drift, lam=lam, n_paths=n, **EM_CASE)
+        for x in ens.positions:
+            for lo, m in ((0, 4096), (4096, 1001)):
+                h = (m + 1) // 2
+                block = x[lo : lo + m]
+                assert np.array_equal(block[h:].view(np.uint64), np.negative(block[: m - h]).view(np.uint64))
 
     def test_checkpoints_validation(self):
         with pytest.raises(ValueError, match="ascending"):
@@ -129,13 +146,18 @@ def _drift_allocating(drift, x, t, lam):
 
 def _em_one_step_at_a_time(drift, d_coeff, lam, t0, checkpoints, dt, n_paths, seed):
     """Reference for em_simulate: all paths together, one normal per path and
-    step, drawn from the generator of the path's block of 4096 (stream v2)."""
+    step; a block of m <= 4096 paths draws ceil(m/2) from its generator and
+    appends the negations of the first m - ceil(m/2) (stream v3)."""
     widths = [min(4096, n_paths - lo) for lo in range(0, n_paths, 4096)]
     gens = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
             for b in range(len(widths))]
 
+    def block_normals(gen, m):
+        drawn = gen.standard_normal(-(-m // 2))
+        return np.concatenate([drawn, -drawn[: m // 2]])
+
     def normals():
-        return np.concatenate([gen.standard_normal(w) for gen, w in zip(gens, widths)])
+        return np.concatenate([block_normals(gen, w) for gen, w in zip(gens, widths)])
 
     mean0, var0 = oracle_moments(drift, d_coeff, lam, t0)
     xpos = mean0 + np.sqrt(var0) * normals()
