@@ -29,12 +29,17 @@ from pathlib import Path
 FAST = ("--x-min", "-16", "--x-max", "16", "--nx", "161", "--t0", "0.1", "--t-max", "1.5",
         "--nt", "29", "--paths", "3000", "--mc-dt", "0.01", "--seed", "7")
 
+# the t nodes of FAST are 0.1 + 0.05 k, k = 0 .. 28
+FAST_T = [round(0.1 + 0.05 * k, 10) for k in range(29)]
+
 # (name, argv, JSON config or None): every subcommand and family, the three
 # modulations, orders 0, 3 and 8, lam = 0 and negative, two cascades that
 # march through several time blocks with a partial last one (99 and 66 steps
-# against hierarchy._BLOCK = 32), and small stand-ins for the two CLI
-# benchmark workloads at two seeds each.  Every case exits 0 (later flags
-# override earlier ones).
+# against hierarchy._BLOCK = 32), density.csv's checkpoint slices (which the
+# run formats itself, splicing in the writer process's part file around them)
+# on the first slice, on two adjacent slices, on the last slice only and on
+# every slice, and small stand-ins for the two CLI benchmark workloads at two
+# seeds each.  Every case exits 0 (later flags override earlier ones).
 CASES = (
     ("example1-cos", ("example1", *FAST), None),
     ("example1-sin-order3", ("example1", "--v", "sin", "--omega", "2", "--order", "3", *FAST), None),
@@ -54,6 +59,9 @@ CASES = (
     ("custom-zero", ("custom", *FAST), {"family": "zero"}),
     ("custom-quadratic", ("custom", *FAST),
      {"family": "quadratic_ou", "lam": 0.15, "checkpoints": [0.5, 1.0], "tolerances": {"mass_tol": 1e-7}}),
+    *((f"custom-checkpoints-{layout}", ("custom", *FAST), {"family": "linear_time_modulated", "checkpoints": ts})
+      for layout, ts in (("first", FAST_T[:1]), ("adjacent", FAST_T[8:10]), ("last", FAST_T[-1:]),
+                         ("every", FAST_T))),
     *((f"w1-standin-seed{seed}", ("example1", "--nx", "481", "--nt", "100", "--paths", "5000",
                                   "--mc-dt", "0.01", "--seed", str(seed)), None) for seed in (0, 3)),
     *((f"w2-standin-seed{seed}", ("ou", "--lambda", "0.1", "--x-min", "-12", "--x-max", "12", "--nx", "241",

@@ -12,10 +12,15 @@ Subcommands:
 Outputs (in --out): ``density.csv`` with one row per (t-slice, x-node) in
 time-major order, and ``summary.json``.  Floats are written with 17
 significant digits and LF line endings so identical invocations produce
-byte-identical files.  Each file is written beside its target under a
-temporary name and then renamed onto it, so a run that dies mid-write leaves
-the previous file in place.  The output directory is created before any
-solver runs; when it cannot be, the run is rejected as a config error.
+byte-identical files.  Both files are written beside their targets under
+temporary names and renamed onto them only once both are complete, so a run
+that dies mid-write leaves the previous pair in place.  The output directory
+is created before any solver runs; when it cannot be, the run is rejected as
+a config error.
+
+On Linux a forked writer process formats the ``density.csv`` slices that hold
+no ``w_mc`` into a part file while this process samples ``w_mc``; the
+checkpoint slices are formatted here and spliced in (``_SliceWriter``).
 
 Exit codes: 0 success, 2 config rejection, 3 solver abort, 4 invariant
 violation at emission.
@@ -25,7 +30,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import asdict, replace
 from itertools import chain
 from pathlib import Path
@@ -68,6 +73,10 @@ _MASS_TOL = {"w_pert": 1e-9, "w_pert_numeric": 1e-9, "w_exact": 1e-8, "w_fd": 1e
 
 # density.csv columns after x and t, in order
 _COLUMNS = ("w_pert", "w_pert_numeric", "w_exact", "w_fd", "w_mc")
+
+# the forked writer needs os.fork and an os.sendfile that writes to a regular
+# file; Linux has both (macOS and the BSDs send only to sockets)
+_FORKED_WRITER = sys.platform == "linux"
 
 
 def _is_number(value) -> bool:
@@ -133,6 +142,7 @@ def _checkpoint_indices(cfg: ValidatedConfig):
 
 
 def _run_solvers(cfg: ValidatedConfig):
+    """Every field but w_mc: the cascades, the exact density and FD."""
     grid, drift = cfg.grid, cfg.drift
     raw = cfg.raw
     d, lam = raw.d_coeff, raw.lam
@@ -148,9 +158,6 @@ def _run_solvers(cfg: ValidatedConfig):
         drift, d, lam, grid, w_init,
         mass_tol=raw.tolerances.mass_tol, boundary_tol=raw.tolerances.boundary_tol,
     )
-
-    ensemble = em_simulate(drift, d, lam, grid.t0, cfg.checkpoints, raw.mc_dt, raw.n_paths, raw.seed)
-    fields["w_mc"] = density_from_samples(ensemble, grid)
     return fields
 
 
@@ -249,37 +256,158 @@ def _config_dict(cfg: ValidatedConfig):
 
 
 @contextmanager
-def _replacing(path: Path):
-    """Open a text file that replaces ``path`` when the block ends without an
-    error.  It is written under a temporary name in the same directory, so
-    the rename is atomic and a failed write leaves ``path`` as it was."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def _replacing(*paths: Path):
+    """Open binary files that replace ``paths`` when the block ends without
+    an error.  Each is written under a temporary name beside its target, and
+    the renames start only after every file is written and closed, so a
+    failed write leaves all the targets as they were."""
+    tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
     try:
-        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-            yield fh
-        os.replace(tmp, path)
+        with ExitStack() as files:
+            yield [files.enter_context(open(tmp, "wb")) for tmp in tmps]
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
 
 
-def _write_outputs(fields: dict, summary: dict, cfg: ValidatedConfig):
-    out_dir = Path(cfg.raw.out_dir)
-    grid = cfg.grid
+def _slice_formatter(fields: dict, grid):
+    """The function j -> density.csv rows of time slice j, as ASCII bytes.
+
+    One %-format per slice: the row template repeated nx times, filled with
+    x and the populated columns' values interleaved row by row.  A column
+    missing from ``fields`` (w_mc before it is sampled) is left empty."""
     x_strs = ["%.17g" % xv for xv in grid.x.tolist()]
-    with _replacing(out_dir / "density.csv") as fh:
-        fh.write("x,t," + ",".join(_COLUMNS) + "\n")
-        # one %-format per slice: the row template repeated nx times, filled
-        # with x and the populated columns' values interleaved row by row
-        for j, tj in enumerate(grid.t.tolist()):
-            live = [fields[name].populated[j] for name in _COLUMNS]
-            row = "%s," + "%.17g" % tj + "," + ",".join("%.17g" if on else "" for on in live) + "\n"
-            cols = [fields[name].values[j].tolist() for name, on in zip(_COLUMNS, live) if on]
-            fh.write((row * grid.nx) % tuple(chain.from_iterable(zip(x_strs, *cols))))
-    payload = json.dumps(summary, indent=2, sort_keys=True)
-    with _replacing(out_dir / "summary.json") as fh:
-        fh.write(payload + "\n")
+    t_nodes = grid.t.tolist()
+
+    def rows(j):
+        live = [name in fields and fields[name].populated[j] for name in _COLUMNS]
+        row = "%s," + "%.17g" % t_nodes[j] + "," + ",".join("%.17g" if on else "" for on in live) + "\n"
+        cols = [fields[name].values[j].tolist() for name, on in zip(_COLUMNS, live) if on]
+        return ((row * grid.nx) % tuple(chain.from_iterable(zip(x_strs, *cols)))).encode("ascii")
+
+    return rows
+
+
+def _write_outputs(fields: dict, summary: dict, cfg: ValidatedConfig, part=None):
+    """Replace density.csv and summary.json in the output directory.
+
+    Without ``part`` every density.csv slice is formatted here.  With a
+    ``_SliceWriter`` only its ``slices`` are, and the rest is copied from the
+    part file its writer process made."""
+    out_dir = Path(cfg.raw.out_dir)
+    rows = _slice_formatter(fields, cfg.grid)
+    payload = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    with _replacing(out_dir / "density.csv", out_dir / "summary.json") as (density, summary_file):
+        density.write(("x,t," + ",".join(_COLUMNS) + "\n").encode("ascii"))
+        if part is None:
+            for j in range(cfg.grid.nt):
+                density.write(rows(j))
+        else:
+            part.splice(density, rows)
+        summary_file.write(payload.encode("ascii"))
     return out_dir
+
+
+class _SliceWriter:
+    """A forked process that formats density.csv while this one samples w_mc.
+
+    The child formats every slice but ``slices`` (the checkpoint slices, the
+    only ones where w_mc can be populated) into ``.density.csv.<pid>.part``
+    in the output directory, with the w_mc cells empty, and reports over a
+    pipe the byte offset of the part at which each of ``slices`` goes, then
+    the part's length, or its error.  It does all of that inside
+    ``try/finally: os._exit``, so it never returns into the caller.
+
+    A process, not a thread, because %-formatting holds the interpreter lock.
+    It is forked before the Monte Carlo sampler starts its threads, so no
+    other thread can hold a lock the child inherits.  Leaving the ``with``
+    block reaps the child (killing it first if it was not reaped already)
+    and removes the part.
+    """
+
+    def __init__(self, fields: dict, cfg: ValidatedConfig):
+        self.slices = _checkpoint_indices(cfg)
+        self.path = Path(cfg.raw.out_dir) / f".density.csv.{os.getpid()}.part"
+        read_end, write_end = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if self.pid == 0:
+            self._child(fields, cfg.grid, read_end, write_end)
+        os.close(write_end)
+        self._report = read_end
+
+    def _child(self, fields, grid, read_end, write_end):
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                try:
+                    rows = _slice_formatter(fields, grid)
+                    own, offsets = set(self.slices), []
+                    with open(self.path, "wb") as part:
+                        for j in range(grid.nt):
+                            if j in own:
+                                offsets.append(part.tell())
+                            else:
+                                part.write(rows(j))
+                        offsets.append(part.tell())
+                    message, code = " ".join(map(str, offsets)), 0
+                except BaseException as exc:
+                    message = f"{type(exc).__name__}: {exc}"
+                pipe.write(message.encode())
+        finally:
+            os._exit(code)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.pid is not None:  # not reaped: the block raised
+            import signal  # only error paths need it
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.wait4(self.pid, 0)
+        if self._report is not None:
+            os.close(self._report)
+        self.path.unlink(missing_ok=True)
+
+    def _offsets(self):
+        """Wait for the child; raise OSError with its message if it failed."""
+        with open(self._report, "rb") as pipe:
+            self._report = None
+            message = pipe.read().decode()
+        _, status, _ = os.wait4(self.pid, 0)
+        self.pid = None
+        if status:
+            if os.WIFSIGNALED(status):
+                message = f"killed by signal {os.WTERMSIG(status)}"
+            raise OSError(f"density.csv writer process failed: {message}")
+        return [int(offset) for offset in message.split()]
+
+    def splice(self, out, rows):
+        """Write the part to the binary file ``out`` with ``rows(j)`` for
+        each of ``slices`` at its offset.  The part is copied in the kernel,
+        so it never passes through this process's memory."""
+        offsets = self._offsets()
+        with open(self.path, "rb") as part:
+            start = 0
+            # offsets: where each of the slices goes, then the part's length
+            for j, end in zip([*self.slices, None], offsets):
+                out.flush()
+                while start < end:
+                    sent = os.sendfile(out.fileno(), part.fileno(), start, end - start)
+                    if not sent:
+                        raise OSError(f"{self.path} ends at byte {start}, before byte {end}")
+                    start += sent
+                if j is not None:
+                    out.write(rows(j))
 
 
 def _run(args, lambda_sweep=None) -> int:
@@ -292,9 +420,17 @@ def _run(args, lambda_sweep=None) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.raw.out_dir!r}: {exc}") from exc
     fields = _run_solvers(cfg)
-    _check_emission(fields, cfg)
-    summary = _summarize(fields, cfg, scaling_fit)
-    out_dir = _write_outputs(fields, summary, cfg)
+    raw = cfg.raw
+    with _SliceWriter(fields, cfg) if _FORKED_WRITER else nullcontext() as part:
+        ensemble = em_simulate(cfg.drift, raw.d_coeff, raw.lam, cfg.grid.t0, cfg.checkpoints, raw.mc_dt,
+                               raw.n_paths, raw.seed)
+        fields["w_mc"] = density_from_samples(ensemble, cfg.grid)
+        # free the paths before the checks: held through them, they raised the
+        # default run's peak RSS by 1.6 MB (glibc then maps the checks' temporaries anew)
+        del ensemble
+        _check_emission(fields, cfg)
+        summary = _summarize(fields, cfg, scaling_fit)
+        out_dir = _write_outputs(fields, summary, cfg, part)
     print(f"wrote {out_dir / 'density.csv'} and {out_dir / 'summary.json'}")
     return EXIT_OK
 

@@ -2,8 +2,11 @@ import csv
 import errno
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +15,8 @@ import numpy as np
 import pytest
 
 from fpcascade import cli
-from fpcascade.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
+from fpcascade.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, main
+from fpcascade.errors import InvariantViolation, SolverError
 from fpcascade.model import DensityField, RunConfig, Tolerances, validate_config
 
 FAST = [
@@ -288,32 +292,183 @@ class TestFailures:
         assert main(["custom", "--config", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config rejected: cannot read config file {path}: ")
 
-    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
-                                       KeyboardInterrupt()], ids=["disk-full", "interrupt"])
-    def test_failed_write_keeps_previous_outputs(self, tmp_path, error):
+    @pytest.mark.parametrize("error, failing", [
+        (OSError(errno.ENOSPC, "No space left on device"), "density.csv"),
+        (KeyboardInterrupt(), "density.csv"),
+        # density.csv is complete by then; it must not replace the earlier one alone
+        (OSError(errno.ENOSPC, "No space left on device"), "summary.json"),
+    ], ids=["disk-full", "interrupt", "summary-disk-full"])
+    def test_failed_write_keeps_previous_outputs(self, tmp_path, monkeypatch, error, failing):
         cfg, fields = _writer_case(tmp_path, checkpoints=(0.3,))
-        earlier = {"density.csv": b"x,t\nearlier run\n", "summary.json": b"{}\n"}
-        for name, data in earlier.items():
-            (tmp_path / name).write_bytes(data)
+        earlier = _write_earlier_outputs(tmp_path)
         seen_tmp = []
-        w_fd = fields["w_fd"]
 
-        class FailsAtSlice:
-            """w_fd values that raise when the writer reaches slice 3."""
+        def fail():
+            seen_tmp.extend(p.name for p in tmp_path.iterdir() if p.name not in earlier)
+            raise error
 
-            def __getitem__(self, j):
-                if j == 3:
-                    seen_tmp.extend(p.name for p in tmp_path.iterdir() if p.name not in earlier)
-                    raise error
-                return w_fd.values[j]
+        if failing == "density.csv":
+            w_fd = fields["w_fd"]
 
-        fields["w_fd"] = SimpleNamespace(values=FailsAtSlice(), populated=w_fd.populated)
+            class FailsAtSlice:
+                """w_fd values that raise when the writer reaches slice 3."""
+
+                def __getitem__(self, j):
+                    if j == 3:
+                        fail()
+                    return w_fd.values[j]
+
+            fields["w_fd"] = SimpleNamespace(values=FailsAtSlice(), populated=w_fd.populated)
+        else:
+            class FullDisk:
+                """An open file whose writes fail as on a full disk."""
+
+                def __init__(self, file):
+                    self.file = file
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc_info):
+                    self.file.close()
+
+                def write(self, data):
+                    fail()
+
+            def open_summary_on_full_disk(path, *args, **kwargs):
+                file = open(path, *args, **kwargs)
+                return FullDisk(file) if Path(path).name.startswith(".summary.json.") else file
+
+            monkeypatch.setattr(cli, "open", open_summary_on_full_disk, raising=False)
         with pytest.raises(type(error)):
             cli._write_outputs(fields, {}, cfg)
         assert seen_tmp, "the writer should stream into a temporary file"
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(earlier)
-        for name, data in earlier.items():
-            assert (tmp_path / name).read_bytes() == data
+        _assert_outputs_are(tmp_path, earlier)
+
+
+def _write_earlier_outputs(out_dir):
+    """Outputs of an earlier run that a failed run must leave as they are."""
+    out_dir.mkdir(exist_ok=True)
+    earlier = {"density.csv": b"x,t\nearlier run\n", "summary.json": b"{}\n"}
+    for name, data in earlier.items():
+        (out_dir / name).write_bytes(data)
+    return earlier
+
+
+def _assert_outputs_are(out_dir, outputs):
+    """``out_dir`` holds exactly ``outputs`` (name -> bytes): no part or
+    temporary file beside them."""
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(outputs)
+    for name, data in outputs.items():
+        assert (out_dir / name).read_bytes() == data
+
+
+def _assert_no_child_process():
+    # a running child reads (0, 0) here and an unreaped one its pid
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+forked_writer = pytest.mark.skipif(not cli._FORKED_WRITER, reason="the forked writer runs on Linux only")
+
+
+def _in_writer_child(monkeypatch, act):
+    """Make the forked writer process call ``act()`` before it formats
+    anything; formatting in the parent is unchanged."""
+    parent = os.getpid()
+    formatter = cli._slice_formatter
+
+    def formatter_calling_act_in_child(fields, grid):
+        if os.getpid() != parent:
+            act()
+        return formatter(fields, grid)
+
+    monkeypatch.setattr(cli, "_slice_formatter", formatter_calling_act_in_child)
+
+
+def _raise_disk_full():
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@forked_writer
+class TestWriterProcess:
+    def test_run_forks_one_writer_and_matches_in_process_run(self, tmp_path, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        outputs = {}
+        for forked in (True, False):
+            monkeypatch.setattr(cli, "_FORKED_WRITER", forked)
+            out = tmp_path / f"forked-{forked}"
+            assert run_example1(out) == EXIT_OK
+            assert len(forks) == 1
+            outputs[forked] = {name: (out / name).read_bytes() for name in ("density.csv", "summary.json")}
+            _assert_outputs_are(out, outputs[forked])
+        assert outputs[True] == outputs[False]
+        _assert_no_child_process()
+
+    @pytest.mark.parametrize("stage, error, code", [
+        ("em_simulate", SolverError("EM abort"), EXIT_SOLVER),
+        ("_check_emission", InvariantViolation("w_mc slice 3 mass 0.9"), EXIT_INVARIANT),
+    ], ids=["em-abort", "invariant-violation"])
+    def test_abort_kills_the_writer_and_keeps_previous_outputs(self, tmp_path, monkeypatch, stage, error, code):
+        started = tmp_path / "writer-started"
+
+        def stall():
+            started.touch()
+            time.sleep(60)
+
+        def fail(*args, **kwargs):
+            deadline = time.monotonic() + 30
+            while not started.exists():  # fail only once the writer is mid-run
+                assert time.monotonic() < deadline, "the writer process never started"
+                time.sleep(0.01)
+            raise error
+
+        _in_writer_child(monkeypatch, stall)
+        monkeypatch.setattr(cli, stage, fail)
+        out = tmp_path / "out"
+        earlier = _write_earlier_outputs(out)
+        began = time.monotonic()
+        assert run_example1(out) == code
+        assert time.monotonic() - began < 30, "the writer was waited for, not killed"
+        _assert_outputs_are(out, earlier)
+        _assert_no_child_process()
+
+    def test_failed_fork_closes_its_pipe_and_keeps_previous_outputs(self, tmp_path, monkeypatch):
+        def fork_fails():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork_fails)
+        out = tmp_path / "out"
+        earlier = _write_earlier_outputs(out)
+        open_fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            run_example1(out)
+        assert sorted(os.listdir("/proc/self/fd")) == open_fds
+        _assert_outputs_are(out, earlier)
+
+    @pytest.mark.parametrize("act, message", [
+        (_raise_disk_full, "OSError: [Errno 28] No space left on device"),
+        (_kill_self, "killed by signal 9"),
+    ], ids=["raises", "killed"])
+    def test_failing_writer_fails_the_run_with_its_message(self, tmp_path, monkeypatch, act, message):
+        _in_writer_child(monkeypatch, act)
+        out = tmp_path / "out"
+        earlier = _write_earlier_outputs(out)
+        with pytest.raises(OSError, match="density.csv writer process failed: " + re.escape(message)):
+            run_example1(out)
+        _assert_outputs_are(out, earlier)
+        _assert_no_child_process()
 
 
 def _hand_written_config_dict(cfg):
@@ -435,14 +590,30 @@ def _per_value_writer(fields, summary, cfg):
     return density, (payload + "\n").encode("ascii")
 
 
-@pytest.mark.parametrize("checkpoints", [(0.5,), (0.1, 0.3, 0.5)], ids=["one", "three"])
-def test_writer_matches_per_value_oracle(tmp_path, checkpoints):
+# (checkpoints, forked): the forked writer formats the slices off the
+# checkpoints, so its cases put them first, adjacent, last and everywhere (an
+# empty part file); the grid's t nodes are 0.1, 0.2, ..., 0.5
+@pytest.mark.parametrize("checkpoints, forked", [
+    ((0.5,), False),
+    ((0.1, 0.3, 0.5), False),
+    pytest.param((0.5,), True, marks=forked_writer),
+    pytest.param((0.1, 0.3, 0.5), True, marks=forked_writer),
+    pytest.param((0.1,), True, marks=forked_writer),
+    pytest.param((0.2, 0.3), True, marks=forked_writer),
+    pytest.param((0.1, 0.2, 0.3, 0.4, 0.5), True, marks=forked_writer),
+], ids=["one", "three", "forked-last", "forked-three", "forked-first", "forked-adjacent", "forked-every"])
+def test_writer_matches_per_value_oracle(tmp_path, checkpoints, forked):
     cfg, fields = _writer_case(tmp_path, checkpoints)
     summary = {"config": cli._config_dict(cfg), "edges": list(_EDGE_VALUES)}
     density, summary_bytes = _per_value_writer(fields, summary, cfg)
-    assert cli._write_outputs(fields, summary, cfg) == tmp_path
-    assert (tmp_path / "density.csv").read_bytes() == density
-    assert (tmp_path / "summary.json").read_bytes() == summary_bytes
+    if forked:
+        before_mc = {name: field for name, field in fields.items() if name != "w_mc"}
+        with cli._SliceWriter(before_mc, cfg) as part:
+            assert cli._write_outputs(fields, summary, cfg, part) == tmp_path
+        _assert_no_child_process()
+    else:
+        assert cli._write_outputs(fields, summary, cfg) == tmp_path
+    _assert_outputs_are(tmp_path, {"density.csv": density, "summary.json": summary_bytes})
     # the edge values and the unpopulated w_fd slice really reach the file
     rows = [line.split(",") for line in density.decode("ascii").split("\n")[1:-1]]
     assert {"%.17g" % v for v in _EDGE_VALUES} <= {cell for row in rows for cell in row}
