@@ -38,7 +38,9 @@ FAST_T = [round(0.1 + 0.05 * k, 10) for k in range(29)]
 # against hierarchy._BLOCK = 32), density.csv's checkpoint slices (which the
 # run formats itself, splicing in the writer process's part file around them)
 # on the first slice, on two adjacent slices, on the last slice only and on
-# every slice, and small stand-ins for the two CLI benchmark workloads at two
+# every slice, a Monte Carlo run of three whole blocks and a one-path tail
+# (12289 paths; on two or more CPUs a forked chunk process samples the odd
+# last block), and small stand-ins for the two CLI benchmark workloads at two
 # seeds each.  Every case exits 0 (later flags override earlier ones).
 CASES = (
     ("example1-cos", ("example1", *FAST), None),
@@ -62,6 +64,7 @@ CASES = (
     *((f"custom-checkpoints-{layout}", ("custom", *FAST), {"family": "linear_time_modulated", "checkpoints": ts})
       for layout, ts in (("first", FAST_T[:1]), ("adjacent", FAST_T[8:10]), ("last", FAST_T[-1:]),
                          ("every", FAST_T))),
+    ("ou-chunks-odd-tail", ("ou", *FAST, "--paths", "12289"), None),
     *((f"w1-standin-seed{seed}", ("example1", "--nx", "481", "--nt", "100", "--paths", "5000",
                                   "--mc-dt", "0.01", "--seed", str(seed)), None) for seed in (0, 3)),
     *((f"w2-standin-seed{seed}", ("ou", "--lambda", "0.1", "--x-min", "-12", "--x-max", "12", "--nx", "241",

@@ -37,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import forked
 from .analysis import (
     METRICS,
     field_distance,
@@ -73,10 +74,6 @@ _MASS_TOL = {"w_pert": 1e-9, "w_pert_numeric": 1e-9, "w_exact": 1e-8, "w_fd": 1e
 
 # density.csv columns after x and t, in order
 _COLUMNS = ("w_pert", "w_pert_numeric", "w_exact", "w_fd", "w_mc")
-
-# the forked writer needs os.fork and an os.sendfile that writes to a regular
-# file; Linux has both (macOS and the BSDs send only to sockets)
-_FORKED_WRITER = sys.platform == "linux"
 
 
 def _is_number(value) -> bool:
@@ -311,91 +308,47 @@ def _write_outputs(fields: dict, summary: dict, cfg: ValidatedConfig, part=None)
     return out_dir
 
 
-class _SliceWriter:
+class _SliceWriter(forked.Child):
     """A forked process that formats density.csv while this one samples w_mc.
 
     The child formats every slice but ``slices`` (the checkpoint slices, the
     only ones where w_mc can be populated) into ``.density.csv.<pid>.part``
-    in the output directory, with the w_mc cells empty, and reports over a
-    pipe the byte offset of the part at which each of ``slices`` goes, then
-    the part's length, or its error.  It does all of that inside
-    ``try/finally: os._exit``, so it never returns into the caller.
+    in the output directory, with the w_mc cells empty, and reports the byte
+    offset of the part at which each of ``slices`` goes, then the part's
+    length (``forked.Child`` carries the report or the child's error).
 
     A process, not a thread, because %-formatting holds the interpreter lock.
-    It is forked before the Monte Carlo sampler starts its threads, so no
-    other thread can hold a lock the child inherits.  Leaving the ``with``
-    block reaps the child (killing it first if it was not reaped already)
-    and removes the part.
+    It is forked before the Monte Carlo sampler forks its chunk processes, so
+    they and it run at once.  Leaving the ``with`` block reaps the child
+    (killing it first if it was not reaped already) and removes the part.
     """
 
     def __init__(self, fields: dict, cfg: ValidatedConfig):
         self.slices = _checkpoint_indices(cfg)
         self.path = Path(cfg.raw.out_dir) / f".density.csv.{os.getpid()}.part"
-        read_end, write_end = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read_end)
-            os.close(write_end)
-            raise
-        if self.pid == 0:
-            self._child(fields, cfg.grid, read_end, write_end)
-        os.close(write_end)
-        self._report = read_end
+        super().__init__("density.csv writer process", self._format_part, fields, cfg.grid)
 
-    def _child(self, fields, grid, read_end, write_end):
-        code = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                try:
-                    rows = _slice_formatter(fields, grid)
-                    own, offsets = set(self.slices), []
-                    with open(self.path, "wb") as part:
-                        for j in range(grid.nt):
-                            if j in own:
-                                offsets.append(part.tell())
-                            else:
-                                part.write(rows(j))
-                        offsets.append(part.tell())
-                    message, code = " ".join(map(str, offsets)), 0
-                except BaseException as exc:
-                    message = f"{type(exc).__name__}: {exc}"
-                pipe.write(message.encode())
-        finally:
-            os._exit(code)
-
-    def __enter__(self):
-        return self
+    def _format_part(self, fields, grid):
+        rows = _slice_formatter(fields, grid)
+        own, offsets = set(self.slices), []
+        with open(self.path, "wb") as part:
+            for j in range(grid.nt):
+                if j in own:
+                    offsets.append(part.tell())
+                else:
+                    part.write(rows(j))
+            offsets.append(part.tell())
+        return " ".join(map(str, offsets))
 
     def __exit__(self, *exc_info):
-        if self.pid is not None:  # not reaped: the block raised
-            import signal  # only error paths need it
-
-            os.kill(self.pid, signal.SIGKILL)
-            os.wait4(self.pid, 0)
-        if self._report is not None:
-            os.close(self._report)
+        super().__exit__(*exc_info)
         self.path.unlink(missing_ok=True)
-
-    def _offsets(self):
-        """Wait for the child; raise OSError with its message if it failed."""
-        with open(self._report, "rb") as pipe:
-            self._report = None
-            message = pipe.read().decode()
-        _, status, _ = os.wait4(self.pid, 0)
-        self.pid = None
-        if status:
-            if os.WIFSIGNALED(status):
-                message = f"killed by signal {os.WTERMSIG(status)}"
-            raise OSError(f"density.csv writer process failed: {message}")
-        return [int(offset) for offset in message.split()]
 
     def splice(self, out, rows):
         """Write the part to the binary file ``out`` with ``rows(j)`` for
         each of ``slices`` at its offset.  The part is copied in the kernel,
         so it never passes through this process's memory."""
-        offsets = self._offsets()
+        offsets = [int(offset) for offset in self.result().split()]
         with open(self.path, "rb") as part:
             start = 0
             # offsets: where each of the slices goes, then the part's length
@@ -421,7 +374,7 @@ def _run(args, lambda_sweep=None) -> int:
         raise ConfigError(f"cannot create output directory {cfg.raw.out_dir!r}: {exc}") from exc
     fields = _run_solvers(cfg)
     raw = cfg.raw
-    with _SliceWriter(fields, cfg) if _FORKED_WRITER else nullcontext() as part:
+    with _SliceWriter(fields, cfg) if forked.ENABLED else nullcontext() as part:
         ensemble = em_simulate(cfg.drift, raw.d_coeff, raw.lam, cfg.grid.t0, cfg.checkpoints, raw.mc_dt,
                                raw.n_paths, raw.seed)
         fields["w_mc"] = density_from_samples(ensemble, cfg.grid)

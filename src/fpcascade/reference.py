@@ -11,7 +11,7 @@ Two back ends validate the cascade output:
   numpy ``Generator(SFC64)`` per fixed block of 4096 paths, drawn for the
   first half of the block's paths and negated for the second half
   (antithetic pairs), so ensembles are bit-reproducible and independent of
-  how the blocks are spread over threads.
+  how the blocks are spread over processes.
 
 Both start from the family's closed-form density at t0 > 0, the same initial
 data the cascade uses, so all solvers address one initial-value problem.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
-from . import kernels
+from . import forked, kernels
 from .analysis import trapezoid
 from .errors import SolverError
 from .model import (
@@ -148,14 +148,14 @@ class SampleEnsemble:
                 raise ValueError(f"checkpoint {k} has {len(arr)} paths, expected {n}")
 
 
-# em_simulate runs its paths in at most this many chunks, one thread each:
+# em_simulate runs its paths in at most this many chunks, one process each:
 # the CPUs this process may use
 if hasattr(os, "sched_getaffinity"):
     _EM_CHUNKS = len(os.sched_getaffinity(0))
 else:
     _EM_CHUNKS = os.cpu_count() or 1
 # paths per normal-generator block; a chunk is a run of whole blocks, and
-# fewer paths than two blocks run on the calling thread alone
+# fewer paths than two blocks run in the calling process alone
 _EM_BLOCK = 4096
 
 
@@ -181,9 +181,11 @@ def em_simulate(
     (zero drift, the quadratic family), path h + i is then the bit-exact
     mirror -x of path i.
 
-    Blocks are independent, so they run in chunks of whole blocks, one thread
-    per usable CPU (numpy releases the GIL inside the array operations and
-    the draws); the result does not depend on the number of chunks.
+    Blocks are independent, so they run in chunks of whole blocks, one per
+    usable CPU: the first in this process and the others in forked children
+    (``forked.run_split``) that write their paths into ``positions`` on a
+    shared anonymous mapping.  The result does not depend on the number of
+    chunks, nor on whether they fork.
     """
     if not t0 > 0:
         raise ValueError("t0 must be > 0")
@@ -212,30 +214,21 @@ def em_simulate(
         segments.append((c, n_steps, h, scale))
     mean0, var0 = oracle_moments(drift, d_coeff, lam, t0)
 
-    positions = np.empty((len(checkpoints), n_paths))
+    import mmap  # only a run that samples needs it
+
+    # on a shared mapping, so that the chunks run in forked children write into it
+    positions = np.frombuffer(mmap.mmap(-1, 8 * len(checkpoints) * n_paths)).reshape(-1, n_paths)
     n_blocks = -(-n_paths // _EM_BLOCK)
     n_chunks = max(1, min(_EM_CHUNKS, n_paths // _EM_BLOCK))
-    block_bounds = [n_blocks * i // n_chunks for i in range(n_chunks + 1)]
+    bounds = [min(n_blocks * i // n_chunks * _EM_BLOCK, n_paths) for i in range(n_chunks + 1)]
     sd0 = np.sqrt(var0)
-    jobs = []
-    for first, end in zip(block_bounds, block_bounds[1:]):
-        lo, hi = first * _EM_BLOCK, min(end * _EM_BLOCK, n_paths)
-        gens = [Generator(SFC64(SeedSequence(seed, spawn_key=(b,)))) for b in range(first, end)]
-        # work arrays are made here, on the calling thread, so that worker
-        # threads do not grow their own malloc arenas
-        jobs.append((gens, positions[:, lo:hi], np.empty(hi - lo), np.empty(hi - lo)))
 
-    def run(job):
-        _em_paths(drift, lam, t0, segments, mean0, sd0, *job)
+    def run_chunk(lo, hi):  # paths [lo, hi): whole blocks, but for the last chunk
+        blocks = range(lo // _EM_BLOCK, -(-hi // _EM_BLOCK))
+        gens = [Generator(SFC64(SeedSequence(seed, spawn_key=(b,)))) for b in blocks]
+        _em_paths(drift, lam, t0, segments, mean0, sd0, gens, positions[:, lo:hi], *np.empty((2, hi - lo)))
 
-    if n_chunks == 1:
-        run(jobs[0])
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-            for future in [pool.submit(run, job) for job in jobs]:
-                future.result()
+    forked.run_split("Monte Carlo chunk process", run_chunk, list(zip(bounds, bounds[1:])))
     return SampleEnsemble(checkpoints=tuple(checkpoints), positions=tuple(positions))
 
 

@@ -14,7 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fpcascade import cli
+import fpcascade.forked
+from fpcascade import cli, reference
 from fpcascade.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, main
 from fpcascade.errors import InvariantViolation, SolverError
 from fpcascade.model import DensityField, RunConfig, Tolerances, validate_config
@@ -369,7 +370,7 @@ def _assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
-forked_writer = pytest.mark.skipif(not cli._FORKED_WRITER, reason="the forked writer runs on Linux only")
+forked_writer = pytest.mark.skipif(not fpcascade.forked.ENABLED, reason="the forked writer runs on Linux only")
 
 
 def _in_writer_child(monkeypatch, act):
@@ -407,7 +408,7 @@ class TestWriterProcess:
         monkeypatch.setattr(os, "fork", counted_fork)
         outputs = {}
         for forked in (True, False):
-            monkeypatch.setattr(cli, "_FORKED_WRITER", forked)
+            monkeypatch.setattr(fpcascade.forked, "ENABLED", forked)
             out = tmp_path / f"forked-{forked}"
             assert run_example1(out) == EXIT_OK
             assert len(forks) == 1
@@ -415,6 +416,30 @@ class TestWriterProcess:
             _assert_outputs_are(out, outputs[forked])
         assert outputs[True] == outputs[False]
         _assert_no_child_process()
+
+    def test_run_forks_writer_and_chunk_processes_and_matches_gate_off(self, tmp_path, monkeypatch):
+        # three blocks and a 1-path tail in three chunks: one writer and two
+        # chunk processes fork, whatever the CPU count
+        monkeypatch.setattr(reference, "_EM_CHUNKS", 3)
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        outputs = {}
+        for enabled, n_forks in ((True, 3), (False, 0)):
+            monkeypatch.setattr(fpcascade.forked, "ENABLED", enabled)
+            forks.clear()
+            out = tmp_path / f"forked-{enabled}"
+            assert run_example1(out, ["--paths", str(3 * reference._EM_BLOCK + 1)]) == EXIT_OK
+            assert len(forks) == n_forks
+            outputs[enabled] = {name: (out / name).read_bytes() for name in ("density.csv", "summary.json")}
+            _assert_outputs_are(out, outputs[enabled])
+            _assert_no_child_process()
+        assert outputs[True] == outputs[False]
 
     @pytest.mark.parametrize("stage, error, code", [
         ("em_simulate", SolverError("EM abort"), EXIT_SOLVER),

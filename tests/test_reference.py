@@ -1,7 +1,13 @@
+import errno
+import os
+import re
+import signal
+import time
+
 import numpy as np
 import pytest
 
-from fpcascade import reference
+from fpcascade import forked, reference
 from fpcascade.analysis import trapezoid
 from fpcascade.errors import SolverError
 from fpcascade.model import Grid, linear_time_modulated, quadratic_ou, zero_drift
@@ -74,7 +80,7 @@ class TestEmSimulate:
         n = 20000
         ens = em_simulate(zero_drift(), 1.0, 0.0, 0.01, [1.0], 1e-3, n, SEED)
         x = ens.positions[0]
-        se = 2.0 * np.sqrt(2.0 / (n - 1))
+        se = 2.0 * np.sqrt(2.0 / (n // 2 - 1))  # over the n/2 mirrored pairs (stream v3)
         assert abs(x.var(ddof=1) - 2.0) <= 3 * se
 
     def test_ou_variance_within_3se(self):
@@ -82,7 +88,7 @@ class TestEmSimulate:
         ens = em_simulate(quadratic_ou(), 1.0, 0.1, 0.01, [1.0], 1e-3, n, SEED)
         x = ens.positions[0]
         target = 1.8126924692201814
-        se = target * np.sqrt(2.0 / (n - 1))
+        se = target * np.sqrt(2.0 / (n // 2 - 1))  # over the n/2 mirrored pairs (stream v3)
         assert abs(x.var(ddof=1) - target) <= 3 * se
 
     def test_same_seed_bitwise(self):
@@ -205,26 +211,128 @@ class TestEmChunking:
 
     def test_chunk_count_does_not_change_bits(self, monkeypatch):
         n = 13001
-        chunks = []  # (address of the first path, width) of each chunk
-        em_paths = reference._em_paths
+        chunks = []  # [lo, hi) paths of each chunk, as handed to the chunk runner
+        run_split = forked.run_split
 
-        def recording(*args):
-            positions = args[7]
-            chunks.append((positions.ctypes.data, positions.shape[1]))
-            return em_paths(*args)
+        def recording(name, work, jobs):
+            chunks.extend(jobs)
+            return run_split(name, work, jobs)
 
-        monkeypatch.setattr(reference, "_em_paths", recording)
+        monkeypatch.setattr(forked, "run_split", recording)
         results = []
         for n_chunks in (1, 2, 3):
             monkeypatch.setattr(reference, "_EM_CHUNKS", n_chunks)
             chunks.clear()
             results.append(em_simulate(quadratic_ou(), lam=0.1, n_paths=n, **EM_CASE).positions)
-            starts, widths = zip(*sorted(chunks))  # in path order
+            widths = [hi - lo for lo, hi in chunks]
             assert len(widths) == n_chunks and sum(widths) == n
             assert all(w % reference._EM_BLOCK == 0 for w in widths[:-1])
-            assert all(b - a == 8 * w for a, b, w in zip(starts, starts[1:], widths))
+            assert [lo for lo, _ in chunks] == [0, *(hi for _, hi in chunks[:-1])]
         for other in results[1:]:
             _assert_same_bits(other, results[0])
+
+
+def _assert_no_child_process():
+    # a running child reads (0, 0) here and an unreaped one its pid
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_chunk_children(monkeypatch, act):
+    """Make every forked chunk process call ``act()`` before it steps its
+    paths; the chunk that runs in this process is unchanged."""
+    parent = os.getpid()
+    em_paths = reference._em_paths
+
+    def em_paths_calling_act_in_child(*args):
+        if os.getpid() != parent:
+            act()
+        return em_paths(*args)
+
+    monkeypatch.setattr(reference, "_em_paths", em_paths_calling_act_in_child)
+
+
+def _raise_in_chunk():
+    raise RuntimeError("chunk 1 gave up")
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _counted_forks(monkeypatch, fail_from=None):
+    """A list that grows by one per ``os.fork``; the call numbered
+    ``fail_from`` (from 0) and every later one fails with EAGAIN."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        if fail_from is not None and len(forks) > fail_from:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+# three chunks (the last an odd 1-path block), so two chunk processes
+THREE_CHUNKS = dict(drift=quadratic_ou(), lam=0.1, n_paths=3 * 4096 + 1, **EM_CASE)
+
+
+@pytest.mark.skipif(not forked.ENABLED, reason="the chunk processes fork on Linux only")
+class TestEmChunkProcesses:
+    @pytest.fixture(autouse=True)
+    def three_chunks(self, monkeypatch):
+        monkeypatch.setattr(reference, "_EM_CHUNKS", 3)
+
+    def test_forks_all_but_one_chunk_and_matches_gate_off(self, monkeypatch):
+        forks = _counted_forks(monkeypatch)
+        forked_run = em_simulate(**THREE_CHUNKS).positions
+        assert len(forks) == 2
+        _assert_no_child_process()
+        monkeypatch.setattr(forked, "ENABLED", False)
+        _assert_same_bits(em_simulate(**THREE_CHUNKS).positions, forked_run)
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("act, message", [
+        (_raise_in_chunk, "RuntimeError: chunk 1 gave up"),
+        (_kill_self, "killed by signal 9"),
+    ], ids=["raises", "killed"])
+    def test_failing_chunk_fails_the_run_with_its_message(self, monkeypatch, act, message):
+        _in_chunk_children(monkeypatch, act)
+        with pytest.raises(OSError, match="Monte Carlo chunk process failed: " + re.escape(message)):
+            em_simulate(**THREE_CHUNKS)
+        _assert_no_child_process()
+
+    def test_error_in_own_chunk_kills_every_child(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def stall_in_children_fail_here(*args):
+            if os.getpid() != parent:
+                (tmp_path / str(os.getpid())).touch()
+                time.sleep(60)
+            deadline = time.monotonic() + 30
+            while len(list(tmp_path.iterdir())) < 2:  # fail only once both children are mid-run
+                assert time.monotonic() < deadline, "the chunk processes never started"
+                time.sleep(0.01)
+            raise SolverError("own chunk abort")
+
+        monkeypatch.setattr(reference, "_em_paths", stall_in_children_fail_here)
+        began = time.monotonic()
+        with pytest.raises(SolverError, match="own chunk abort"):
+            em_simulate(**THREE_CHUNKS)
+        assert time.monotonic() - began < 30, "the chunk processes were waited for, not killed"
+        _assert_no_child_process()
+
+    def test_failed_fork_leaves_no_open_fd_and_no_child(self, monkeypatch):
+        forks = _counted_forks(monkeypatch, fail_from=1)  # the second chunk process cannot fork
+        open_fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            em_simulate(**THREE_CHUNKS)
+        assert len(forks) == 2
+        assert sorted(os.listdir("/proc/self/fd")) == open_fds
+        _assert_no_child_process()
 
 
 class TestDensityFromSamples:
