@@ -40,8 +40,10 @@ FAST_T = [round(0.1 + 0.05 * k, 10) for k in range(29)]
 # on the first slice, on two adjacent slices, on the last slice only and on
 # every slice, a Monte Carlo run of three whole blocks and a one-path tail
 # (12289 paths; on two or more CPUs a forked chunk process samples the odd
-# last block), and small stand-ins for the two CLI benchmark workloads at two
-# seeds each.  Every case exits 0 (later flags override earlier ones).
+# last block), small stand-ins for the two CLI benchmark workloads at two
+# seeds each, and the signed-zero edges of the drift product lam * U_1'
+# (lam = -0.0, V = +-0, and a sine whose omega t is within 1e-14 of pi at the
+# node t = 1).  Every case exits 0 (later flags override earlier ones).
 CASES = (
     ("example1-cos", ("example1", *FAST), None),
     ("example1-sin-order3", ("example1", "--v", "sin", "--omega", "2", "--order", "3", *FAST), None),
@@ -70,6 +72,12 @@ CASES = (
     *((f"w2-standin-seed{seed}", ("ou", "--lambda", "0.1", "--x-min", "-12", "--x-max", "12", "--nx", "241",
                                   "--t0", "0.05", "--t-max", "1", "--nt", "21", "--paths", "20000",
                                   "--mc-dt", "0.005", "--seed", str(seed)), None) for seed in (0, 5)),
+    ("example1-lambda-minus-zero", ("example1", "--lambda=-0.0", *FAST), None),
+    ("example1-const-v0-zero", ("example1", "--v", "const", "--v0", "0", *FAST), None),
+    ("example1-const-v0-minus-zero", ("example1", "--v", "const", "--v0=-0.0", "--lambda=-0.5", *FAST), None),
+    ("ou-lambda-minus-zero", ("ou", "--lambda=-0.0", *FAST), None),
+    ("example1-sin-omega-pi", ("example1", "--v", "sin", "--omega", "3.14159265358979", "--lambda=-0.4", *FAST),
+     None),
 )
 
 OUTPUTS = ("density.csv", "summary.json")

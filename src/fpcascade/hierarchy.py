@@ -187,19 +187,6 @@ def _padded_nodes(grid: Grid, d_coeff: float):
     return xp, m
 
 
-def _require_zero_base(drift: DriftSpec, grid: Grid, xp):
-    """Reject a base term (order-0 potential) that is nonzero on any of the
-    nodes ``xp`` the cascade evaluates, at t0, mid-run or t_max."""
-    base = drift.orders[0]
-    for t_probe in (grid.t0, 0.5 * (grid.t0 + grid.t_max), grid.t_max):
-        for which in (base.u, base.du_dx, base.d2u_dx2, base.du_dt):
-            if np.any(which(xp, t_probe) != 0.0):
-                raise SolverError(
-                    "the cascade requires a vanishing base drift term (order-0 potential); "
-                    "this drift has a nonzero base and is out of scope"
-                )
-
-
 def solve_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, grid: Grid) -> ActionExpansion:
     """Numeric cascade: S0 closed form, then orders 1..order by Crank-Nicolson.
 
@@ -212,7 +199,6 @@ def solve_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, gr
     if grid.nx < 5:
         raise SolverError("the cascade solver needs nx >= 5 for its boundary closure")
     xp, m = _padded_nodes(grid, d_coeff)
-    _require_zero_base(drift, grid, xp)
     orders = range(1, order + 1)
     inits = []
     for n in orders:

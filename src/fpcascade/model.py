@@ -21,6 +21,11 @@ MAX_EXPANSION_ORDER = 8
 # solver had finished; the benchmark runs ask for about 1e8
 _MAX_PATH_STEPS = 1e12
 
+# nt x nx nodes a run may ask for: a run holds more than ten float64 lattices,
+# 800 MB each at this size; the largest grid any test or benchmark validates
+# is 1601 x 1101
+_MAX_LATTICE_NODES = 1e8
+
 _EvalFn = Callable[[np.ndarray, float], np.ndarray]
 
 
@@ -130,7 +135,7 @@ class DensityField:
 
 @dataclass(frozen=True)
 class PotentialTerm:
-    """One order of the drift potential with its analytic derivatives.
+    """The first-order drift potential U_1 with its analytic derivatives.
 
     All four evaluators take (x, t), each a scalar or an ndarray, t broadcasting
     against x (``grid.t[:, None]`` for the whole lattice), and must be
@@ -158,23 +163,13 @@ FAMILY_QUADRATIC = "quadratic_ou"
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Drift potential U(x,t) = sum_n lam^n U_n(x,t) as an ordered list of terms.
-
-    ``orders[n]`` is the coefficient of lam^n; the built-in families carry a
-    zero base term (orders[0]) by construction.  ``modulation`` is set for the
-    linear family only.
+    """Drift potential U(x,t) = lam U_1(x,t), first order in lam, with
+    ``term`` holding U_1.  ``modulation`` is set for the linear family only.
     """
 
     family: str
-    orders: tuple
+    term: PotentialTerm
     modulation: Optional[ModulationV] = None
-
-    @property
-    def max_order(self) -> int:
-        return len(self.orders) - 1
-
-    def term(self, n: int) -> PotentialTerm:
-        return self.orders[n] if 0 <= n <= self.max_order else ZERO_TERM
 
     def u_total(self, x, t, lam):
         """U(x,t) at the given lam."""
@@ -190,37 +185,22 @@ class DriftSpec:
         return np.negative(out, out=out)
 
     def _total(self, which, x, t, lam, out=None):
-        """sum_n lam^n (term n).which(x, t), summed in order n = 0, 1, 2, ...
-
-        The sum is written into ``out`` (float64, shaped like x, not sharing
-        memory with x), or into a fresh array when ``out`` is None.  The first
-        two terms form U_1*lam + U_0, which is U_0 + lam*U_1 bit for bit (IEEE
-        addition and multiplication commute), so a drift of order 1 needs no
-        temporary beyond what its evaluators return.
-        """
+        """lam * U_1.which(x, t), written into ``out`` (float64, shaped like
+        x, not sharing memory with x), or into a fresh array when ``out`` is
+        None."""
         x = np.asarray(x, dtype=float)
         if out is None:
             out = np.empty(x.shape)
-        base = getattr(self.orders[0], which)(x, t)
-        if len(self.orders) == 1:
-            np.copyto(out, base)
-            return out
-        np.multiply(getattr(self.orders[1], which)(x, t), lam, out=out)
-        out += base
-        lam_n = lam
-        for term in self.orders[2:]:
-            lam_n *= lam
-            out += lam_n * getattr(term, which)(x, t)
-        return out
+        return np.multiply(getattr(self.term, which)(x, t), lam, out=out)
 
 
 def zero_drift() -> DriftSpec:
     """Free diffusion: U identically zero."""
-    return DriftSpec(family=FAMILY_ZERO, orders=(ZERO_TERM,))
+    return DriftSpec(family=FAMILY_ZERO, term=ZERO_TERM)
 
 
 def linear_time_modulated(v: ModulationV) -> DriftSpec:
-    """U1(x,t) = x * V(t); all other orders vanish."""
+    """U1(x,t) = x * V(t)."""
 
     def u(x, t):
         return np.asarray(x, dtype=float) * v.value(t)
@@ -232,7 +212,7 @@ def linear_time_modulated(v: ModulationV) -> DriftSpec:
         return np.asarray(x, dtype=float) * v.derivative(t)
 
     term = PotentialTerm(u=u, du_dx=du_dx, d2u_dx2=_zero, du_dt=du_dt)
-    return DriftSpec(family=FAMILY_LINEAR, orders=(ZERO_TERM, term), modulation=v)
+    return DriftSpec(family=FAMILY_LINEAR, term=term, modulation=v)
 
 
 def quadratic_ou() -> DriftSpec:
@@ -249,7 +229,7 @@ def quadratic_ou() -> DriftSpec:
         return 1.0
 
     term = PotentialTerm(u=u, du_dx=du_dx, d2u_dx2=d2u_dx2, du_dt=_zero)
-    return DriftSpec(family=FAMILY_QUADRATIC, orders=(ZERO_TERM, term))
+    return DriftSpec(family=FAMILY_QUADRATIC, term=term)
 
 
 @dataclass(frozen=True)
@@ -376,15 +356,13 @@ def validate_config(cfg: RunConfig) -> ValidatedConfig:
     if cfg.nx < 5:
         raise ConfigError(f"nx must be >= 5 for the cascade and FD solvers, got {cfg.nx}")
     grid = Grid(cfg.x_min, cfg.x_max, cfg.nx, cfg.t0, cfg.t_max, cfg.nt)  # raises ConfigError
-    steps = (cfg.t_max - cfg.t0) / cfg.mc_dt  # no Monte Carlo segment spans more
-    if not np.isfinite(steps):
-        raise ConfigError(f"mc_dt must give a finite step count (t_max - t0) / mc_dt, got {cfg.mc_dt}")
-    # divided, not multiplied: n_paths is a Python int of any size
-    if steps > 0 and cfg.n_paths > _MAX_PATH_STEPS / steps:
+    # before grid.t or grid.x exists: either would allocate the lattice's axes
+    if cfg.nt * cfg.nx > _MAX_LATTICE_NODES:
         raise ConfigError(
-            f"n_paths * (t_max - t0) / mc_dt must be <= {_MAX_PATH_STEPS:.0e} Monte Carlo path-steps, "
-            f"got {cfg.n_paths} paths x {steps:.3e} steps"
+            f"nt * nx must be <= {_MAX_LATTICE_NODES:.0e} lattice nodes, got {cfg.nt} x {cfg.nx}"
         )
+    if not np.isfinite((cfg.t_max - cfg.t0) / cfg.mc_dt):  # no Monte Carlo segment spans more
+        raise ConfigError(f"mc_dt must give a finite step count (t_max - t0) / mc_dt, got {cfg.mc_dt}")
     drift = build_drift(cfg)
     checkpoints = tuple(float(c) for c in cfg.checkpoints)
     if checkpoints:
@@ -398,4 +376,13 @@ def validate_config(cfg: RunConfig) -> ValidatedConfig:
     # snap each checkpoint to the nearest grid node so histogram slices align
     nearest = np.abs(grid.t[:, None] - np.array(checkpoints)).argmin(axis=0)
     checkpoints = tuple(dict.fromkeys(grid.t[nearest].tolist()))
+    # em_simulate's step count: at least one step per segment between checkpoints
+    spans = np.diff((grid.t0, *checkpoints))
+    steps = float(np.maximum(np.ceil(spans[spans > 0] / cfg.mc_dt - 1e-12), 1.0).sum())
+    # divided, not multiplied: n_paths is a Python int of any size
+    if steps > 0 and cfg.n_paths > _MAX_PATH_STEPS / steps:
+        raise ConfigError(
+            f"n_paths x Monte Carlo steps must be <= {_MAX_PATH_STEPS:.0e} path-steps, "
+            f"got {cfg.n_paths} paths x {steps:.3e} steps"
+        )
     return ValidatedConfig(raw=cfg, drift=drift, grid=grid, checkpoints=checkpoints)

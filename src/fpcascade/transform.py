@@ -5,11 +5,12 @@ d(psi)/dt = D psi'' + Ubar psi with the effective potential
 
     Ubar = (D/2) U'' - (1/4) (U')^2 + (1/2) dU/dt.
 
-The cascade consumes Ubar order by order in lam,
+With U = lam U_1 the cascade consumes Ubar order by order in lam,
 
-    Ubar_n = (D/2) U_n'' + (1/2) dU_n/dt - (1/4) sum_{j+k=n} U_j' U_k',
+    Ubar_1 = (D/2) U_1'' + (1/2) dU_1/dt,      Ubar_2 = -(1/4) U_1'^2,
 
-and assembly subtracts the exponent U/2D to map the action back onto W.
+zero at every other order, and assembly subtracts the exponent U/2D to map
+the action back onto W.
 """
 
 import numpy as np
@@ -22,19 +23,18 @@ _EXP_LIMIT = 700.0
 
 
 def effective_potential_order(drift: DriftSpec, d_coeff: float, n: int, x, t):
-    """Coefficient of lam^n in Ubar; zero beyond 2*max_order (the U'^2 reach)."""
+    """Coefficient Ubar_n of lam^n in Ubar, shaped like x broadcast against
+    t; nonzero only at n = 1 and 2.  The result may be a read-only view."""
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
     x = np.asarray(x, dtype=float)
-    if n > 2 * drift.max_order:
-        return np.zeros_like(x)
-    acc = 0.5 * d_coeff * drift.term(n).d2u_dx2(x, t) + 0.5 * drift.term(n).du_dt(x, t)
-    conv = np.zeros_like(x)
-    for j in range(0, n + 1):
-        k = n - j
-        if j <= drift.max_order and k <= drift.max_order:
-            conv = conv + drift.term(j).du_dx(x, t) * drift.term(k).du_dx(x, t)
-    return acc - 0.25 * conv
+    vals = 0.0
+    if n == 1:
+        vals = 0.5 * d_coeff * drift.term.d2u_dx2(x, t) + 0.5 * drift.term.du_dt(x, t)
+    elif n == 2:
+        du = drift.term.du_dx(x, t)
+        vals = -0.25 * (du * du)
+    return np.broadcast_to(vals, np.broadcast_shapes(x.shape, np.shape(vals)))
 
 
 def potential_exponent(drift: DriftSpec, d_coeff: float, lam: float, grid):

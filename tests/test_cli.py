@@ -266,11 +266,17 @@ class TestFailures:
         # a finite step count that looped in EM after every other solver had run
         (["ou", "--mc-dt", "1e-300", "--nx", "161", "--x-min", "-16", "--x-max", "16", "--nt", "21",
           "--t-max", "1", "--paths", "1000"], None,
-         "n_paths * (t_max - t0) / mc_dt must be <= 1e+12 Monte Carlo path-steps, got 1000 paths x 9.500e+299 steps"),
+         "n_paths x Monte Carlo steps must be <= 1e+12 path-steps, got 1000 paths x 9.500e+299 steps"),
+        # an mc_dt past the whole span still takes a step into each checkpoint
+        (["ou", "--mc-dt", "1e6", "--paths", "10000000000000"], None,
+         "n_paths x Monte Carlo steps must be <= 1e+12 path-steps, got 10000000000000 paths x 2.000e+00 steps"),
+        # validated, then killed once its lattices had exhausted memory
+        (["example1", "--nx", "1000000000"], None,
+         "nt * nx must be <= 1e+08 lattice nodes, got 199 x 1000000000"),
     ], ids=["lam-nan", "lam-minus-inf", "d-inf", "x-max-inf", "t-max-inf", "v0-nan", "json-lam-nan",
             "json-lam-huge-int", "json-mass-tol-inf", "json-checkpoint-nan", "json-checkpoint-huge-int",
             "omega-negative", "sin-omega-zero", "json-v-kind-tan", "mc-dt-subnormal", "mc-dt-tiny-ou",
-            "mc-path-steps-huge"])
+            "mc-path-steps-huge", "mc-dt-past-span", "lattice-huge"])
     def test_nonfinite_or_invalid_value_rejected(self, tmp_path, monkeypatch, capsys, argv, bad, message):
         def must_not_run(cfg):
             raise AssertionError("a solver ran on a rejected config")

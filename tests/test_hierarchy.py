@@ -100,7 +100,7 @@ class TestAdvanceTerm:
     def test_ou_s1_zero_init_gives_t_minus_t0(self, small_grid):
         # the quadratic potential with no closed form to start from: source
         # D/2 with a zero start, S = (t - t0)/2, exact for the scheme
-        drift = DriftSpec(family="custom", orders=quadratic_ou().orders)
+        drift = DriftSpec(family="custom", term=quadratic_ou().term)
         term = solve_expansion(drift, 1.0, 0.1, 1, small_grid).terms[1]
         expected = 0.5 * (small_grid.t - small_grid.t0)
         assert np.abs(term.values - expected[:, None]).max() <= 1e-8
@@ -125,36 +125,6 @@ class TestSolveExpansion:
         ref = s0_closed_form(small_grid, 1.0)
         assert np.array_equal(exp.terms[0].values, ref.values)
 
-    def test_nonzero_base_rejected(self, small_grid):
-        base = PotentialTerm(
-            u=lambda x, t: np.asarray(x, dtype=float) ** 2,
-            du_dx=lambda x, t: 2.0 * np.asarray(x, dtype=float),
-            d2u_dx2=lambda x, t: 2.0 * np.ones_like(np.asarray(x, dtype=float)),
-            du_dt=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        )
-        drift = DriftSpec(family="custom", orders=(base,))
-        with pytest.raises(SolverError, match="base"):
-            solve_expansion(drift, 1.0, 0.1, 1, small_grid)
-
-    @pytest.mark.parametrize("which", ["u", "du_dx", "d2u_dx2", "du_dt"])
-    @pytest.mark.parametrize("center", [1.3, 11.0], ids=["grid", "padding"])
-    def test_nonzero_base_bump_rejected(self, small_grid, which, center):
-        # a base that vanishes at x_min, mid-domain and x_max but not on the
-        # nodes near ``center``: inside the grid, or in the padding the
-        # cascade solves on beyond x_max = 10
-        def bump(x, t):
-            x = np.asarray(x, dtype=float)
-            return np.where(np.abs(x - center) < 0.2, 1.0, 0.0)
-
-        def zero(x, t):
-            return np.zeros_like(np.asarray(x, dtype=float))
-
-        names = ("u", "du_dx", "d2u_dx2", "du_dt")
-        base = PotentialTerm(**{name: bump if name == which else zero for name in names})
-        drift = DriftSpec(family="custom", orders=(base, quadratic_ou().orders[1]))
-        with pytest.raises(SolverError, match="base"):
-            solve_expansion(drift, 1.0, 0.1, 1, small_grid)
-
     def test_ou_s2_matches_oracle(self):
         grid = Grid(-10.0, 10.0, 401, 0.01, 5.0, 250)
         exp = solve_expansion(quadratic_ou(), 1.0, 0.1, 2, grid)
@@ -169,7 +139,7 @@ class TestSolveExpansion:
             d2u_dx2=lambda x, t: np.full_like(np.asarray(x, dtype=float), np.inf),
             du_dt=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
         )
-        drift = DriftSpec(family="custom", orders=(PotentialTerm(bad.u, bad.u, bad.u, bad.u), bad))
+        drift = DriftSpec(family="custom", term=bad)
         with pytest.raises(SolverError, match="order 1"):
             solve_expansion(drift, 1.0, 0.1, 1, small_grid)
 

@@ -142,15 +142,15 @@ def test_one_band_per_step_for_every_order(monkeypatch):
 
 
 def test_failure_at_a_higher_order_names_it():
-    # order 1 is finite; U_2'' = inf makes the order-2 source infinite
-    def inf(x, t):
-        return np.full_like(np.asarray(x, dtype=float), np.inf)
-
+    # Ubar_1 = 0 keeps order 1 finite; U_1' = 1e200 overflows the order-2
+    # source Ubar_2 = -(1/4) U_1'^2 (a Python float, so without a numpy warning)
     def zero(x, t):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    ou = quadratic_ou()
-    drift = DriftSpec(family="custom", orders=(ou.orders[0], ou.orders[1], PotentialTerm(zero, zero, inf, zero)))
+    def huge(x, t):
+        return 1e200
+
+    drift = DriftSpec(family="custom", term=PotentialTerm(zero, huge, zero, zero))
     with pytest.raises(SolverError, match="cascade failed at order 2"):
         H.solve_expansion(drift, D, LAM, 3, _grid(NTS[-1]))
 

@@ -65,6 +65,31 @@ class TestValidateConfig:
             with pytest.raises(ConfigError, match="path-steps"):
                 validate_config(RunConfig(n_paths=n_paths))
 
+    def test_path_step_limit_counts_a_step_per_segment(self):
+        # an mc_dt past the whole span still steps once into each checkpoint
+        big_dt = dict(mc_dt=1e3)
+        validate_config(RunConfig(n_paths=5 * 10**11, **big_dt))  # 2 segments
+        with pytest.raises(ConfigError, match=r"got 500000000001 paths x 2\.000e\+00 steps"):
+            validate_config(RunConfig(n_paths=5 * 10**11 + 1, **big_dt))
+        with pytest.raises(ConfigError, match=r"x 3\.000e\+00 steps"):
+            validate_config(RunConfig(n_paths=4 * 10**11, checkpoints=(1.0, 2.0, 5.0), **big_dt))
+        # a checkpoint at t0 takes no step
+        validate_config(RunConfig(n_paths=5 * 10**11, checkpoints=(0.05, 5.0), **big_dt))
+
+    @pytest.mark.parametrize("nt, nx", [(10001, 10001), (199, 10**9), (2 * 10**7 + 1, 5)])
+    def test_lattice_limit_rejected_before_any_axis_exists(self, nt, nx):
+        # either axis of these grids takes at least 80 kB, over the traced
+        # bound below, and the default checkpoints are read from grid.t
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"nt \\* nx must be <= 1e\\+08 lattice nodes, got {nt} x {nx}"):
+                validate_config(RunConfig(nt=nt, nx=nx))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000
+        validate_config(RunConfig(nt=10**4, nx=10**4))  # exactly 1e8 nodes
+
     def test_negative_diffusion(self):
         with pytest.raises(ConfigError, match="diffusion"):
             validate_config(default_example1_config(d_coeff=-1.0))
@@ -141,28 +166,28 @@ def test_drift_derivatives_second_order(drift):
     x = rng.uniform(-5, 5, size=100)
     t = rng.uniform(0.1, 4.0, size=100)
     h = 1e-4
-    for n in range(drift.max_order + 1):
-        term = drift.term(n)
-        for exact, approx in [
-            (term.du_dx, lambda xx, tt, hh: _central(term.u, xx, tt, hh)),
-            (term.d2u_dx2, lambda xx, tt, hh: _central(term.du_dx, xx, tt, hh)),
-            (term.du_dt, lambda xx, tt, hh: _central_t(term.u, xx, tt, hh)),
-        ]:
-            err_h = np.abs(exact(x, t) - approx(x, t, h)).max()
-            err_h2 = np.abs(exact(x, t) - approx(x, t, h / 2)).max()
-            c_est = err_h2 / (h / 2) ** 2
-            assert err_h <= max(1.5 * c_est * h * h, 1e-10)
+    term = drift.term
+    for exact, approx in [
+        (term.du_dx, lambda xx, tt, hh: _central(term.u, xx, tt, hh)),
+        (term.d2u_dx2, lambda xx, tt, hh: _central(term.du_dx, xx, tt, hh)),
+        (term.du_dt, lambda xx, tt, hh: _central_t(term.u, xx, tt, hh)),
+    ]:
+        err_h = np.abs(exact(x, t) - approx(x, t, h)).max()
+        err_h2 = np.abs(exact(x, t) - approx(x, t, h / 2)).max()
+        c_est = err_h2 / (h / 2) ** 2
+        assert err_h <= max(1.5 * c_est * h * h, 1e-10)
 
 
 def test_family_order_structure():
-    lin = linear_time_modulated(ModulationV("cos", 1.0))
-    assert lin.max_order == 1
+    # U = lam U_1: the potential vanishes at lam = 0 and is U_1 at lam = 1
     x = np.array([1.0, -2.0])
-    assert np.all(lin.orders[0].u(x, 0.3) == 0.0)
+    lin = linear_time_modulated(ModulationV("cos", 1.0))
+    assert np.all(lin.u_total(x, 0.3, 0.0) == 0.0)
+    assert np.allclose(lin.u_total(x, 0.3, 1.0), x * np.cos(0.3))
     ou = quadratic_ou()
-    assert ou.max_order == 1
-    assert np.all(ou.orders[0].u(x, 0.3) == 0.0)
-    assert np.allclose(ou.orders[1].u(x, 0.0), x * x / 2)
+    assert np.all(ou.u_total(x, 0.3, 0.0) == 0.0)
+    assert np.allclose(ou.term.u(x, 0.0), x * x / 2)
+    assert np.all(zero_drift().u_total(x, 0.3, 0.7) == 0.0)
 
 
 def test_drift_coefficient_is_negative_gradient():
@@ -183,24 +208,23 @@ BUILT_IN_DRIFTS = [
 BUILT_IN_IDS = ["zero", "cos", "sin", "const", "ou"]
 
 
-def _du_dx_before_out(drift, x, t, lam):
-    """dU/dx of a built-in family as summed before DriftSpec took an ``out``
-    buffer: array-valued evaluators and 0 + lam*U1' in a fresh array."""
-    acc = np.zeros_like(x)
+def _du_dx_allocating(drift, x, t, lam):
+    """dU/dx = lam*U1' of a built-in family from array-valued evaluators, in
+    a fresh array."""
     if drift.family == "linear_time_modulated":
-        acc += lam * (np.ones_like(x) * drift.modulation.value(t))
-    elif drift.family == "quadratic_ou":
-        acc += lam * x.copy()
-    return acc
+        return lam * (np.ones_like(x) * drift.modulation.value(t))
+    if drift.family == "quadratic_ou":
+        return lam * x.copy()
+    return lam * np.zeros_like(x)
 
 
 EDGE_X = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.37, -2.5])
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.1, -0.1])
+@pytest.mark.parametrize("lam", [0.0, -0.0, 0.1, -0.1])
 @pytest.mark.parametrize("drift", BUILT_IN_DRIFTS, ids=BUILT_IN_IDS)
 def test_drift_out_is_bit_identical_to_allocating_sum(drift, lam):
-    expected = _du_dx_before_out(drift, EDGE_X, 0.9, lam)
+    expected = _du_dx_allocating(drift, EDGE_X, 0.9, lam)
     out = np.full_like(EDGE_X, np.nan)
     assert drift.du_dx_total(EDGE_X, 0.9, lam, out=out) is out
     assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))

@@ -139,15 +139,10 @@ class TestEmSimulate:
 
 
 def _drift_allocating(drift, x, t, lam):
-    """D1 = -dU/dx by the allocating sum that DriftSpec used before it took
-    an ``out`` buffer, kept here so that the oracle does not move with it."""
+    """D1 = -dU/dx = -(lam U_1') in a fresh array, kept here so that the
+    oracle does not move with DriftSpec's ``out`` buffer."""
     x = np.asarray(x, dtype=float)
-    acc = np.broadcast_to(np.asarray(drift.orders[0].du_dx(x, t), dtype=float), x.shape).copy()
-    lam_n = 1.0
-    for n in range(1, len(drift.orders)):
-        lam_n *= lam
-        acc += lam_n * drift.orders[n].du_dx(x, t)
-    return -acc
+    return -(lam * np.broadcast_to(np.asarray(drift.term.du_dx(x, t), dtype=float), x.shape))
 
 
 def _em_one_step_at_a_time(drift, d_coeff, lam, t0, checkpoints, dt, n_paths, seed):

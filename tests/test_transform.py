@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fpcascade.errors import TransformOverflowError
 from fpcascade.hierarchy import analytic_expansion, assemble_density
@@ -9,21 +10,18 @@ from fpcascade.transform import effective_potential_order
 
 
 def effective_potential(drift, d_coeff, lam, x, t):
-    """Ubar(x,t) of the full potential at the given lam, summed from the
-    drift's terms directly: the oracle for the per-order coefficients."""
-    upp = up = ut = 0.0
-    for n, term in enumerate(drift.orders):
-        upp = upp + lam**n * term.d2u_dx2(x, t)
-        up = up + lam**n * term.du_dx(x, t)
-        ut = ut + lam**n * term.du_dt(x, t)
+    """Ubar(x,t) of the full potential U = lam U_1 at the given lam, built
+    from the drift's term directly: the oracle for the per-order
+    coefficients."""
+    term = drift.term
+    upp, up, ut = lam * term.d2u_dx2(x, t), lam * term.du_dx(x, t), lam * term.du_dt(x, t)
     return 0.5 * d_coeff * upp - 0.25 * up * up + 0.5 * ut
 
 
 def potential_by_orders(drift, d_coeff, lam, x, t):
-    """sum_n lam^n Ubar_n, the production evaluator summed over every order."""
-    return sum(
-        lam**n * effective_potential_order(drift, d_coeff, n, x, t) for n in range(2 * drift.max_order + 1)
-    )
+    """sum_n lam^n Ubar_n, the production evaluator summed over every order
+    up to 2, past which Ubar_n vanishes (test_order_beyond_reach_is_zero)."""
+    return sum(lam**n * effective_potential_order(drift, d_coeff, n, x, t) for n in range(3))
 
 
 class TestEffectivePotential:
@@ -73,6 +71,39 @@ class TestEffectivePotential:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             effective_potential_order(zero_drift(), 1.0, -1, 0.0, 1.0)
+
+
+@st.composite
+def _drifts(draw):
+    kind = draw(st.sampled_from(["zero", "cos", "sin", "const", "quadratic"]))
+    if kind == "zero":
+        return zero_drift()
+    if kind == "quadratic":
+        return quadratic_ou()
+    if kind == "const":
+        return linear_time_modulated(ModulationV("const", v0=draw(st.floats(-3.0, 3.0))))
+    return linear_time_modulated(ModulationV(kind, draw(st.floats(0.1, 5.0))))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    drift=_drifts(),
+    lam=st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0),
+    d_coeff=st.floats(0.01, 10.0),
+    x=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8).map(np.array),
+    t=st.floats(0.01, 10.0),
+)
+def test_orders_and_drift_buffer_agree_with_full_potential(drift, lam, d_coeff, x, t):
+    # sum_n lam^n Ubar_n against Ubar of U = lam U_1, up to the rounding of its terms
+    term = drift.term
+    scale = (np.abs(0.5 * d_coeff * lam * term.d2u_dx2(x, t)) + 0.25 * (lam * term.du_dx(x, t)) ** 2
+             + np.abs(0.5 * lam * term.du_dt(x, t)))
+    err = np.abs(potential_by_orders(drift, d_coeff, lam, x, t) - effective_potential(drift, d_coeff, lam, x, t))
+    assert np.all(err <= 4e-15 * scale + 1e-320)  # the floor: subnormal rounding
+    # dU/dx into a caller's buffer is the allocating call, bit for bit
+    out = np.full_like(x, np.nan)
+    assert drift.du_dx_total(x, t, lam, out=out) is out
+    assert out.tobytes() == drift.du_dx_total(x, t, lam).tobytes()
 
 
 class TestWavefunctionMap:
