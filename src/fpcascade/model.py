@@ -332,6 +332,23 @@ def build_drift(cfg: RunConfig) -> DriftSpec:
     raise ConfigError(f"unknown drift family {cfg.family!r}")
 
 
+def em_steps(t0: float, checkpoints, dt: float) -> list:
+    """Euler-Maruyama steps into each of the ascending ``checkpoints``, from
+    t0 or the previous checkpoint: ``(n, h)`` with n = ceil(span / dt), at
+    least 1, and h = span / n, or ``(0, 0.0)`` for an empty span."""
+    steps = []
+    t_now = t0
+    for c in checkpoints:
+        span = c - t_now
+        if span > 0:
+            n = max(int(np.ceil(span / dt - 1e-12)), 1)
+            steps.append((n, span / n))
+            t_now = c
+        else:
+            steps.append((0, 0.0))
+    return steps
+
+
 def validate_config(cfg: RunConfig) -> ValidatedConfig:
     """Check every documented bound and populate derived quantities.
 
@@ -376,9 +393,10 @@ def validate_config(cfg: RunConfig) -> ValidatedConfig:
     # snap each checkpoint to the nearest grid node so histogram slices align
     nearest = np.abs(grid.t[:, None] - np.array(checkpoints)).argmin(axis=0)
     checkpoints = tuple(dict.fromkeys(grid.t[nearest].tolist()))
-    # em_simulate's step count: at least one step per segment between checkpoints
-    spans = np.diff((grid.t0, *checkpoints))
-    steps = float(np.maximum(np.ceil(spans[spans > 0] / cfg.mc_dt - 1e-12), 1.0).sum())
+    # em_simulate's step count, at least (t_max - t0) / mc_dt even where the
+    # checkpoints end before t_max
+    path_steps = sum(n for n, _ in em_steps(grid.t0, checkpoints, cfg.mc_dt))
+    steps = max(float(path_steps), (cfg.t_max - cfg.t0) / cfg.mc_dt)
     # divided, not multiplied: n_paths is a Python int of any size
     if steps > 0 and cfg.n_paths > _MAX_PATH_STEPS / steps:
         raise ConfigError(

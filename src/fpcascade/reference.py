@@ -33,6 +33,7 @@ from .model import (
     FAMILY_QUADRATIC,
     FAMILY_ZERO,
     Grid,
+    em_steps,
 )
 from .oracles import example1_density_exact, ou_density_exact, w0_diffusion
 
@@ -201,17 +202,8 @@ def em_simulate(
 
     noise_scale = np.sqrt(2.0 * d_coeff)
     # (checkpoint, steps before it, step size, noise scale of one step)
-    segments = []
-    t_now = t0
-    for c in checkpoints:
-        span = c - t_now
-        n_steps, h, scale = 0, 0.0, 0.0
-        if span > 0:
-            n_steps = max(int(np.ceil(span / dt - 1e-12)), 1)
-            h = span / n_steps
-            scale = noise_scale * np.sqrt(h)
-            t_now = c
-        segments.append((c, n_steps, h, scale))
+    steps = em_steps(t0, checkpoints, dt)
+    segments = [(c, n, h, noise_scale * np.sqrt(h)) for c, (n, h) in zip(checkpoints, steps)]
     mean0, var0 = oracle_moments(drift, d_coeff, lam, t0)
 
     import mmap  # only a run that samples needs it

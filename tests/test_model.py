@@ -75,6 +75,11 @@ class TestValidateConfig:
             validate_config(RunConfig(n_paths=4 * 10**11, checkpoints=(1.0, 2.0, 5.0), **big_dt))
         # a checkpoint at t0 takes no step
         validate_config(RunConfig(n_paths=5 * 10**11, checkpoints=(0.05, 5.0), **big_dt))
+        # but the count never falls below (t_max - t0) / mc_dt, here 4950
+        for n_paths in (3 * 10**8, 10**13):
+            with pytest.raises(ConfigError, match=r"x 4\.950e\+03 steps"):
+                validate_config(RunConfig(n_paths=n_paths, checkpoints=(0.05,)))
+        validate_config(RunConfig(n_paths=2 * 10**8, checkpoints=(0.05,)))
 
     @pytest.mark.parametrize("nt, nx", [(10001, 10001), (199, 10**9), (2 * 10**7 + 1, 5)])
     def test_lattice_limit_rejected_before_any_axis_exists(self, nt, nx):
