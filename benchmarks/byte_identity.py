@@ -37,8 +37,9 @@ FAST_T = [round(0.1 + 0.05 * k, 10) for k in range(29)]
 # march through several time blocks with a partial last one (99 and 66 steps
 # against hierarchy._BLOCK = 32), density.csv's checkpoint slices (which the
 # run formats itself, splicing in the writer process's part file around them)
-# on the first slice, on two adjacent slices, on the last slice only and on
-# every slice, a Monte Carlo run of three whole blocks and a one-path tail
+# on the first slice, on two adjacent slices, on the last slice only, on
+# every slice, off the nodes and on one node twice (0.51 and 0.52 both snap
+# to t = 0.5), a Monte Carlo run of three whole blocks and a one-path tail
 # (12289 paths; on two or more CPUs a forked chunk process samples the odd
 # last block), small stand-ins for the two CLI benchmark workloads at two
 # seeds each, and the signed-zero edges of the drift product lam * U_1'
@@ -65,7 +66,8 @@ CASES = (
      {"family": "quadratic_ou", "lam": 0.15, "checkpoints": [0.5, 1.0], "tolerances": {"mass_tol": 1e-7}}),
     *((f"custom-checkpoints-{layout}", ("custom", *FAST), {"family": "linear_time_modulated", "checkpoints": ts})
       for layout, ts in (("first", FAST_T[:1]), ("adjacent", FAST_T[8:10]), ("last", FAST_T[-1:]),
-                         ("every", FAST_T))),
+                         ("every", FAST_T), ("off-node", [0.51, 1.23]),
+                         ("snap-duplicate", [0.51, 0.52, 1.0]))),
     ("ou-chunks-odd-tail", ("ou", *FAST, "--paths", "12289"), None),
     *((f"w1-standin-seed{seed}", ("example1", "--nx", "481", "--nt", "100", "--paths", "5000",
                                   "--mc-dt", "0.01", "--seed", str(seed)), None) for seed in (0, 3)),

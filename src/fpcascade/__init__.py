@@ -11,7 +11,6 @@ from .hierarchy import (
     analytic_expansion,
     assemble_density,
     cascade_residual,
-    s0_closed_form,
     solve_expansion,
 )
 from .model import (
@@ -20,7 +19,6 @@ from .model import (
     DriftSpec,
     Grid,
     RunConfig,
-    ScalarField,
     linear_time_modulated,
     quadratic_ou,
     validate_config,
@@ -38,7 +36,7 @@ from .oracles import (
     ou_s2,
     w0_diffusion,
 )
-from .reference import SampleEnsemble, density_from_samples, em_simulate, fp_fd_solve
+from .reference import density_from_samples, em_simulate, fp_fd_solve
 from .transform import effective_potential_order
 
 __version__ = "0.1.0"

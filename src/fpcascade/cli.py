@@ -133,11 +133,6 @@ def _config_from_args(args) -> RunConfig:
     return replace(RunConfig(), **overrides)
 
 
-def _checkpoint_indices(cfg: ValidatedConfig):
-    t_nodes = cfg.grid.t
-    return [int(np.argmin(np.abs(t_nodes - c))) for c in cfg.checkpoints]
-
-
 def _run_solvers(cfg: ValidatedConfig):
     """Every field but w_mc: the cascades, the exact density and FD."""
     grid, drift = cfg.grid, cfg.drift
@@ -191,7 +186,7 @@ def _scaling_fit(lams, d_coeff: float) -> dict:
 
 def _summarize(fields: dict, cfg: ValidatedConfig, scaling_fit):
     grid, drift = cfg.grid, cfg.drift
-    idx = _checkpoint_indices(cfg)
+    idx = cfg.slices.tolist()
     masses = {}
     moments = {}
     for name, field in fields.items():
@@ -248,7 +243,7 @@ def _summarize(fields: dict, cfg: ValidatedConfig, scaling_fit):
 def _config_dict(cfg: ValidatedConfig):
     config = asdict(cfg.raw)
     del config["out_dir"]
-    config.update(dx=cfg.grid.dx, dt=cfg.grid.dt, checkpoints=list(cfg.checkpoints))
+    config.update(dx=cfg.grid.dx, dt=cfg.grid.dt, checkpoints=cfg.grid.t[cfg.slices].tolist())
     return config
 
 
@@ -324,7 +319,7 @@ class _SliceWriter(forked.Child):
     """
 
     def __init__(self, fields: dict, cfg: ValidatedConfig):
-        self.slices = _checkpoint_indices(cfg)
+        self.slices = cfg.slices.tolist()
         self.path = Path(cfg.raw.out_dir) / f".density.csv.{os.getpid()}.part"
         super().__init__("density.csv writer process", self._format_part, fields, cfg.grid)
 
@@ -375,12 +370,12 @@ def _run(args, lambda_sweep=None) -> int:
     fields = _run_solvers(cfg)
     raw = cfg.raw
     with _SliceWriter(fields, cfg) if forked.ENABLED else nullcontext() as part:
-        ensemble = em_simulate(cfg.drift, raw.d_coeff, raw.lam, cfg.grid.t0, cfg.checkpoints, raw.mc_dt,
-                               raw.n_paths, raw.seed)
-        fields["w_mc"] = density_from_samples(ensemble, cfg.grid)
+        positions = em_simulate(cfg.drift, raw.d_coeff, raw.lam, cfg.grid.t0, cfg.grid.t[cfg.slices],
+                                raw.mc_dt, raw.n_paths, raw.seed)
+        fields["w_mc"] = density_from_samples(positions, cfg.slices, cfg.grid)
         # free the paths before the checks: held through them, they raised the
         # default run's peak RSS by 1.6 MB (glibc then maps the checks' temporaries anew)
-        del ensemble
+        del positions
         _check_emission(fields, cfg)
         summary = _summarize(fields, cfg, scaling_fit)
         out_dir = _write_outputs(fields, summary, cfg, part)

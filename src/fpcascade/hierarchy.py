@@ -41,18 +41,9 @@ from .model import (
     FAMILY_QUADRATIC,
     FAMILY_ZERO,
     Grid,
-    ScalarField,
 )
 from .oracles import example1_s1, example1_s2, ou_s1, ou_s2, s0_log_heat_kernel
 from .transform import potential_exponent, effective_potential_order
-
-
-def s0_closed_form(grid: Grid, d_coeff: float) -> ScalarField:
-    """Order-0 action sampled on the grid (point-source initial profile)."""
-    if not d_coeff > 0:
-        raise ValueError("diffusion constant must be > 0")
-    vals = s0_log_heat_kernel(grid.x, grid.t[:, None], d_coeff)
-    return ScalarField(grid=grid, values=vals, order=0)
 
 
 # S_2k = c_k t^(2k-1) (D t + k x^2) for the quadratic family, with
@@ -91,16 +82,16 @@ def _closed_form_term(drift: DriftSpec, d_coeff: float, n: int, x, t):
 
 def analytic_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, grid: Grid) -> ActionExpansion:
     """Expansion built from the closed-form action terms (no PDE solves)."""
-    terms = [s0_closed_form(grid, d_coeff)]
-    for n in range(1, order + 1):
+    terms = []
+    for n in range(order + 1):
         # a term that overflows is inf, which action_sum rejects as a SolverError
         with np.errstate(over="ignore"):
             vals = _closed_form_term(drift, d_coeff, n, grid.x, grid.t[:, None])
         if vals is None:
             raise ValueError(f"no closed-form action term S_{n} for drift family {drift.family!r}")
-        vals = np.broadcast_to(vals, (grid.nt, grid.nx))  # a vanishing term is shaped like x
-        terms.append(ScalarField(grid=grid, values=vals, order=n))
-    return ActionExpansion(d_coeff=d_coeff, lam=lam, terms=tuple(terms))
+        # a vanishing term is shaped like x; ActionExpansion copies the view
+        terms.append(np.broadcast_to(vals, (grid.nt, grid.nx)))
+    return ActionExpansion(grid=grid, d_coeff=d_coeff, lam=lam, terms=tuple(terms))
 
 
 def _source_arrays(n: int, drift: DriftSpec, d_coeff: float, x, t_nodes, grads):
@@ -210,13 +201,11 @@ def solve_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, gr
     s0 = np.empty((grid.nt, grid.nx))
     for j, tj in enumerate(grid.t):
         s0[j] = s0_log_heat_kernel(grid.x, tj, d_coeff)
-    terms = [ScalarField(grid=grid, values=s0, order=0)]
     cropped = [np.empty((grid.nt, grid.nx)) for _ in orders]
     for rows, solved in _march(drift, orders, xp, grid.t, grid.dx, grid.dt, d_coeff, inits):
         for out, vals in zip(cropped, solved):
             out[rows] = vals[:, m : m + grid.nx]  # the cropped padded nodes are the grid's nodes bit for bit
-    terms += [ScalarField(grid=grid, values=vals, order=n) for n, vals in zip(orders, cropped)]
-    return ActionExpansion(d_coeff=d_coeff, lam=lam, terms=tuple(terms))
+    return ActionExpansion(grid=grid, d_coeff=d_coeff, lam=lam, terms=(s0, *cropped))
 
 
 def assemble_density(expansion: ActionExpansion, drift: DriftSpec) -> DensityField:
@@ -250,8 +239,8 @@ def cascade_residual(n: int, expansion: ActionExpansion, drift: DriftSpec) -> fl
     if not 1 <= n <= expansion.order:
         raise ValueError(f"residual needs 1 <= n <= {expansion.order}, got {n}")
     grid = expansion.grid
-    term = expansion.terms[n].values
-    grads = [_gradient(s.values, grid.dx) for s in expansion.terms[1:n]]
+    term = expansion.terms[n]
+    grads = [_gradient(s, grid.dx) for s in expansion.terms[1:n]]
     source = _source_arrays(n, drift, expansion.d_coeff, grid.x, grid.t, grads)
     dx, dt = grid.dx, grid.dt
     mid = term[1:-1]

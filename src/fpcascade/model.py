@@ -21,6 +21,11 @@ MAX_EXPANSION_ORDER = 8
 # solver had finished; the benchmark runs ask for about 1e8
 _MAX_PATH_STEPS = 1e12
 
+# floats of Monte Carlo path memory a run may ask for: the positions at each
+# checkpoint plus two path-sized work buffers, as many floats as the lattice
+# cap admits nodes, 8 GB
+_MAX_PATH_FLOATS = 1e9
+
 # nt x nx nodes a run may ask for: a run holds more than ten float64 lattices,
 # 800 MB each at this size; the largest grid any test or benchmark validates
 # is 1601 x 1101
@@ -80,21 +85,6 @@ class Grid:
     def refined(self) -> "Grid":
         """Grid with dx and dt both halved (same extent)."""
         return Grid(self.x_min, self.x_max, 2 * self.nx - 1, self.t0, self.t_max, 2 * self.nt - 1)
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """The order-``order`` action term sampled on a grid, shape (nt, nx)."""
-
-    grid: Grid
-    values: np.ndarray
-    order: int
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.nt, self.grid.nx):
-            raise ValueError(f"field shape {vals.shape} != grid shape {(self.grid.nt, self.grid.nx)}")
-        object.__setattr__(self, "values", _readonly(vals))
 
 
 NEGATIVITY_FLOOR = -1e-12
@@ -234,27 +224,24 @@ def quadratic_ou() -> DriftSpec:
 
 @dataclass(frozen=True)
 class ActionExpansion:
-    """The solved action terms S0..SN on one grid, plus D and lam."""
+    """The solved action terms S0..SN on one grid, plus D and lam: terms[n]
+    is S_n, a read-only (nt, nx) array."""
 
+    grid: Grid
     d_coeff: float
     lam: float
-    terms: tuple  # of ScalarField, order n at index n
+    terms: tuple
 
     def __post_init__(self):
         if not self.d_coeff > 0:
             raise ValueError(f"diffusion constant must be > 0, got {self.d_coeff}")
         if not self.terms:
             raise ValueError("expansion needs at least the order-0 term")
-        g = self.terms[0].grid
+        shape = (self.grid.nt, self.grid.nx)
         for n, term in enumerate(self.terms):
-            if term.grid is not g and term.grid != g:
-                raise ValueError("all expansion terms must share one grid")
-            if term.order != n:
-                raise ValueError(f"term {n} carries order {term.order}, expected {n}")
-
-    @property
-    def grid(self) -> Grid:
-        return self.terms[0].grid
+            if np.shape(term) != shape:
+                raise ValueError(f"term {n} shape {np.shape(term)} != grid shape {shape}")
+        object.__setattr__(self, "terms", tuple(map(_readonly, self.terms)))
 
     @property
     def order(self) -> int:
@@ -262,11 +249,11 @@ class ActionExpansion:
 
     def action_sum(self) -> np.ndarray:
         """S = sum_n lam^n S_n on the grid."""
-        acc = self.terms[0].values.copy()
+        acc = self.terms[0].copy()
         lam_n = 1.0
         for term in self.terms[1:]:
             lam_n *= self.lam
-            acc += lam_n * term.values
+            acc += lam_n * term
         if not np.all(np.isfinite(acc)):
             raise SolverError("action sum is not finite everywhere on the grid")
         return acc
@@ -310,12 +297,16 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ValidatedConfig:
-    """A RunConfig whose bounds were checked, with derived objects built."""
+    """A RunConfig whose bounds were checked, with derived objects built.
+
+    ``slices`` holds the checkpoints as the ascending, distinct indices of
+    the grid time nodes they snap to (read-only); the checkpoint times are
+    ``grid.t[slices]``."""
 
     raw: RunConfig
     drift: DriftSpec
     grid: Grid
-    checkpoints: tuple
+    slices: np.ndarray
 
 
 def build_drift(cfg: RunConfig) -> DriftSpec:
@@ -392,10 +383,11 @@ def validate_config(cfg: RunConfig) -> ValidatedConfig:
         checkpoints = (grid.t[(grid.nt - 1) // 2], grid.t[-1])
     # snap each checkpoint to the nearest grid node so histogram slices align
     nearest = np.abs(grid.t[:, None] - np.array(checkpoints)).argmin(axis=0)
-    checkpoints = tuple(dict.fromkeys(grid.t[nearest].tolist()))
+    slices = np.array(sorted(set(nearest.tolist())))  # np.unique imports numpy.ma: 0.9 MB of RSS
+    slices.setflags(write=False)
     # em_simulate's step count, at least (t_max - t0) / mc_dt even where the
     # checkpoints end before t_max
-    path_steps = sum(n for n, _ in em_steps(grid.t0, checkpoints, cfg.mc_dt))
+    path_steps = sum(n for n, _ in em_steps(grid.t0, grid.t[slices], cfg.mc_dt))
     steps = max(float(path_steps), (cfg.t_max - cfg.t0) / cfg.mc_dt)
     # divided, not multiplied: n_paths is a Python int of any size
     if steps > 0 and cfg.n_paths > _MAX_PATH_STEPS / steps:
@@ -403,4 +395,9 @@ def validate_config(cfg: RunConfig) -> ValidatedConfig:
             f"n_paths x Monte Carlo steps must be <= {_MAX_PATH_STEPS:.0e} path-steps, "
             f"got {cfg.n_paths} paths x {steps:.3e} steps"
         )
-    return ValidatedConfig(raw=cfg, drift=drift, grid=grid, checkpoints=checkpoints)
+    if cfg.n_paths > _MAX_PATH_FLOATS / (len(slices) + 2):
+        raise ConfigError(
+            f"n_paths x (checkpoints + 2) must be <= {_MAX_PATH_FLOATS:.0e} floats of Monte Carlo "
+            f"path memory, got {cfg.n_paths} paths x {len(slices) + 2}"
+        )
+    return ValidatedConfig(raw=cfg, drift=drift, grid=grid, slices=slices)

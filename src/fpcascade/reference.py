@@ -18,7 +18,6 @@ data the cascade uses, so all solvers address one initial-value problem.
 """
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
@@ -133,22 +132,6 @@ def fp_fd_solve(
     return DensityField(grid=grid, values=vals)
 
 
-@dataclass(frozen=True)
-class SampleEnsemble:
-    """Particle positions at each checkpoint time."""
-
-    checkpoints: tuple
-    positions: tuple  # of float arrays, one per checkpoint, all of one length
-
-    def __post_init__(self):
-        if not self.positions:
-            raise ValueError("ensemble needs at least one checkpoint")
-        n = len(self.positions[0])
-        for k, arr in enumerate(self.positions):
-            if len(arr) != n:
-                raise ValueError(f"checkpoint {k} has {len(arr)} paths, expected {n}")
-
-
 # em_simulate runs its paths in at most this many chunks, one process each:
 # the CPUs this process may use
 if hasattr(os, "sched_getaffinity"):
@@ -169,8 +152,10 @@ def em_simulate(
     dt: float,
     n_paths: int,
     seed: int,
-) -> SampleEnsemble:
-    """Euler-Maruyama paths from the closed-form density at t0.
+) -> np.ndarray:
+    """Euler-Maruyama paths from the closed-form density at t0, returned as
+    positions of shape (len(checkpoints), n_paths): row k holds every path
+    at checkpoints[k].
 
     ``dt`` is the maximum step; each inter-checkpoint interval is subdivided
     evenly so checkpoints are hit exactly.  Block b of m paths (4096, or fewer
@@ -221,7 +206,7 @@ def em_simulate(
         _em_paths(drift, lam, t0, segments, mean0, sd0, gens, positions[:, lo:hi], *np.empty((2, hi - lo)))
 
     forked.run_split("Monte Carlo chunk process", run_chunk, list(zip(bounds, bounds[1:])))
-    return SampleEnsemble(checkpoints=tuple(checkpoints), positions=tuple(positions))
+    return positions
 
 
 def _em_paths(drift, lam, t0, segments, mean0, sd0, gens, positions, z, a):
@@ -274,29 +259,31 @@ def em_step(drift, lam, x, t, h, dz, a):
     np.add(x, dz, out=x)
 
 
-def density_from_samples(ensemble: SampleEnsemble, grid: Grid) -> DensityField:
-    """Histogram density on the grid's x nodes at each checkpoint slice.
+def density_from_samples(positions, slices, grid: Grid) -> DensityField:
+    """Histogram density on the grid's x nodes at the time slices ``slices``.
 
-    Bins are dx wide and centered on the nodes; counts are normalized so the
-    trapezoid mass of each populated slice is exactly 1.  Time slices that are
-    not checkpoints are left unpopulated (NaN values, mask False).
+    Row k of ``positions`` (shaped (len(slices), n_paths), as em_simulate
+    returns it) holds the samples of time slice ``slices[k]``.  Bins are dx
+    wide and centered on the nodes; counts are normalized so the trapezoid
+    mass of each populated slice is exactly 1.  The other time slices are
+    left unpopulated (NaN values, mask False).
     """
-    t_nodes = grid.t
+    if list(slices) != sorted(set(slices)) or not all(0 <= j < grid.nt for j in slices):
+        raise ValueError(f"slices must be ascending, distinct indices in [0, {grid.nt}), "
+                         f"got {list(map(int, slices))}")
+    if len(positions) != len(slices):
+        raise ValueError(f"{len(positions)} rows of positions for {len(slices)} slices")
     edges = grid.x_min + (np.arange(grid.nx + 1) - 0.5) * grid.dx
     vals = np.full((grid.nt, grid.nx), np.nan)
     mask = np.zeros(grid.nt, dtype=bool)
-    for c, pos in zip(ensemble.checkpoints, ensemble.positions):
+    for j, pos in zip(slices, positions):
         if len(pos) == 0:
-            raise ValueError(f"checkpoint t={c} holds no samples")
-        diffs = np.abs(t_nodes - c)
-        j = int(np.argmin(diffs))
-        if diffs[j] > 1e-9 * max(1.0, abs(c)):
-            raise ValueError(f"checkpoint t={c} does not coincide with a grid time node")
+            raise ValueError(f"slice {j} holds no samples")
         counts, _ = np.histogram(pos, bins=edges)
         w = counts / (len(pos) * grid.dx)
         mass = float(trapezoid(w, grid.dx))
         if mass <= 0:
-            raise ValueError(f"all samples of checkpoint t={c} fall outside the grid")
+            raise ValueError(f"all samples of slice {j} fall outside the grid")
         vals[j] = w / mass
         mask[j] = True
     return DensityField(grid=grid, values=vals, populated=mask)

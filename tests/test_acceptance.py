@@ -70,12 +70,12 @@ def _numeric_errors(grid):
     drift1 = linear_time_modulated(COS)
     exp1 = solve_expansion(drift1, 1.0, 0.5, 2, grid)
     x, t = grid.x, grid.t
-    e_s1 = np.abs(exp1.terms[1].values - np.array([example1_s1(x, tj, COS) for tj in t])).max()
-    e_s2 = np.abs(exp1.terms[2].values - np.array([example1_s2(x, tj, COS) for tj in t])).max()
+    e_s1 = np.abs(exp1.terms[1] - np.array([example1_s1(x, tj, COS) for tj in t])).max()
+    e_s2 = np.abs(exp1.terms[2] - np.array([example1_s2(x, tj, COS) for tj in t])).max()
     driftq = quadratic_ou()
     expq = solve_expansion(driftq, 1.0, 0.1, 2, grid)
-    e_q1 = np.abs(expq.terms[1].values - ou_s1(t, 1.0)[:, None]).max()
-    e_q2 = np.abs(expq.terms[2].values - np.array([ou_s2(x, tj, 1.0) for tj in t])).max()
+    e_q1 = np.abs(expq.terms[1] - ou_s1(t, 1.0)[:, None]).max()
+    e_q2 = np.abs(expq.terms[2] - np.array([ou_s2(x, tj, 1.0) for tj in t])).max()
     return e_s1, e_s2, e_q1, e_q2
 
 
@@ -105,7 +105,7 @@ def test_criterion_3_cascade_truncation_s3():
     """Order-3 term of the linear family vanishes after per-slice constant removal."""
     drift = linear_time_modulated(COS)
     exp = solve_expansion(drift, 1.0, 0.5, 3, CASCADE_GRID)
-    s3 = exp.terms[3].values
+    s3 = exp.terms[3]
     s3 = s3 - s3.mean(axis=1, keepdims=True)
     worst = np.abs(s3).max()
     print(f"criterion 3: S3 max-abs after constant removal {worst:.3e} (<= 1e-3)")
@@ -220,11 +220,11 @@ def test_criterion_7_monte_carlo_validation():
         ("ou", quadratic_ou(), 0.1, 1.8126924692201814),
     ]
     for name, drift, lam, var_target in cases:
-        ens = em_simulate(drift, 1.0, lam, 0.01, [1.0], 1e-3, n, SEED)
-        hist = density_from_samples(ens, MC_GRID)
+        positions = em_simulate(drift, 1.0, lam, 0.01, [1.0], 1e-3, n, SEED)
+        hist = density_from_samples(positions, [1], MC_GRID)
         ref = oracle_density(drift, 1.0, lam, MC_GRID.x, 1.0)
         l1 = float(trapezoid(np.abs(hist.values[1] - ref), MC_GRID.dx))
-        sample_var = ens.positions[0].var(ddof=1)
+        sample_var = positions[0].var(ddof=1)
         # path h + i of a block mirrors path i (w_mc stream v3), so the sample
         # variance averages n/2 independent squares: its SE is over the pairs
         se = var_target * np.sqrt(2.0 / (n // 2 - 1))
@@ -241,8 +241,7 @@ def test_criterion_7_monte_carlo_reproducibility():
     """Rerunning with the master seed regenerates the ensemble bit for bit."""
     a = em_simulate(quadratic_ou(), 1.0, 0.1, 0.01, [0.5, 1.0], 1e-3, 20000, SEED)
     b = em_simulate(quadratic_ou(), 1.0, 0.1, 0.01, [0.5, 1.0], 1e-3, 20000, SEED)
-    for pa, pb in zip(a.positions, b.positions):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(a, b)
     print("criterion 7: same-seed rerun is bit-identical")
 
 
@@ -259,7 +258,7 @@ def test_criterion_8_normalization_and_positivity_suite():
         (
             "mc-histogram",
             density_from_samples(
-                em_simulate(driftq, 1.0, 0.1, 0.05, [2.0], 1e-3, 20000, SEED), MC_GRID_T2
+                em_simulate(driftq, 1.0, 0.1, 0.05, [2.0], 1e-3, 20000, SEED), [1], MC_GRID_T2
             ),
             1e-9,
         ),

@@ -525,7 +525,7 @@ def _hand_written_config_dict(cfg):
         "n_paths": raw.n_paths,
         "seed": raw.seed,
         "mc_dt": raw.mc_dt,
-        "checkpoints": list(cfg.checkpoints),
+        "checkpoints": [float(cfg.grid.t[j]) for j in cfg.slices],
         "tolerances": {
             "mass_tol": raw.tolerances.mass_tol,
             "boundary_tol": raw.tolerances.boundary_tol,
@@ -593,7 +593,7 @@ def _writer_case(out_dir, checkpoints):
             vals[2] = np.nan
         if name == "w_mc":
             populated[:] = False
-            populated[cli._checkpoint_indices(cfg)] = True
+            populated[cfg.slices] = True
         fields[name] = DensityField(grid=grid, values=vals, populated=populated)
     return cfg, fields
 

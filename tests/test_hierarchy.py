@@ -9,7 +9,6 @@ from fpcascade.hierarchy import (
     analytic_expansion,
     assemble_density,
     cascade_residual,
-    s0_closed_form,
     solve_expansion,
 )
 from fpcascade.model import (
@@ -17,7 +16,6 @@ from fpcascade.model import (
     DriftSpec,
     Grid,
     PotentialTerm,
-    ScalarField,
     linear_time_modulated,
     quadratic_ou,
     zero_drift,
@@ -43,23 +41,23 @@ def lattice(grid, fn):
 class TestS0:
     def test_frozen_values_and_symmetry(self):
         grid = Grid(-10.0, 10.0, 401, 0.25, 2.5, 10)
-        s0 = s0_closed_form(grid, 1.0)
+        s0 = analytic_expansion(zero_drift(), 1.0, 0.0, 0, grid).terms[0]
         j = np.argmin(np.abs(grid.t - 1.0))
         i = np.argmin(np.abs(grid.x))
         assert grid.t[j] == 1.0 and grid.x[i] == 0.0
-        assert s0.values[j, i] == pytest.approx(-1.2655121234846454, rel=1e-14)
+        assert s0[j, i] == pytest.approx(-1.2655121234846454, rel=1e-14)
         i2 = np.argmin(np.abs(grid.x - 2.0))
-        assert s0.values[j, i2] == pytest.approx(-2.2655121234846454, rel=1e-14)
+        assert s0[j, i2] == pytest.approx(-2.2655121234846454, rel=1e-14)
         # even in x: mirrored nodes agree up to the fp asymmetry of the nodes
-        assert np.allclose(s0.values, s0.values[:, ::-1], rtol=0, atol=1e-11)
+        assert np.allclose(s0, s0[:, ::-1], rtol=0, atol=1e-11)
         assert np.array_equal(
             s0_log_heat_kernel(grid.x, 1.0, 1.0), s0_log_heat_kernel(-grid.x, 1.0, 1.0)
         )
 
     def test_exp_s0_unit_mass_per_slice(self):
         grid = Grid(-14.0, 14.0, 1401, 0.05, 2.0, 11)
-        s0 = s0_closed_form(grid, 1.0)
-        masses = trapezoid(np.exp(s0.values / 1.0), grid.dx)
+        s0 = analytic_expansion(zero_drift(), 1.0, 0.0, 0, grid).terms[0]
+        masses = trapezoid(np.exp(s0 / 1.0), grid.dx)
         assert np.abs(masses - 1.0).max() <= 1e-10
 
 
@@ -95,7 +93,7 @@ class TestAdvanceTerm:
 
     def test_zero_source_zero_init(self, small_grid):
         term = solve_expansion(zero_drift(), 1.0, 0.3, 1, small_grid).terms[1]
-        assert np.all(term.values == 0.0)
+        assert np.all(term == 0.0)
 
     def test_ou_s1_zero_init_gives_t_minus_t0(self, small_grid):
         # the quadratic potential with no closed form to start from: source
@@ -103,33 +101,33 @@ class TestAdvanceTerm:
         drift = DriftSpec(family="custom", term=quadratic_ou().term)
         term = solve_expansion(drift, 1.0, 0.1, 1, small_grid).terms[1]
         expected = 0.5 * (small_grid.t - small_grid.t0)
-        assert np.abs(term.values - expected[:, None]).max() <= 1e-8
+        assert np.abs(term - expected[:, None]).max() <= 1e-8
 
     def test_ou_s1_oracle_init_gives_dt_over_2(self, small_grid):
         term = solve_expansion(quadratic_ou(), 1.0, 0.1, 1, small_grid).terms[1]
         expected = 0.5 * small_grid.t
-        assert np.abs(term.values - expected[:, None]).max() <= 1e-8
+        assert np.abs(term - expected[:, None]).max() <= 1e-8
 
     def test_example1_s1_numeric_matches_oracle(self):
         grid = Grid(-10.0, 10.0, 401, 0.01, 5.0, 250)
         drift = linear_time_modulated(COS)
         exp = solve_expansion(drift, 1.0, 0.5, 1, grid)
         oracle = np.array([example1_s1(grid.x, tj, COS) for tj in grid.t])
-        assert np.abs(exp.terms[1].values - oracle).max() <= 1e-3
+        assert np.abs(exp.terms[1] - oracle).max() <= 1e-3
 
 
 class TestSolveExpansion:
     def test_order_zero_only_s0(self, small_grid):
         exp = solve_expansion(zero_drift(), 1.0, 0.0, 0, small_grid)
         assert exp.order == 0
-        ref = s0_closed_form(small_grid, 1.0)
-        assert np.array_equal(exp.terms[0].values, ref.values)
+        ref = analytic_expansion(zero_drift(), 1.0, 0.0, 0, small_grid).terms[0]
+        assert np.array_equal(exp.terms[0], ref)
 
     def test_ou_s2_matches_oracle(self):
         grid = Grid(-10.0, 10.0, 401, 0.01, 5.0, 250)
         exp = solve_expansion(quadratic_ou(), 1.0, 0.1, 2, grid)
         oracle = np.array([ou_s2(grid.x, tj, 1.0) for tj in grid.t])
-        assert np.abs(exp.terms[2].values - oracle).max() <= 1e-3
+        assert np.abs(exp.terms[2] - oracle).max() <= 1e-3
 
     def test_failure_carries_order_index(self, small_grid):
         # a source evaluator that blows up at order 1
@@ -171,11 +169,11 @@ class TestOuAllOrders:
             numeric = solve_expansion(drift, 1.0, 0.3, 8, grid)
             closed = analytic_expansion(drift, 1.0, 0.3, 8, grid)
             for n in (3, 5, 7):
-                assert np.abs(numeric.terms[n].values).max() <= 1e-12
-                assert not closed.terms[n].values.any()
+                assert np.abs(numeric.terms[n]).max() <= 1e-12
+                assert not closed.terms[n].any()
             per_order = []
             for n in (4, 6, 8):
-                diff = numeric.terms[n].values - closed.terms[n].values
+                diff = numeric.terms[n] - closed.terms[n]
                 per_order.append(np.abs(diff - diff[:, [grid.nx // 2]]).max())
             errs.append(per_order)
         ratios = [c / f for c, f in zip(*errs)]
@@ -242,9 +240,9 @@ class TestCascadeResidual:
         drift = linear_time_modulated(COS)
         prev = None
         for grid in (Grid(-8.0, 8.0, 201, 0.1, 2.0, 96), Grid(-8.0, 8.0, 401, 0.1, 2.0, 191)):
-            s0 = s0_closed_form(grid, 1.0)
-            s1 = ScalarField(grid=grid, values=lattice(grid, lambda x, t: example1_s1(x, t, COS)), order=1)
-            exp = ActionExpansion(d_coeff=1.0, lam=0.5, terms=(s0, s1))
+            s0 = analytic_expansion(zero_drift(), 1.0, 0.0, 0, grid).terms[0]
+            s1 = lattice(grid, lambda x, t: example1_s1(x, t, COS))
+            exp = ActionExpansion(grid=grid, d_coeff=1.0, lam=0.5, terms=(s0, s1))
             res = cascade_residual(1, exp, drift)
             if prev is not None:
                 assert prev / res == pytest.approx(4.0, abs=1.2)
@@ -265,5 +263,5 @@ def test_refinement_second_order_small_grid():
     for g in (grid, grid.refined()):
         exp = solve_expansion(drift, 1.0, 0.5, 1, g)
         oracle = np.array([example1_s1(g.x, tj, COS) for tj in g.t])
-        errs.append(np.abs(exp.terms[1].values - oracle).max())
+        errs.append(np.abs(exp.terms[1] - oracle).max())
     assert 3.5 <= errs[0] / errs[1] <= 4.5

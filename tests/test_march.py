@@ -120,7 +120,7 @@ def test_solve_expansion_equals_order_by_order_loop(name, nt):
         got = H.solve_expansion(drift, D, LAM, order, grid)
         assert got.order == order
         for n, term in enumerate(got.terms):
-            assert term.values.tobytes() == want[n].tobytes(), (order, n)
+            assert term.tobytes() == want[n].tobytes(), (order, n)
 
 
 def test_one_band_per_step_for_every_order(monkeypatch):

@@ -2,14 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fpcascade.cli import _config_dict
 from fpcascade.errors import ConfigError
 from fpcascade.model import (
     ActionExpansion,
     DensityField,
     Grid,
     RunConfig,
-    ScalarField,
     build_drift,
     linear_time_modulated,
     quadratic_ou,
@@ -17,6 +18,7 @@ from fpcascade.model import (
     zero_drift,
 )
 from fpcascade.oracles import ModulationV
+from fpcascade.reference import density_from_samples
 
 
 def default_example1_config(**overrides):
@@ -26,6 +28,11 @@ def default_example1_config(**overrides):
     )
     base.update(overrides)
     return RunConfig(**base)
+
+
+# the benchmarks' fast grid: t nodes 0.1 + 0.05 k, k = 0 .. 28
+_SNAP_GRID = (-16.0, 16.0, 161, 0.1, 1.5, 29)
+_SNAP_NODES = st.sampled_from([0, 28]) | st.integers(0, 28)
 
 
 class TestValidateConfig:
@@ -68,13 +75,16 @@ class TestValidateConfig:
     def test_path_step_limit_counts_a_step_per_segment(self):
         # an mc_dt past the whole span still steps once into each checkpoint
         big_dt = dict(mc_dt=1e3)
-        validate_config(RunConfig(n_paths=5 * 10**11, **big_dt))  # 2 segments
+        # 5e11 paths x 2 segments pass the step cap, not the path-memory cap
+        with pytest.raises(ConfigError, match=r"floats of Monte Carlo path memory, got 500000000000 paths x 4"):
+            validate_config(RunConfig(n_paths=5 * 10**11, **big_dt))
         with pytest.raises(ConfigError, match=r"got 500000000001 paths x 2\.000e\+00 steps"):
             validate_config(RunConfig(n_paths=5 * 10**11 + 1, **big_dt))
         with pytest.raises(ConfigError, match=r"x 3\.000e\+00 steps"):
             validate_config(RunConfig(n_paths=4 * 10**11, checkpoints=(1.0, 2.0, 5.0), **big_dt))
-        # a checkpoint at t0 takes no step
-        validate_config(RunConfig(n_paths=5 * 10**11, checkpoints=(0.05, 5.0), **big_dt))
+        # a checkpoint at t0 takes no step: 5e11 x 1 path-steps pass the step cap
+        with pytest.raises(ConfigError, match=r"path memory, got 500000000000 paths x 4"):
+            validate_config(RunConfig(n_paths=5 * 10**11, checkpoints=(0.05, 5.0), **big_dt))
         # but the count never falls below (t_max - t0) / mc_dt, here 4950
         for n_paths in (3 * 10**8, 10**13):
             with pytest.raises(ConfigError, match=r"x 4\.950e\+03 steps"):
@@ -99,11 +109,41 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="diffusion"):
             validate_config(default_example1_config(d_coeff=-1.0))
 
-    def test_checkpoints_snap_to_nodes(self):
-        cfg = validate_config(default_example1_config(checkpoints=(1.0, 5.0)))
-        t = cfg.grid.t
-        for c in cfg.checkpoints:
-            assert np.min(np.abs(t - c)) == 0.0
+    def test_path_memory_limit_rejected_up_front(self):
+        # one step per path: far under the step cap, but em_simulate would
+        # map 5e11 paths x 2 checkpoints of float64, 8 TB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"n_paths x \(checkpoints \+ 2\) must be <= 1e\+09 floats"):
+                validate_config(RunConfig(mc_dt=1e3, n_paths=5 * 10**11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000
+        # the positions at each checkpoint plus the two work buffers of a chunk
+        # (0.1 and 0.11 snap to one node, so they count once)
+        for checkpoints, limit in (((), 250_000_000), ((5.0,), 333_333_333), ((0.1, 0.11, 5.0), 250_000_000)):
+            validate_config(RunConfig(mc_dt=1e3, n_paths=limit, checkpoints=checkpoints))
+            with pytest.raises(ConfigError, match=f"got {limit + 1} paths x"):
+                validate_config(RunConfig(mc_dt=1e3, n_paths=limit + 1, checkpoints=checkpoints))
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.tuples(_SNAP_NODES, st.floats(-0.45, 0.45)), min_size=1, max_size=8))
+    def test_checkpoints_snap_to_nodes(self, draws):
+        # checkpoint k + off node spacings past t0, clipped to [t0, t_max]:
+        # off-node values, several per node, and t0 and t_max themselves
+        x_min, x_max, nx, t0, t_max, nt = _SNAP_GRID
+        dt = (t_max - t0) / (nt - 1)
+        checkpoints = sorted(min(max(t0 + (k + off) * dt, t0), t_max) for k, off in draws)
+        cfg = validate_config(RunConfig(x_min=x_min, x_max=x_max, nx=nx, t0=t0, t_max=t_max, nt=nt,
+                                        checkpoints=tuple(checkpoints)))
+        slices = cfg.slices.tolist()
+        assert slices == sorted({k for k, _ in draws})  # strictly ascending, one per node
+        nearest = np.abs(cfg.grid.t[:, None] - np.array(checkpoints)).argmin(axis=0)
+        assert slices == list(dict.fromkeys(nearest.tolist()))
+        assert cfg.grid.t[cfg.slices].tolist() == _config_dict(cfg)["checkpoints"]
+        w = density_from_samples(np.zeros((len(slices), 10)), cfg.slices, cfg.grid)
+        assert np.flatnonzero(w.populated).tolist() == slices
 
     def test_checkpoint_out_of_range(self):
         with pytest.raises(ConfigError, match="checkpoints"):
@@ -266,15 +306,20 @@ def test_build_drift_unknown_family():
 
 class TestFields:
     def test_scalar_field_shape_check(self, small_grid):
-        with pytest.raises(ValueError, match="shape"):
-            ScalarField(grid=small_grid, values=np.zeros((3, 3)), order=0)
+        zeros = np.zeros((small_grid.nt, small_grid.nx))
+        with pytest.raises(ValueError, match=r"term 1 shape \(3, 3\) != grid shape"):
+            ActionExpansion(grid=small_grid, d_coeff=1.0, lam=0.1, terms=(zeros, np.zeros((3, 3))))
 
     def test_scalar_field_immutable(self, small_grid):
-        f = ScalarField(
-            grid=small_grid, values=np.zeros((small_grid.nt, small_grid.nx)), order=0
-        )
-        with pytest.raises(ValueError):
-            f.values[0, 0] = 1.0
+        zeros = np.zeros((small_grid.nt, small_grid.nx))
+        # a broadcast view is copied, not kept
+        row = np.zeros(small_grid.nx)
+        exp = ActionExpansion(grid=small_grid, d_coeff=1.0, lam=0.1,
+                              terms=(zeros, np.broadcast_to(row, zeros.shape)))
+        for term in exp.terms:
+            with pytest.raises(ValueError):
+                term[0, 0] = 1.0
+        assert not np.shares_memory(exp.terms[1], row)
 
     def test_density_rejects_undershoot(self, small_grid):
         vals = np.zeros((small_grid.nt, small_grid.nx))
@@ -291,15 +336,7 @@ class TestFields:
         mask[0] = True
         DensityField(grid=small_grid, values=vals, populated=mask)
 
-    def test_expansion_tag_validation(self, small_grid):
-        zeros = np.zeros((small_grid.nt, small_grid.nx))
-        s0 = ScalarField(grid=small_grid, values=zeros, order=0)
-        mislabeled = ScalarField(grid=small_grid, values=zeros, order=2)
-        with pytest.raises(ValueError, match="term 1 carries order 2, expected 1"):
-            ActionExpansion(d_coeff=1.0, lam=0.1, terms=(s0, mislabeled))
-
     def test_expansion_requires_positive_d(self, small_grid):
         zeros = np.zeros((small_grid.nt, small_grid.nx))
-        s0 = ScalarField(grid=small_grid, values=zeros, order=0)
         with pytest.raises(ValueError, match="diffusion"):
-            ActionExpansion(d_coeff=0.0, lam=0.1, terms=(s0,))
+            ActionExpansion(grid=small_grid, d_coeff=0.0, lam=0.1, terms=(zeros,))

@@ -13,7 +13,6 @@ from fpcascade.errors import SolverError
 from fpcascade.model import Grid, linear_time_modulated, quadratic_ou, zero_drift
 from fpcascade.oracles import ModulationV, example1_density_exact, ou_density_exact, w0_diffusion
 from fpcascade.reference import (
-    SampleEnsemble,
     density_from_samples,
     em_simulate,
     fp_fd_solve,
@@ -78,15 +77,13 @@ class TestFdSolver:
 class TestEmSimulate:
     def test_wiener_variance_within_3se(self):
         n = 20000
-        ens = em_simulate(zero_drift(), 1.0, 0.0, 0.01, [1.0], 1e-3, n, SEED)
-        x = ens.positions[0]
+        x = em_simulate(zero_drift(), 1.0, 0.0, 0.01, [1.0], 1e-3, n, SEED)[0]
         se = 2.0 * np.sqrt(2.0 / (n // 2 - 1))  # over the n/2 mirrored pairs (stream v3)
         assert abs(x.var(ddof=1) - 2.0) <= 3 * se
 
     def test_ou_variance_within_3se(self):
         n = 20000
-        ens = em_simulate(quadratic_ou(), 1.0, 0.1, 0.01, [1.0], 1e-3, n, SEED)
-        x = ens.positions[0]
+        x = em_simulate(quadratic_ou(), 1.0, 0.1, 0.01, [1.0], 1e-3, n, SEED)[0]
         target = 1.8126924692201814
         se = target * np.sqrt(2.0 / (n // 2 - 1))  # over the n/2 mirrored pairs (stream v3)
         assert abs(x.var(ddof=1) - target) <= 3 * se
@@ -94,13 +91,13 @@ class TestEmSimulate:
     def test_same_seed_bitwise(self):
         a = em_simulate(quadratic_ou(), 1.0, 0.1, 0.05, [0.5, 1.0], 2e-3, 500, 7)
         b = em_simulate(quadratic_ou(), 1.0, 0.1, 0.05, [0.5, 1.0], 2e-3, 500, 7)
-        for pa, pb in zip(a.positions, b.positions):
-            assert np.array_equal(pa, pb)
+        assert a.shape == (2, 500)
+        assert np.array_equal(a, b)
 
     def test_different_seed_differs(self):
         a = em_simulate(zero_drift(), 1.0, 0.0, 0.05, [1.0], 2e-3, 500, 7)
         b = em_simulate(zero_drift(), 1.0, 0.0, 0.05, [1.0], 2e-3, 500, 8)
-        assert not np.array_equal(a.positions[0], b.positions[0])
+        assert not np.array_equal(a, b)
 
     def test_stream_v3_frozen_values(self):
         # numpy does not promise to keep Generator distribution streams fixed
@@ -109,8 +106,7 @@ class TestEmSimulate:
         # sd0 = sqrt(2 * 0.5 * 1) = 1, so the t0 positions are the normals
         # themselves.  Block 0 draws 2048 and mirrors them into paths
         # 2048-4095; the 3-path tail block draws two and mirrors the first.
-        ens = em_simulate(zero_drift(), 0.5, 0.0, 1.0, [1.0], 0.1, 4099, SEED)
-        x = ens.positions[0]
+        x = em_simulate(zero_drift(), 0.5, 0.0, 1.0, [1.0], 0.1, 4099, SEED)[0]
         head = [0.22768900846720733, -0.5469519682795477, -0.87332237899652]
         assert x[:3].tolist() == head
         assert x[2048:2051].tolist() == [-v for v in head]
@@ -122,8 +118,7 @@ class TestEmSimulate:
     def test_mirrored_paths_are_bit_exact_negations(self, drift, lam):
         # mean 0 at t0 and a drift odd in x: path lo + h + i is -(path lo + i)
         n = 4096 + 1001
-        ens = em_simulate(drift, lam=lam, n_paths=n, **EM_CASE)
-        for x in ens.positions:
+        for x in em_simulate(drift, lam=lam, n_paths=n, **EM_CASE):
             for lo, m in ((0, 4096), (4096, 1001)):
                 h = (m + 1) // 2
                 block = x[lo : lo + m]
@@ -201,8 +196,8 @@ class TestEmChunking:
         # two chunks start at two blocks; one path more or less crosses a block boundary
         monkeypatch.setattr(reference, "_EM_CHUNKS", 2)
         n = 2 * reference._EM_BLOCK + extra
-        ens = em_simulate(drift, lam=lam, n_paths=n, **EM_CASE)
-        _assert_same_bits(ens.positions, _em_one_step_at_a_time(drift, lam=lam, n_paths=n, **EM_CASE))
+        positions = em_simulate(drift, lam=lam, n_paths=n, **EM_CASE)
+        _assert_same_bits(positions, _em_one_step_at_a_time(drift, lam=lam, n_paths=n, **EM_CASE))
 
     def test_chunk_count_does_not_change_bits(self, monkeypatch):
         n = 13001
@@ -218,7 +213,7 @@ class TestEmChunking:
         for n_chunks in (1, 2, 3):
             monkeypatch.setattr(reference, "_EM_CHUNKS", n_chunks)
             chunks.clear()
-            results.append(em_simulate(quadratic_ou(), lam=0.1, n_paths=n, **EM_CASE).positions)
+            results.append(em_simulate(quadratic_ou(), lam=0.1, n_paths=n, **EM_CASE))
             widths = [hi - lo for lo, hi in chunks]
             assert len(widths) == n_chunks and sum(widths) == n
             assert all(w % reference._EM_BLOCK == 0 for w in widths[:-1])
@@ -283,11 +278,11 @@ class TestEmChunkProcesses:
 
     def test_forks_all_but_one_chunk_and_matches_gate_off(self, monkeypatch):
         forks = _counted_forks(monkeypatch)
-        forked_run = em_simulate(**THREE_CHUNKS).positions
+        forked_run = em_simulate(**THREE_CHUNKS)
         assert len(forks) == 2
         _assert_no_child_process()
         monkeypatch.setattr(forked, "ENABLED", False)
-        _assert_same_bits(em_simulate(**THREE_CHUNKS).positions, forked_run)
+        _assert_same_bits(em_simulate(**THREE_CHUNKS), forked_run)
         assert len(forks) == 2
 
     @pytest.mark.parametrize("act, message", [
@@ -333,16 +328,15 @@ class TestEmChunkProcesses:
 class TestDensityFromSamples:
     def test_single_node_spike(self):
         grid = Grid(-2.0, 2.0, 9, 0.5, 1.0, 2)
-        ens = SampleEnsemble(checkpoints=(1.0,), positions=(np.full(100, grid.x[4]),))
-        w = density_from_samples(ens, grid)
+        w = density_from_samples(np.full((1, 100), grid.x[4]), [1], grid)
         assert w.populated[1] and not w.populated[0]
         assert abs(trapezoid(np.nan_to_num(w.values[1]), grid.dx) - 1.0) <= 1e-12
         assert np.count_nonzero(w.values[1]) == 1
 
     def test_wiener_histogram_l1(self):
         grid = Grid(-12.0, 12.0, 49, 0.01, 1.0, 2)
-        ens = em_simulate(zero_drift(), 1.0, 0.0, 0.01, [1.0], 1e-3, 100000, SEED)
-        w = density_from_samples(ens, grid)
+        positions = em_simulate(zero_drift(), 1.0, 0.0, 0.01, [1.0], 1e-3, 100000, SEED)
+        w = density_from_samples(positions, [1], grid)
         ref = w0_diffusion(grid.x, 1.0, 1.0)
         assert float(trapezoid(np.abs(w.values[1] - ref), grid.dx)) <= 0.02
 
@@ -354,23 +348,32 @@ class TestDensityFromSamples:
         def mean_l1(n):
             vals = []
             for seed in range(5):
-                ens = em_simulate(zero_drift(), 1.0, 0.0, 0.01, [1.0], 2e-3, n, seed)
-                w = density_from_samples(ens, grid)
+                positions = em_simulate(zero_drift(), 1.0, 0.0, 0.01, [1.0], 2e-3, n, seed)
+                w = density_from_samples(positions, [1], grid)
                 vals.append(float(trapezoid(np.abs(w.values[1] - ref), grid.dx)))
             return np.mean(vals)
 
         ratio = mean_l1(10000) / mean_l1(40000)
         assert 1.4 <= ratio <= 2.6
 
-    def test_checkpoint_off_grid_rejected(self):
+    def test_row_count_must_match_slices(self):
         grid = Grid(-2.0, 2.0, 9, 0.5, 1.0, 2)
-        ens = SampleEnsemble(checkpoints=(0.7,), positions=(np.zeros(10),))
-        with pytest.raises(ValueError, match="time node"):
-            density_from_samples(ens, grid)
+        with pytest.raises(ValueError, match="2 rows of positions for 1 slices"):
+            density_from_samples(np.zeros((2, 10)), [1], grid)
+        with pytest.raises(ValueError, match="1 rows of positions for 2 slices"):
+            density_from_samples(np.zeros((1, 10)), [0, 1], grid)
 
-    def test_mismatched_checkpoint_lengths_rejected(self):
-        with pytest.raises(ValueError, match="paths"):
-            SampleEnsemble(checkpoints=(0.5, 1.0), positions=(np.zeros(4), np.zeros(5)))
+    @pytest.mark.parametrize("slices", [[-1], [2], [1, 0], [1, 1]],
+                             ids=["negative", "past-nt", "descending", "repeated"])
+    def test_slices_must_be_ascending_node_indices(self, slices):
+        grid = Grid(-2.0, 2.0, 9, 0.5, 1.0, 2)
+        with pytest.raises(ValueError, match=r"slices must be ascending, distinct indices in \[0, 2\)"):
+            density_from_samples(np.zeros((len(slices), 10)), slices, grid)
+
+    def test_empty_row_rejected(self):
+        grid = Grid(-2.0, 2.0, 9, 0.5, 1.0, 2)
+        with pytest.raises(ValueError, match="slice 1 holds no samples"):
+            density_from_samples(np.zeros((1, 0)), [1], grid)
 
 
 @pytest.mark.parametrize(
@@ -383,8 +386,8 @@ def test_fd_and_mc_agree(drift, lam):
     coarse = Grid(-12.0, 12.0, 49, 0.01, 1.0, 2)
     fine = Grid(-12.0, 12.0, 1201, 0.01, 1.0, 801)
     sol = fp_fd_solve(drift, 1.0, lam, fine, normalized_init(drift, lam, fine))
-    ens = em_simulate(drift, 1.0, lam, 0.01, [1.0], 2e-3, 100000, SEED)
-    hist = density_from_samples(ens, coarse)
+    positions = em_simulate(drift, 1.0, lam, 0.01, [1.0], 2e-3, 100000, SEED)
+    hist = density_from_samples(positions, [1], coarse)
     fd_coarse = np.interp(coarse.x, fine.x, sol.values[-1])
     fd_coarse /= float(trapezoid(fd_coarse, coarse.dx))
     l1 = float(trapezoid(np.abs(hist.values[1] - fd_coarse), coarse.dx))
