@@ -162,9 +162,6 @@ def _check_emission(fields: dict, cfg: ValidatedConfig):
                 raise InvariantViolation(
                     f"{name} slice {j} mass {mass:.12g} deviates from 1 beyond {tol:g}"
                 )
-        vals = field.values[field.populated]
-        if vals.size and vals.min() < -1e-12:
-            raise InvariantViolation(f"{name} holds a value below -1e-12")
 
 
 def _scaling_fit(lams, d_coeff: float) -> dict:
@@ -230,7 +227,7 @@ def _summarize(fields: dict, cfg: ValidatedConfig, scaling_fit):
     }
     if drift.family == FAMILY_LINEAR:
         summary["translation_residual"] = translation_residual(
-            fields["w_pert"], cfg.raw.d_coeff, cfg.raw.lam, drift.modulation
+            fields["w_pert"], lambda x, t: oracle_density(drift, cfg.raw.d_coeff, cfg.raw.lam, x, t)
         )
     if drift.family == FAMILY_QUADRATIC:
         summary["resummation_gaps"] = {

@@ -33,65 +33,23 @@ import numpy as np
 from . import kernels
 from .analysis import trapezoid
 from .errors import SolverError
-from .model import (
-    ActionExpansion,
-    DensityField,
-    DriftSpec,
-    FAMILY_LINEAR,
-    FAMILY_QUADRATIC,
-    FAMILY_ZERO,
-    Grid,
-)
-from .oracles import example1_s1, example1_s2, ou_s1, ou_s2, s0_log_heat_kernel
+from .model import MAX_EXPANSION_ORDER, ActionExpansion, DensityField, DriftSpec, Grid
+from .oracles import s0_log_heat_kernel
 from .transform import potential_exponent, effective_potential_order
-
-
-# S_2k = c_k t^(2k-1) (D t + k x^2) for the quadratic family, with
-# c_k = -B_2k 4^(k-1) / (k (2k)!) (B_2k the Bernoulli numbers), from the
-# series in lam of the family's exact action; S_2 is oracles.ou_s2 and the odd
-# orders beyond S_1 vanish
-_OU_EVEN_COEFFS = {4: 1.0 / 360.0, 6: -1.0 / 5670.0, 8: 1.0 / 75600.0}
-
-
-def _closed_form_term(drift: DriftSpec, d_coeff: float, n: int, x, t):
-    """Closed-form S_n(x, t) for the built-in families; None when unknown.
-    Elementwise, so a column t (``grid.t[:, None]``) gives the whole lattice."""
-    if n == 0:
-        return s0_log_heat_kernel(x, t, d_coeff)
-    if drift.family == FAMILY_ZERO:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    if drift.family == FAMILY_LINEAR:
-        if n == 1:
-            return example1_s1(x, t, drift.modulation)
-        if n == 2:
-            return example1_s2(x, t, drift.modulation)
-        return np.zeros_like(np.asarray(x, dtype=float))
-    if drift.family == FAMILY_QUADRATIC:
-        if n == 1:
-            return ou_s1(t, d_coeff) * np.ones_like(np.asarray(x, dtype=float))
-        if n == 2:
-            return ou_s2(x, t, d_coeff)
-        if n % 2:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        if n in _OU_EVEN_COEFFS:
-            x = np.asarray(x, dtype=float)
-            # float_power: numpy's vectorized float64 ** can be an ulp off the scalar pow
-            return _OU_EVEN_COEFFS[n] * np.float_power(t, n - 1) * (d_coeff * t + (n // 2) * x * x)
-    return None
 
 
 def analytic_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, grid: Grid) -> ActionExpansion:
     """Expansion built from the closed-form action terms (no PDE solves)."""
-    terms = []
-    for n in range(order + 1):
-        # a term that overflows is inf, which action_sum rejects as a SolverError
-        with np.errstate(over="ignore"):
-            vals = _closed_form_term(drift, d_coeff, n, grid.x, grid.t[:, None])
-        if vals is None:
-            raise ValueError(f"no closed-form action term S_{n} for drift family {drift.family!r}")
-        # a vanishing term is shaped like x; ActionExpansion copies the view
-        terms.append(np.broadcast_to(vals, (grid.nt, grid.nx)))
-    return ActionExpansion(grid=grid, d_coeff=d_coeff, lam=lam, terms=tuple(terms))
+    if order > MAX_EXPANSION_ORDER or (order and drift.action is None):
+        raise ValueError(f"no closed-form action term S_{order} for drift family {drift.family!r}")
+    x, t = grid.x, grid.t[:, None]
+    # a term that overflows is inf, which action_sum rejects as a SolverError
+    with np.errstate(over="ignore"):
+        terms = [s0_log_heat_kernel(x, t, d_coeff)]
+        terms += [drift.action(n, x, t, d_coeff) for n in range(1, order + 1)]
+    # a vanishing term is shaped like x; ActionExpansion copies the view
+    terms = tuple(np.broadcast_to(vals, (grid.nt, grid.nx)) for vals in terms)
+    return ActionExpansion(grid=grid, d_coeff=d_coeff, lam=lam, terms=terms)
 
 
 def _source_arrays(n: int, drift: DriftSpec, d_coeff: float, x, t_nodes, grads):
@@ -181,20 +139,22 @@ def _padded_nodes(grid: Grid, d_coeff: float):
 def solve_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, grid: Grid) -> ActionExpansion:
     """Numeric cascade: S0 closed form, then orders 1..order by Crank-Nicolson.
 
-    Initial slices come from the closed forms of the built-in families (zero
-    for an order with no known closed form), inheriting the finiteness-at-zero choice
-    of integration constants.  The solve itself runs on a padded domain (see
+    Initial slices come from the drift's closed-form ``action`` (zero for a
+    drift without one), inheriting the finiteness-at-zero choice of
+    integration constants.  The solve itself runs on a padded domain (see
     _padded_nodes) and is cropped back to the requested grid, block by block
     (see _march).
     """
+    if order > MAX_EXPANSION_ORDER:  # no closed form to start the order from
+        raise ValueError(f"no closed-form action term S_{order} for drift family {drift.family!r}")
     if grid.nx < 5:
         raise SolverError("the cascade solver needs nx >= 5 for its boundary closure")
     xp, m = _padded_nodes(grid, d_coeff)
     orders = range(1, order + 1)
-    inits = []
-    for n in orders:
-        init = _closed_form_term(drift, d_coeff, n, xp, grid.t0)
-        inits.append(np.zeros(len(xp)) if init is None else init)
+    if drift.action is None:
+        inits = [np.zeros(len(xp)) for _ in orders]
+    else:
+        inits = [drift.action(n, xp, grid.t0, d_coeff) for n in orders]
     # S0 enters the cascade only through its advection -x/t, so it is
     # evaluated on the requested nodes alone, and per slice: a lattice call
     # costs 13 MB of peak RSS on the acceptance grids (docs/method.md)

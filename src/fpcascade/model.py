@@ -11,6 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import oracles
 from .errors import ConfigError, SolverError
 from .oracles import ModulationV
 
@@ -154,12 +155,16 @@ FAMILY_QUADRATIC = "quadratic_ou"
 @dataclass(frozen=True)
 class DriftSpec:
     """Drift potential U(x,t) = lam U_1(x,t), first order in lam, with
-    ``term`` holding U_1.  ``modulation`` is set for the linear family only.
+    ``term`` holding U_1.  The built-in constructors attach the family's closed
+    forms, None otherwise: ``action(n, x, t, D)``, S_n for n = 1..8, and for
+    lam != 0 ``density(x, t, D, lam)`` and its ``moments(t, D, lam)``, (mean, variance).
     """
 
     family: str
     term: PotentialTerm
-    modulation: Optional[ModulationV] = None
+    action: Optional[Callable] = None
+    density: Optional[Callable] = None
+    moments: Optional[Callable] = None
 
     def u_total(self, x, t, lam):
         """U(x,t) at the given lam."""
@@ -186,7 +191,13 @@ class DriftSpec:
 
 def zero_drift() -> DriftSpec:
     """Free diffusion: U identically zero."""
-    return DriftSpec(family=FAMILY_ZERO, term=ZERO_TERM)
+    return DriftSpec(
+        family=FAMILY_ZERO,
+        term=ZERO_TERM,
+        action=lambda n, x, t, d_coeff: np.zeros_like(np.asarray(x, dtype=float)),
+        density=lambda x, t, d_coeff, lam: oracles.w0_diffusion(x, t, d_coeff),
+        moments=lambda t, d_coeff, lam: (0.0, 2.0 * d_coeff * t),
+    )
 
 
 def linear_time_modulated(v: ModulationV) -> DriftSpec:
@@ -202,7 +213,13 @@ def linear_time_modulated(v: ModulationV) -> DriftSpec:
         return np.asarray(x, dtype=float) * v.derivative(t)
 
     term = PotentialTerm(u=u, du_dx=du_dx, d2u_dx2=_zero, du_dt=du_dt)
-    return DriftSpec(family=FAMILY_LINEAR, term=term, modulation=v)
+    return DriftSpec(
+        family=FAMILY_LINEAR,
+        term=term,
+        action=lambda n, x, t, d_coeff: oracles.example1_action(n, x, t, v),
+        density=lambda x, t, d_coeff, lam: oracles.example1_density_exact(x, t, d_coeff, lam, v),
+        moments=lambda t, d_coeff, lam: (-lam * float(v.antiderivative(t)), 2.0 * d_coeff * t),
+    )
 
 
 def quadratic_ou() -> DriftSpec:
@@ -219,7 +236,13 @@ def quadratic_ou() -> DriftSpec:
         return 1.0
 
     term = PotentialTerm(u=u, du_dx=du_dx, d2u_dx2=d2u_dx2, du_dt=_zero)
-    return DriftSpec(family=FAMILY_QUADRATIC, term=term)
+    return DriftSpec(
+        family=FAMILY_QUADRATIC,
+        term=term,
+        action=oracles.ou_action,
+        density=oracles.ou_density_exact,
+        moments=lambda t, d_coeff, lam: (0.0, d_coeff * (1.0 - np.exp(-2.0 * lam * t)) / lam),
+    )
 
 
 @dataclass(frozen=True)

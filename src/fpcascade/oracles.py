@@ -84,6 +84,15 @@ def example1_s2(x, t, v: ModulationV):
     return -(vbar * vbar) / (4.0 * t) * np.ones_like(np.asarray(x, dtype=float))
 
 
+def example1_action(n, x, t, v: ModulationV):
+    """Action term S_n, n >= 1, for the drift x*V(t): S1, S2, then zero."""
+    if n == 1:
+        return example1_s1(x, t, v)
+    if n == 2:
+        return example1_s2(x, t, v)
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
 def example1_density_exact(x, t, d_coeff, lam, v: ModulationV):
     """Exact density for the drift lam*x*V(t): the heat kernel shifted by lam*Vbar(t)."""
     x = np.asarray(x, dtype=float)
@@ -100,6 +109,27 @@ def ou_s2(x, t, d_coeff):
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     return -d_coeff * t * t / 12.0 - x * x * t / 12.0
+
+
+# S_2k = c_k t^(2k-1) (D t + k x^2) for the quadratic drift, with
+# c_k = -B_2k 4^(k-1) / (k (2k)!) (B_2k the Bernoulli numbers), from the
+# series in lam of the exact action; S_2 is ou_s2 and the odd orders beyond
+# S_1 vanish
+_OU_EVEN_COEFFS = {4: 1.0 / 360.0, 6: -1.0 / 5670.0, 8: 1.0 / 75600.0}
+
+
+def ou_action(n, x, t, d_coeff):
+    """Action term S_n, n = 1..8, for the quadratic drift."""
+    x = np.asarray(x, dtype=float)
+    if n == 1:
+        return ou_s1(t, d_coeff) * np.ones_like(x)
+    if n == 2:
+        return ou_s2(x, t, d_coeff)
+    if n % 2:
+        return np.zeros_like(x)
+    # float_power: numpy's vectorized float64 ** can be an ulp off the scalar pow
+    return _OU_EVEN_COEFFS[n] * np.float_power(t, n - 1) * (d_coeff * t + (n // 2) * x * x)
+
 
 def ou_density_exact(x, t, d_coeff, lam):
     """Exact density of the linearly restoring process with drift -lam*x.

@@ -25,39 +25,27 @@ from numpy.random import SFC64, Generator, SeedSequence
 from . import forked, kernels
 from .analysis import trapezoid
 from .errors import SolverError
-from .model import (
-    DensityField,
-    DriftSpec,
-    FAMILY_LINEAR,
-    FAMILY_QUADRATIC,
-    FAMILY_ZERO,
-    Grid,
-    em_steps,
-)
-from .oracles import example1_density_exact, ou_density_exact, w0_diffusion
+from .model import DensityField, DriftSpec, Grid, em_steps
+from .oracles import w0_diffusion
 
 
 def oracle_density(drift: DriftSpec, d_coeff: float, lam: float, x, t):
-    """Closed-form density of a built-in family at time t (lam = 0 falls back
-    to the heat kernel); a column t (``grid.t[:, None]``) gives the lattice."""
-    if drift.family == FAMILY_ZERO or lam == 0.0:
+    """The drift's closed-form density at time t (lam = 0 falls back to the
+    heat kernel); a column t (``grid.t[:, None]``) gives the lattice."""
+    if lam == 0.0:
         return w0_diffusion(x, t, d_coeff)
-    if drift.family == FAMILY_LINEAR:
-        return example1_density_exact(x, t, d_coeff, lam, drift.modulation)
-    if drift.family == FAMILY_QUADRATIC:
-        return ou_density_exact(x, t, d_coeff, lam)
-    raise ValueError(f"no closed-form density for drift family {drift.family!r}")
+    if drift.density is None:
+        raise ValueError(f"no closed-form density for drift family {drift.family!r}")
+    return drift.density(x, t, d_coeff, lam)
 
 
 def oracle_moments(drift: DriftSpec, d_coeff: float, lam: float, t):
     """(mean, variance) of the closed-form density at time t."""
-    if drift.family == FAMILY_ZERO or lam == 0.0:
+    if lam == 0.0:
         return 0.0, 2.0 * d_coeff * t
-    if drift.family == FAMILY_LINEAR:
-        return -lam * float(drift.modulation.antiderivative(t)), 2.0 * d_coeff * t
-    if drift.family == FAMILY_QUADRATIC:
-        return 0.0, d_coeff * (1.0 - np.exp(-2.0 * lam * t)) / lam
-    raise ValueError(f"no closed-form moments for drift family {drift.family!r}")
+    if drift.moments is None:
+        raise ValueError(f"no closed-form moments for drift family {drift.family!r}")
+    return drift.moments(t, d_coeff, lam)
 
 
 def fp_fd_solve(

@@ -102,6 +102,18 @@ class TestOu:
         dist = s["distances"]["w_pert_vs_w_exact"]["peak-relative-Linf"]["value"]
         assert max(dist) <= 2e-3
 
+    def test_run_does_not_import_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma, about 0.9 MB of RSS; run in a fresh
+        # interpreter, since another test may have imported it here
+        script = (
+            "import sys; from fpcascade.cli import main\n"
+            f"assert main(['ou', *{FAST!r}, '--paths', '200', '--out', {str(tmp_path / 'ou')!r}]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, sorted(m for m in sys.modules if m.startswith('numpy.ma'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_bad_sweep_rejected(self, tmp_path, monkeypatch):
         def must_not_run(cfg):
             raise AssertionError("a solver ran on a rejected sweep")

@@ -22,6 +22,7 @@ from fpcascade.model import (
 )
 from fpcascade.oracles import (
     ModulationV,
+    example1_density_exact,
     example1_s1,
     ou_density_exact,
     ou_s1,
@@ -180,8 +181,20 @@ class TestOuAllOrders:
         assert all(r >= 3.0 for r in ratios), (errs, ratios)
 
     def test_orders_past_the_derived_ones_rejected(self, small_grid):
-        with pytest.raises(ValueError, match="S_10"):
-            analytic_expansion(quadratic_ou(), 1.0, 0.1, 10, small_grid)
+        # the true S_10 at t0 is not zero, so the numeric cascade cannot start it from zero either
+        for expand in (analytic_expansion, solve_expansion):
+            for order in (9, 10):
+                with pytest.raises(ValueError, match=f"S_{order} for drift family 'quadratic_ou'"):
+                    expand(quadratic_ou(), 1.0, 0.1, order, small_grid)
+
+
+def test_drift_without_closed_forms_has_no_analytic_expansion(small_grid):
+    drift = DriftSpec(family="custom", term=quadratic_ou().term)
+    with pytest.raises(ValueError, match="drift family 'custom'"):
+        analytic_expansion(drift, 1.0, 0.1, 1, small_grid)
+    # S0 needs no closed form of the drift's own
+    s0 = analytic_expansion(zero_drift(), 1.0, 0.1, 0, small_grid).terms[0]
+    assert np.array_equal(analytic_expansion(drift, 1.0, 0.1, 0, small_grid).terms[0], s0)
 
 
 class TestAssembleDensity:
@@ -201,7 +214,7 @@ class TestAssembleDensity:
     def test_translation_identity_analytic_path(self, small_grid):
         drift = linear_time_modulated(COS)
         w = assemble_density(analytic_expansion(drift, 1.0, 0.5, 2, small_grid), drift)
-        assert translation_residual(w, 1.0, 0.5, COS) <= 1e-12
+        assert translation_residual(w, lambda x, t: example1_density_exact(x, t, 1.0, 0.5, COS)) <= 1e-12
 
     def test_ou_order2_equals_resummed_closed_form(self, small_grid):
         from fpcascade.oracles import ou_density_pert

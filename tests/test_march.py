@@ -104,9 +104,7 @@ def _solve_expansion(drift, d_coeff, order, grid):
     sol_padded = [np.array([s0_log_heat_kernel(xp, tj, d_coeff) for tj in t_nodes])]
     for n in range(1, order + 1):
         q = _source_arrays(n, drift, d_coeff, xp, t_nodes, grid.dx, sol_padded)
-        init = H._closed_form_term(drift, d_coeff, n, xp, grid.t0)
-        if init is None:
-            init = np.zeros(len(xp))
+        init = drift.action(n, xp, grid.t0, d_coeff)
         sol_padded.append(_advance_arrays(xp, t_nodes, grid.dx, grid.dt, d_coeff, q, init))
     return [np.ascontiguousarray(vals[:, m : m + grid.nx]) for vals in sol_padded]
 

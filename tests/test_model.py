@@ -243,22 +243,17 @@ def test_drift_coefficient_is_negative_gradient():
     assert np.allclose(lin.drift_coefficient(x, 0.7, 0.25), -0.5)
 
 
-BUILT_IN_DRIFTS = [
-    zero_drift(),
-    linear_time_modulated(ModulationV("cos", 1.3)),
-    linear_time_modulated(ModulationV("sin", 2.0)),
-    linear_time_modulated(ModulationV("const", v0=0.7)),
-    quadratic_ou(),
-]
-BUILT_IN_IDS = ["zero", "cos", "sin", "const", "ou"]
+MODULATIONS = {"cos": ModulationV("cos", 1.3), "sin": ModulationV("sin", 2.0), "const": ModulationV("const", v0=0.7)}
+BUILT_IN_DRIFTS = [zero_drift(), *map(linear_time_modulated, MODULATIONS.values()), quadratic_ou()]
+BUILT_IN_IDS = ["zero", *MODULATIONS, "ou"]
 
 
-def _du_dx_allocating(drift, x, t, lam):
-    """dU/dx = lam*U1' of a built-in family from array-valued evaluators, in
-    a fresh array."""
-    if drift.family == "linear_time_modulated":
-        return lam * (np.ones_like(x) * drift.modulation.value(t))
-    if drift.family == "quadratic_ou":
+def _du_dx_allocating(name, x, t, lam):
+    """dU/dx = lam*U1' of the built-in drift ``name`` (a BUILT_IN_IDS entry)
+    from array-valued evaluators, in a fresh array."""
+    if name in MODULATIONS:
+        return lam * (np.ones_like(x) * MODULATIONS[name].value(t))
+    if name == "ou":
         return lam * x.copy()
     return lam * np.zeros_like(x)
 
@@ -267,9 +262,9 @@ EDGE_X = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.37, -2.5])
 
 
 @pytest.mark.parametrize("lam", [0.0, -0.0, 0.1, -0.1])
-@pytest.mark.parametrize("drift", BUILT_IN_DRIFTS, ids=BUILT_IN_IDS)
-def test_drift_out_is_bit_identical_to_allocating_sum(drift, lam):
-    expected = _du_dx_allocating(drift, EDGE_X, 0.9, lam)
+@pytest.mark.parametrize("drift, name", list(zip(BUILT_IN_DRIFTS, BUILT_IN_IDS)), ids=BUILT_IN_IDS)
+def test_drift_out_is_bit_identical_to_allocating_sum(drift, name, lam):
+    expected = _du_dx_allocating(name, EDGE_X, 0.9, lam)
     out = np.full_like(EDGE_X, np.nan)
     assert drift.du_dx_total(EDGE_X, 0.9, lam, out=out) is out
     assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))

@@ -10,7 +10,7 @@ import pytest
 from fpcascade import forked, reference
 from fpcascade.analysis import trapezoid
 from fpcascade.errors import SolverError
-from fpcascade.model import Grid, linear_time_modulated, quadratic_ou, zero_drift
+from fpcascade.model import DriftSpec, Grid, linear_time_modulated, quadratic_ou, zero_drift
 from fpcascade.oracles import ModulationV, example1_density_exact, ou_density_exact, w0_diffusion
 from fpcascade.reference import (
     density_from_samples,
@@ -27,6 +27,18 @@ SEED = 20107
 def normalized_init(drift, lam, grid, d=1.0):
     w = oracle_density(drift, d, lam, grid.x, grid.t0)
     return w / float(trapezoid(w, grid.dx))
+
+
+def test_drift_without_closed_forms_has_no_oracle():
+    drift = DriftSpec(family="custom", term=quadratic_ou().term)
+    x = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValueError, match="no closed-form density for drift family 'custom'"):
+        oracle_density(drift, 1.0, 0.1, x, 0.5)
+    with pytest.raises(ValueError, match="no closed-form moments for drift family 'custom'"):
+        oracle_moments(drift, 1.0, 0.1, 0.5)
+    # lam = 0 is the heat kernel whatever the drift
+    assert np.array_equal(oracle_density(drift, 1.0, 0.0, x, 0.5), w0_diffusion(x, 0.5, 1.0))
+    assert oracle_moments(drift, 1.0, 0.0, 0.5) == (0.0, 1.0)
 
 
 class TestFdSolver:
