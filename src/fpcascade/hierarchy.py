@@ -33,7 +33,7 @@ import numpy as np
 from . import kernels
 from .analysis import trapezoid
 from .errors import SolverError
-from .model import MAX_EXPANSION_ORDER, ActionExpansion, DensityField, DriftSpec, Grid
+from .model import MAX_EXPANSION_ORDER, ActionExpansion, DensityField, DriftSpec, Grid, cascade_pad
 from .oracles import s0_log_heat_kernel
 from .transform import potential_exponent, effective_potential_order
 
@@ -124,14 +124,9 @@ def _march(drift, orders, x, t_nodes, dx, dt, d_coeff, inits):
 
 
 def _padded_nodes(grid: Grid, d_coeff: float):
-    """Padded x nodes for the internal cascade solve, plus the crop offset.
-
-    The pad pushes the closure's boundary layer far enough out that its
-    amplitude at the requested edge is suppressed by about exp(-10).
-    """
-    half = max(abs(grid.x_min), abs(grid.x_max))
-    target = np.sqrt(half * half + 20.0 * d_coeff * grid.t_max)
-    m = max(int(np.ceil((target - half) / grid.dx)), 8)
+    """Padded x nodes for the internal cascade solve, plus the crop offset
+    (model.cascade_pad)."""
+    m = int(cascade_pad(grid, d_coeff))
     xp = grid.x_min + (np.arange(grid.nx + 2 * m) - m) * grid.dx
     return xp, m
 
@@ -147,8 +142,6 @@ def solve_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, gr
     """
     if order > MAX_EXPANSION_ORDER:  # no closed form to start the order from
         raise ValueError(f"no closed-form action term S_{order} for drift family {drift.family!r}")
-    if grid.nx < 5:
-        raise SolverError("the cascade solver needs nx >= 5 for its boundary closure")
     xp, m = _padded_nodes(grid, d_coeff)
     orders = range(1, order + 1)
     if drift.action is None:

@@ -4,6 +4,7 @@ All types are immutable after construction (frozen dataclasses, read-only
 arrays) and therefore safe to share across threads.
 """
 
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -56,8 +57,12 @@ class Grid:
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise ConfigError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
-        if self.nx < 3:
-            raise ConfigError(f"nx must be >= 3 to form a second difference, got {self.nx}")
+        if self.nx < 5:
+            raise ConfigError(f"nx must be >= 5 for the cascade and FD solvers, got {self.nx}")
+        if not 0 < self.dx <= sys.float_info.max:
+            raise ConfigError(
+                f"node spacing (x_max - x_min) / (nx - 1) must be positive and finite, got {self.dx}"
+            )
         if not self.t0 > 0:
             raise ConfigError(f"t0 must be > 0 (singular start time), got {self.t0}")
         if not self.t_max > self.t0:
@@ -86,6 +91,20 @@ class Grid:
     def refined(self) -> "Grid":
         """Grid with dx and dt both halved (same extent)."""
         return Grid(self.x_min, self.x_max, 2 * self.nx - 1, self.t0, self.t_max, 2 * self.nt - 1)
+
+
+def cascade_pad(grid: Grid, d_coeff: float) -> float:
+    """Nodes the numeric cascade adds on each side of the grid, a whole float
+    of at least 8 (inf where the target width leaves the float range).
+
+    The pad pushes the boundary closure's layer far enough out that its
+    amplitude at the requested edge is suppressed by about exp(-10).
+    """
+    # in Python floats, which overflow to inf without a warning (a JSON
+    # config may hold ints, whose square need not convert to a float)
+    half = float(max(abs(grid.x_min), abs(grid.x_max)))
+    target = math.sqrt(half * half + 20.0 * d_coeff * grid.t_max)
+    return max(float(np.ceil((target - half) / grid.dx)), 8.0)
 
 
 NEGATIVITY_FLOOR = -1e-12
@@ -124,28 +143,9 @@ class DensityField:
         object.__setattr__(self, "populated", mask)
 
 
-@dataclass(frozen=True)
-class PotentialTerm:
-    """The first-order drift potential U_1 with its analytic derivatives.
-
-    All four evaluators take (x, t), each a scalar or an ndarray, t broadcasting
-    against x (``grid.t[:, None]`` for the whole lattice), and must be
-    elementwise, so one lattice call equals the per-slice calls bit for bit.
-    They return values that broadcast against x and t, a scalar where the term
-    is constant in x, or x itself, so callers must not write into a result.
-    """
-
-    u: _EvalFn
-    du_dx: _EvalFn
-    d2u_dx2: _EvalFn
-    du_dt: _EvalFn
-
-
 def _zero(x, t):
     return 0.0
 
-
-ZERO_TERM = PotentialTerm(u=_zero, du_dx=_zero, d2u_dx2=_zero, du_dt=_zero)
 
 FAMILY_ZERO = "zero"
 FAMILY_LINEAR = "linear_time_modulated"
@@ -154,46 +154,34 @@ FAMILY_QUADRATIC = "quadratic_ou"
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Drift potential U(x,t) = lam U_1(x,t), first order in lam, with
-    ``term`` holding U_1.  The built-in constructors attach the family's closed
-    forms, None otherwise: ``action(n, x, t, D)``, S_n for n = 1..8, and for
-    lam != 0 ``density(x, t, D, lam)`` and its ``moments(t, D, lam)``, (mean, variance).
+    """Drift potential U(x,t) = lam U_1(x,t), first order in lam.
+
+    ``u``, ``du_dx``, ``d2u_dx2`` and ``du_dt`` evaluate U_1 and its analytic
+    derivatives.  Each takes (x, t), a scalar or an ndarray, t broadcasting
+    against x (``grid.t[:, None]`` for the whole lattice), and must be
+    elementwise, so one lattice call equals the per-slice calls bit for bit.
+    They return values that broadcast against x and t, a scalar where the term
+    is constant in x, or x itself, so callers must not write into a result.
+
+    The built-in constructors attach the family's closed forms, None
+    otherwise: ``action(n, x, t, D)``, S_n for n = 1..8, and for lam != 0
+    ``density(x, t, D, lam)`` and its ``moments(t, D, lam)``, (mean, variance).
     """
 
     family: str
-    term: PotentialTerm
+    u: _EvalFn
+    du_dx: _EvalFn
+    d2u_dx2: _EvalFn
+    du_dt: _EvalFn
     action: Optional[Callable] = None
     density: Optional[Callable] = None
     moments: Optional[Callable] = None
-
-    def u_total(self, x, t, lam):
-        """U(x,t) at the given lam."""
-        return self._total("u", x, t, lam)
-
-    def du_dx_total(self, x, t, lam, out=None):
-        return self._total("du_dx", x, t, lam, out)
-
-    def drift_coefficient(self, x, t, lam, out=None):
-        """D1(x,t) = -dU/dx, the force entering the Fokker-Planck equation,
-        written into ``out`` when one is given (see ``_total``)."""
-        out = self.du_dx_total(x, t, lam, out)
-        return np.negative(out, out=out)
-
-    def _total(self, which, x, t, lam, out=None):
-        """lam * U_1.which(x, t), written into ``out`` (float64, shaped like
-        x, not sharing memory with x), or into a fresh array when ``out`` is
-        None."""
-        x = np.asarray(x, dtype=float)
-        if out is None:
-            out = np.empty(x.shape)
-        return np.multiply(getattr(self.term, which)(x, t), lam, out=out)
 
 
 def zero_drift() -> DriftSpec:
     """Free diffusion: U identically zero."""
     return DriftSpec(
-        family=FAMILY_ZERO,
-        term=ZERO_TERM,
+        FAMILY_ZERO, _zero, _zero, _zero, _zero,
         action=lambda n, x, t, d_coeff: np.zeros_like(np.asarray(x, dtype=float)),
         density=lambda x, t, d_coeff, lam: oracles.w0_diffusion(x, t, d_coeff),
         moments=lambda t, d_coeff, lam: (0.0, 2.0 * d_coeff * t),
@@ -212,10 +200,8 @@ def linear_time_modulated(v: ModulationV) -> DriftSpec:
     def du_dt(x, t):
         return np.asarray(x, dtype=float) * v.derivative(t)
 
-    term = PotentialTerm(u=u, du_dx=du_dx, d2u_dx2=_zero, du_dt=du_dt)
     return DriftSpec(
-        family=FAMILY_LINEAR,
-        term=term,
+        FAMILY_LINEAR, u, du_dx, _zero, du_dt,
         action=lambda n, x, t, d_coeff: oracles.example1_action(n, x, t, v),
         density=lambda x, t, d_coeff, lam: oracles.example1_density_exact(x, t, d_coeff, lam, v),
         moments=lambda t, d_coeff, lam: (-lam * float(v.antiderivative(t)), 2.0 * d_coeff * t),
@@ -235,10 +221,8 @@ def quadratic_ou() -> DriftSpec:
     def d2u_dx2(x, t):
         return 1.0
 
-    term = PotentialTerm(u=u, du_dx=du_dx, d2u_dx2=d2u_dx2, du_dt=_zero)
     return DriftSpec(
-        family=FAMILY_QUADRATIC,
-        term=term,
+        FAMILY_QUADRATIC, u, du_dx, d2u_dx2, _zero,
         action=oracles.ou_action,
         density=oracles.ou_density_exact,
         moments=lambda t, d_coeff, lam: (0.0, d_coeff * (1.0 - np.exp(-2.0 * lam * t)) / lam),
@@ -384,13 +368,17 @@ def validate_config(cfg: RunConfig) -> ValidatedConfig:
         raise ConfigError(f"seed must fit in 64 bits, got {cfg.seed}")
     if not cfg.mc_dt > 0:
         raise ConfigError(f"mc_dt must be > 0, got {cfg.mc_dt}")
-    if cfg.nx < 5:
-        raise ConfigError(f"nx must be >= 5 for the cascade and FD solvers, got {cfg.nx}")
     grid = Grid(cfg.x_min, cfg.x_max, cfg.nx, cfg.t0, cfg.t_max, cfg.nt)  # raises ConfigError
     # before grid.t or grid.x exists: either would allocate the lattice's axes
     if cfg.nt * cfg.nx > _MAX_LATTICE_NODES:
         raise ConfigError(
             f"nt * nx must be <= {_MAX_LATTICE_NODES:.0e} lattice nodes, got {cfg.nt} x {cfg.nx}"
+        )
+    padded = cfg.nx + 2.0 * cascade_pad(grid, cfg.d_coeff)
+    if not cfg.nt * padded <= _MAX_LATTICE_NODES:  # a float compare: the pad may be inf
+        raise ConfigError(
+            f"nt * (nx + 2 x cascade pad) must be <= {_MAX_LATTICE_NODES:.0e} padded cascade nodes, "
+            f"got {cfg.nt} x {padded:.3e}"
         )
     if not np.isfinite((cfg.t_max - cfg.t0) / cfg.mc_dt):  # no Monte Carlo segment spans more
         raise ConfigError(f"mc_dt must give a finite step count (t_max - t0) / mc_dt, got {cfg.mc_dt}")

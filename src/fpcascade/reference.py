@@ -64,8 +64,6 @@ def fp_fd_solve(
     next to the absorbing boundary ever exceeds ``boundary_tol`` of the slice
     peak (the domain is then too narrow for the run).
     """
-    if grid.nx < 5:
-        raise SolverError("the FD solver needs nx >= 5")
     w_init = np.asarray(w_init, dtype=float)
     if w_init.shape != (grid.nx,):
         raise ValueError(f"initial slice must have shape ({grid.nx},)")
@@ -106,7 +104,8 @@ def fp_fd_solve(
     band = None
     for j in range(grid.nt - 1):
         tm = grid.t[j] + 0.5 * dt
-        drift.drift_coefficient(x_half, tm, lam, out=a_next)
+        np.multiply(drift.du_dx(x_half, tm), lam, out=a_next)
+        np.negative(a_next, out=a_next)
         if band is None or not np.array_equal(a_next.view(np.uint64), a_half.view(np.uint64)):
             band = kernels.fp_band(a_next, d_coeff, dt, dx)
             a_half, a_next = a_next, a_half
@@ -236,12 +235,12 @@ def _em_paths(drift, lam, t0, segments, mean0, sd0, gens, positions, z, a):
 def em_step(drift, lam, x, t, h, dz, a):
     """One Euler-Maruyama step in place: x <- (x + D1(x,t)*h) + dz.
 
-    dU/dx goes into the work buffer ``a`` (shaped like x, not sharing memory
-    with it), so the step allocates nothing.  ``dU/dx * (-h)`` is
-    ``(-dU/dx) * h`` bit for bit, so the result equals the allocating
-    ``x + drift_coefficient(x, t, lam)*h + dz`` in every bit.
+    dU/dx = lam U_1' goes into the work buffer ``a`` (float64, shaped like x,
+    not sharing memory with it), so the step allocates nothing.  ``dU/dx *
+    (-h)`` is ``(-dU/dx) * h`` bit for bit, so the result equals the
+    allocating ``x + (-(lam * drift.du_dx(x, t)))*h + dz`` in every bit.
     """
-    drift.du_dx_total(x, t, lam, out=a)
+    np.multiply(drift.du_dx(x, t), lam, out=a)
     np.multiply(a, -h, out=a)
     np.add(x, a, out=x)
     np.add(x, dz, out=x)

@@ -30,9 +30,9 @@ def effective_potential_order(drift: DriftSpec, d_coeff: float, n: int, x, t):
     x = np.asarray(x, dtype=float)
     vals = 0.0
     if n == 1:
-        vals = 0.5 * d_coeff * drift.term.d2u_dx2(x, t) + 0.5 * drift.term.du_dt(x, t)
+        vals = 0.5 * d_coeff * drift.d2u_dx2(x, t) + 0.5 * drift.du_dt(x, t)
     elif n == 2:
-        du = drift.term.du_dx(x, t)
+        du = drift.du_dx(x, t)
         vals = -0.25 * (du * du)
     return np.broadcast_to(vals, np.broadcast_shapes(x.shape, np.shape(vals)))
 
@@ -40,7 +40,7 @@ def effective_potential_order(drift: DriftSpec, d_coeff: float, n: int, x, t):
 def potential_exponent(drift: DriftSpec, d_coeff: float, lam: float, grid):
     """U/2D on the whole grid; raises TransformOverflowError naming the first
     node where exp() of it would leave the double range."""
-    expo = drift.u_total(np.broadcast_to(grid.x, (grid.nt, grid.nx)), grid.t[:, None], lam)
+    expo = np.multiply(drift.u(grid.x, grid.t[:, None]), lam, out=np.empty((grid.nt, grid.nx)))
     expo /= 2.0 * d_coeff
     bad = np.argwhere(np.abs(expo) > _EXP_LIMIT)
     if bad.size:

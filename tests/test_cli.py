@@ -131,11 +131,14 @@ class TestOu:
             assert main(["ou", "--lambda-sweep", sweep, "--out", str(tmp_path)]) == EXIT_CONFIG
 
     def test_nonfinite_action_sum_is_a_solver_abort(self, tmp_path):
-        # S_2 overflows at t = 1e300; run as the user does, so that stderr
-        # shows everything the user sees: the abort line and no numpy warning
+        # S_2 overflows at t = 1e300 (its -D t^2 / 12 at D = 1e-289); run as the
+        # user does, so that stderr shows everything the user sees: the abort
+        # line and no numpy warning.  The small D keeps the cascade's padded
+        # width 20 D t_max under its cap (at D = 1 the run is a config error,
+        # test_nonfinite_or_invalid_value_rejected[cascade-pad-t-max-1e300])
         argv = ["ou", "--x-min", "-16", "--x-max", "16", "--nx", "161", "--t0", "0.1",
                 "--t-max", "1e300", "--nt", "3", "--paths", "3000", "--mc-dt", "1e299",
-                "--out", str(tmp_path / "out")]
+                "--d", "1e-289", "--out", str(tmp_path / "out")]
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         proc = subprocess.run([sys.executable, "-m", "fpcascade", *argv], env=env,
                               capture_output=True, text=True, timeout=120)
@@ -285,10 +288,21 @@ class TestFailures:
         # validated, then killed once its lattices had exhausted memory
         (["example1", "--nx", "1000000000"], None,
          "nt * nx must be <= 1e+08 lattice nodes, got 199 x 1000000000"),
+        # these validated, then died building the cascade's padded row
+        (["ou", "--x-min", "0", "--x-max", "1e-300", "--nx", "161", "--nt", "29", "--t0", "0.1",
+          "--t-max", "1.5", "--paths", "3000", "--mc-dt", "0.01"], None,
+         "nt * (nx + 2 x cascade pad) must be <= 1e+08 padded cascade nodes, got 29 x 1.753e+303"),
+        (["example1", "--x-min", "0", "--x-max", "1e-300", "--nx", "161", "--nt", "29", "--t0", "0.1",
+          "--t-max", "1.5", "--paths", "3000", "--mc-dt", "0.01", "--d", "1e300"], None,
+         "nt * (nx + 2 x cascade pad) must be <= 1e+08 padded cascade nodes, got 29 x inf"),
+        (["ou", "--x-min", "-16", "--x-max", "16", "--nx", "161", "--t0", "0.1", "--t-max", "1e300",
+          "--nt", "3", "--paths", "3000", "--mc-dt", "1e299"], None,
+         "nt * (nx + 2 x cascade pad) must be <= 1e+08 padded cascade nodes, got 3 x 4.472e+151"),
     ], ids=["lam-nan", "lam-minus-inf", "d-inf", "x-max-inf", "t-max-inf", "v0-nan", "json-lam-nan",
             "json-lam-huge-int", "json-mass-tol-inf", "json-checkpoint-nan", "json-checkpoint-huge-int",
             "omega-negative", "sin-omega-zero", "json-v-kind-tan", "mc-dt-subnormal", "mc-dt-tiny-ou",
-            "mc-path-steps-huge", "mc-dt-past-span", "lattice-huge"])
+            "mc-path-steps-huge", "mc-dt-past-span", "lattice-huge",
+            "cascade-pad-tiny-domain", "cascade-pad-huge-d", "cascade-pad-t-max-1e300"])
     def test_nonfinite_or_invalid_value_rejected(self, tmp_path, monkeypatch, capsys, argv, bad, message):
         def must_not_run(cfg):
             raise AssertionError("a solver ran on a rejected config")

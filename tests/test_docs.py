@@ -1,6 +1,7 @@
 """Traceability: every test name cited in the verification guide must exist,
 and every command line the docs show must parse."""
 
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -64,6 +65,25 @@ def test_every_cited_module_name_exists():
          if not hasattr(importlib.import_module(f"fpcascade.{module}"), name)}
     )
     assert not missing, f"the docs cite names that no module defines: {missing}"
+
+
+def test_every_cited_class_attribute_exists():
+    """Every backticked ``Class.attr`` of an exported dataclass names one of
+    its attributes or dataclass fields (a field without a default is no class
+    attribute), so a deleted method or field cannot stay documented."""
+    classes = {cls.__name__: cls for cls in (fpcascade.DriftSpec, fpcascade.Grid, fpcascade.RunConfig,
+                                             fpcascade.DensityField, fpcascade.ActionExpansion,
+                                             fpcascade.ModulationV)}
+    pattern = r"`(?:fpcascade\.)?(?:\w+\.)?(" + "|".join(classes) + r")\.(\w+)"
+    cited = []
+    for path in (ROOT / "README.md", DOCS / "method.md", DOCS / "verification.md"):
+        cited += re.findall(pattern, path.read_text(encoding="utf-8"))
+    assert cited
+    missing = sorted(
+        {f"{cls}.{name}" for cls, name in cited
+         if not hasattr(classes[cls], name) and name not in {f.name for f in dataclasses.fields(classes[cls])}}
+    )
+    assert not missing, f"the docs cite attributes that no class defines: {missing}"
 
 
 def documented_commands():

@@ -15,7 +15,6 @@ from fpcascade.model import (
     ActionExpansion,
     DriftSpec,
     Grid,
-    PotentialTerm,
     linear_time_modulated,
     quadratic_ou,
     zero_drift,
@@ -99,7 +98,8 @@ class TestAdvanceTerm:
     def test_ou_s1_zero_init_gives_t_minus_t0(self, small_grid):
         # the quadratic potential with no closed form to start from: source
         # D/2 with a zero start, S = (t - t0)/2, exact for the scheme
-        drift = DriftSpec(family="custom", term=quadratic_ou().term)
+        ou = quadratic_ou()
+        drift = DriftSpec("custom", ou.u, ou.du_dx, ou.d2u_dx2, ou.du_dt)
         term = solve_expansion(drift, 1.0, 0.1, 1, small_grid).terms[1]
         expected = 0.5 * (small_grid.t - small_grid.t0)
         assert np.abs(term - expected[:, None]).max() <= 1e-8
@@ -132,13 +132,13 @@ class TestSolveExpansion:
 
     def test_failure_carries_order_index(self, small_grid):
         # a source evaluator that blows up at order 1
-        bad = PotentialTerm(
-            u=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-            du_dx=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-            d2u_dx2=lambda x, t: np.full_like(np.asarray(x, dtype=float), np.inf),
-            du_dt=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        )
-        drift = DriftSpec(family="custom", term=bad)
+        def zero(x, t):
+            return np.zeros_like(np.asarray(x, dtype=float))
+
+        def inf(x, t):
+            return np.full_like(np.asarray(x, dtype=float), np.inf)
+
+        drift = DriftSpec("custom", zero, zero, inf, zero)
         with pytest.raises(SolverError, match="order 1"):
             solve_expansion(drift, 1.0, 0.1, 1, small_grid)
 
@@ -189,7 +189,8 @@ class TestOuAllOrders:
 
 
 def test_drift_without_closed_forms_has_no_analytic_expansion(small_grid):
-    drift = DriftSpec(family="custom", term=quadratic_ou().term)
+    ou = quadratic_ou()
+    drift = DriftSpec("custom", ou.u, ou.du_dx, ou.d2u_dx2, ou.du_dt)
     with pytest.raises(ValueError, match="drift family 'custom'"):
         analytic_expansion(drift, 1.0, 0.1, 1, small_grid)
     # S0 needs no closed form of the drift's own

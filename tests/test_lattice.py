@@ -9,7 +9,7 @@ from fpcascade.hierarchy import _gradient, _source_arrays, cascade_residual, sol
 from fpcascade.model import Grid, linear_time_modulated, quadratic_ou, zero_drift
 from fpcascade.oracles import ModulationV, log_resummation_gap, s0_log_heat_kernel
 from fpcascade.reference import oracle_density
-from fpcascade.transform import effective_potential_order
+from fpcascade.transform import effective_potential_order, potential_exponent
 
 # 400 time nodes: numpy's vectorized float64 power differs from the scalar pow
 # by an ulp on about 5% of such t, so a `**` in a closed form would show here
@@ -44,9 +44,9 @@ def test_lattice_call_equals_per_slice_calls(name):
         # the CLI takes w_exact from this call as it stands, so it must be the full lattice
         exact = _assert_lattice(lambda xx, tt: oracle_density(drift, D, lam, xx, tt), x, t)
         assert exact.shape == (GRID.nt, GRID.nx)
-        rows = np.array([drift.u_total(x, tj, lam) for tj in t])
-        lattice = drift.u_total(np.broadcast_to(x, rows.shape), t[:, None], lam)
-        assert lattice.tobytes() == rows.tobytes()
+        # U/2D = lam U_1 / 2D
+        rows = np.array([np.multiply(np.broadcast_to(drift.u(x, tj), x.shape), lam) / (2.0 * D) for tj in t])
+        assert potential_exponent(drift, D, lam, GRID).tobytes() == rows.tobytes()
         gaps = np.array([log_resummation_gap(lam, tj) for tj in t])
         assert log_resummation_gap(lam, t).tobytes() == gaps.tobytes()
     for n in range(4):

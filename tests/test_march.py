@@ -17,7 +17,6 @@ from fpcascade.errors import SolverError
 from fpcascade.model import (
     DriftSpec,
     Grid,
-    PotentialTerm,
     linear_time_modulated,
     quadratic_ou,
     zero_drift,
@@ -148,7 +147,7 @@ def test_failure_at_a_higher_order_names_it():
     def huge(x, t):
         return 1e200
 
-    drift = DriftSpec(family="custom", term=PotentialTerm(zero, huge, zero, zero))
+    drift = DriftSpec("custom", zero, huge, zero, zero)
     with pytest.raises(SolverError, match="cascade failed at order 2"):
         H.solve_expansion(drift, D, LAM, 3, _grid(NTS[-1]))
 
@@ -163,7 +162,7 @@ def _fp_loop(drift, d_coeff, lam, grid, w_init):
     vals[0] = w_init
     vals[0, 0] = vals[0, -1] = 0.0
     for j in range(grid.nt - 1):
-        a_half = drift.drift_coefficient(x_half, grid.t[j] + 0.5 * dt, lam)
+        a_half = -(lam * np.broadcast_to(drift.du_dx(x_half, grid.t[j] + 0.5 * dt), x_half.shape))
         ar, al = a_half[1:], a_half[:-1]
         w_in = vals[j]
         diag = np.full(grid.nx - 2, 1.0 + 2.0 * alpha) + g * (ar - al)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,13 +13,15 @@ from fpcascade.model import (
     Grid,
     RunConfig,
     build_drift,
+    cascade_pad,
     linear_time_modulated,
     quadratic_ou,
     validate_config,
     zero_drift,
 )
 from fpcascade.oracles import ModulationV
-from fpcascade.reference import density_from_samples
+from fpcascade.reference import density_from_samples, em_step
+from fpcascade.transform import potential_exponent
 
 
 def default_example1_config(**overrides):
@@ -103,7 +106,43 @@ class TestValidateConfig:
         finally:
             tracemalloc.stop()
         assert peak < 64_000
-        validate_config(RunConfig(nt=10**4, nx=10**4))  # exactly 1e8 nodes
+        # exactly 1e8 nodes once the cascade pads each row by 2 x 385 nodes
+        validate_config(RunConfig(nt=10**4, nx=9230))
+        with pytest.raises(ConfigError, match=r"padded cascade nodes, got 10001 x 1\.000e\+04$"):
+            validate_config(RunConfig(nt=10**4 + 1, nx=9230))
+
+    @pytest.mark.parametrize("overrides, padded", [
+        (dict(x_min=-1e-6, x_max=1e-6), "9.600e+09"),
+        (dict(d_coeff=1e9), "1.265e+07"),
+        (dict(d_coeff=1e308, t_max=10.0), "inf"),  # 20 D t_max overflows
+        (dict(x_min=-10**300, x_max=10**300), "inf"),  # ints, as a JSON config gives them
+        (dict(family="quadratic_ou", x_min=0.0, x_max=1e-300, nx=161, nt=29, t0=0.1, t_max=1.5,
+              n_paths=3000, mc_dt=0.01), "1.753e+303"),
+        (dict(x_min=-16.0, x_max=16.0, nx=161, nt=29, t0=0.1, t_max=1.5, n_paths=3000, mc_dt=0.01,
+              d_coeff=1e300), "5.477e+151"),
+    ], ids=["narrow-domain", "large-d", "pad-past-float-range", "int-domain-squared-past-float-range",
+        "cli-ou-tiny-domain", "cli-example1-huge-d"])
+    def test_padded_cascade_width_rejected_before_any_row_exists(self, overrides, padded):
+        # the cascade pads each row to nx + 2 m nodes; these passed the
+        # nt * nx cap and then asked np.arange for GBs or more than it can
+        # give, or overflowed converting the squared half-width to a float
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=rf"padded cascade nodes, got \d+ x {re.escape(padded)}$"):
+                validate_config(RunConfig(**overrides))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000
+
+    def test_benchmark_grids_pass_the_padded_width_cap(self):
+        # W1 and W2 as the CLI runs them, and the refined acceptance cascade grid
+        for cfg, padded in ((RunConfig(), 1041),
+                            (RunConfig(family="quadratic_ou", lam=0.1, x_min=-12.0, x_max=12.0, nx=241,
+                                       t0=0.05, t_max=1.0, nt=21, n_paths=100000), 259),
+                            (default_example1_config(nx=1601, nt=999), 2265)):
+            validated = validate_config(cfg)
+            assert cfg.nx + 2 * cascade_pad(validated.grid, cfg.d_coeff) == padded
 
     def test_negative_diffusion(self):
         with pytest.raises(ConfigError, match="diffusion"):
@@ -156,6 +195,13 @@ class TestGrid:
             Grid(1.0, -1.0, 11, 0.1, 1.0, 5)
         with pytest.raises(ConfigError):
             Grid(-1.0, 1.0, 11, 0.5, 0.5, 5)
+        with pytest.raises(ConfigError, match="nx must be >= 5 for the cascade and FD solvers, got 4"):
+            Grid(-1.0, 1.0, 4, 0.1, 1.0, 5)
+        Grid(-1.0, 1.0, 5, 0.1, 1.0, 5)
+        # x_max - x_min underflows to a zero spacing, or overflows to inf
+        for x_min, x_max in ((0.0, 5e-324), (-1e308, 1e308)):
+            with pytest.raises(ConfigError, match="node spacing"):
+                Grid(x_min, x_max, 5, 0.1, 1.0, 5)
 
     def test_node_reconstruction_bit_identical(self):
         g = Grid(-10.0, 10.0, 801, 0.01, 5.0, 500)
@@ -211,11 +257,10 @@ def test_drift_derivatives_second_order(drift):
     x = rng.uniform(-5, 5, size=100)
     t = rng.uniform(0.1, 4.0, size=100)
     h = 1e-4
-    term = drift.term
     for exact, approx in [
-        (term.du_dx, lambda xx, tt, hh: _central(term.u, xx, tt, hh)),
-        (term.d2u_dx2, lambda xx, tt, hh: _central(term.du_dx, xx, tt, hh)),
-        (term.du_dt, lambda xx, tt, hh: _central_t(term.u, xx, tt, hh)),
+        (drift.du_dx, lambda xx, tt, hh: _central(drift.u, xx, tt, hh)),
+        (drift.d2u_dx2, lambda xx, tt, hh: _central(drift.du_dx, xx, tt, hh)),
+        (drift.du_dt, lambda xx, tt, hh: _central_t(drift.u, xx, tt, hh)),
     ]:
         err_h = np.abs(exact(x, t) - approx(x, t, h)).max()
         err_h2 = np.abs(exact(x, t) - approx(x, t, h / 2)).max()
@@ -224,23 +269,27 @@ def test_drift_derivatives_second_order(drift):
 
 
 def test_family_order_structure():
-    # U = lam U_1: the potential vanishes at lam = 0 and is U_1 at lam = 1
-    x = np.array([1.0, -2.0])
+    # U = lam U_1: the potential U/2D vanishes at lam = 0 and is U_1/2D at lam = 1
+    grid = Grid(-2.0, 2.0, 5, 0.3, 0.5, 2)
+    x, t = grid.x, grid.t[:, None]
     lin = linear_time_modulated(ModulationV("cos", 1.0))
-    assert np.all(lin.u_total(x, 0.3, 0.0) == 0.0)
-    assert np.allclose(lin.u_total(x, 0.3, 1.0), x * np.cos(0.3))
+    assert np.allclose(lin.u(x, t), x * np.cos(t))
     ou = quadratic_ou()
-    assert np.all(ou.u_total(x, 0.3, 0.0) == 0.0)
-    assert np.allclose(ou.term.u(x, 0.0), x * x / 2)
-    assert np.all(zero_drift().u_total(x, 0.3, 0.7) == 0.0)
+    assert np.allclose(ou.u(x, 0.0), x * x / 2)
+    assert np.all(zero_drift().u(x, 0.3) == 0.0)
+    for drift in (lin, ou, zero_drift()):
+        assert np.all(potential_exponent(drift, 0.5, 0.0, grid) == 0.0)
+        assert np.allclose(potential_exponent(drift, 0.5, 1.0, grid), drift.u(x, t))
 
 
 def test_drift_coefficient_is_negative_gradient():
-    ou = quadratic_ou()
+    # one noiseless Euler-Maruyama step of h = 1 moves x by D1 = -lam U_1'
     x = np.linspace(-3, 3, 7)
-    assert np.allclose(ou.drift_coefficient(x, 0.0, 0.1), -0.1 * x)
-    lin = linear_time_modulated(ModulationV("const", v0=2.0))
-    assert np.allclose(lin.drift_coefficient(x, 0.7, 0.25), -0.5)
+    for drift, lam, t, d1 in ((quadratic_ou(), 0.1, 0.0, -0.1 * x),
+                              (linear_time_modulated(ModulationV("const", v0=2.0)), 0.25, 0.7, -0.5)):
+        x_new = x.copy()
+        em_step(drift, lam, x_new, t, 1.0, np.zeros_like(x), np.empty_like(x))
+        assert np.allclose(x_new - x, d1)
 
 
 MODULATIONS = {"cos": ModulationV("cos", 1.3), "sin": ModulationV("sin", 2.0), "const": ModulationV("const", v0=0.7)}
@@ -264,20 +313,19 @@ EDGE_X = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.37, -2.5])
 @pytest.mark.parametrize("lam", [0.0, -0.0, 0.1, -0.1])
 @pytest.mark.parametrize("drift, name", list(zip(BUILT_IN_DRIFTS, BUILT_IN_IDS)), ids=BUILT_IN_IDS)
 def test_drift_out_is_bit_identical_to_allocating_sum(drift, name, lam):
+    # em_step's drift buffer against x + (-dU/dx)*h + dz from fresh arrays
+    h, dz = 0.01, np.linspace(-1.0, 1.0, len(EDGE_X))
     expected = _du_dx_allocating(name, EDGE_X, 0.9, lam)
-    out = np.full_like(EDGE_X, np.nan)
-    assert drift.du_dx_total(EDGE_X, 0.9, lam, out=out) is out
-    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
-    assert drift.drift_coefficient(EDGE_X, 0.9, lam, out=out) is out
-    assert np.array_equal(out.view(np.uint64), (-expected).view(np.uint64))
-    fresh = drift.drift_coefficient(EDGE_X, 0.9, lam)
-    assert np.array_equal(fresh.view(np.uint64), (-expected).view(np.uint64))
+    x, a = EDGE_X.copy(), np.full_like(EDGE_X, np.nan)
+    em_step(drift, lam, x, 0.9, h, dz, a)
+    assert np.array_equal(a.view(np.uint64), (expected * -h).view(np.uint64))
+    assert np.array_equal(x.view(np.uint64), (EDGE_X + (-expected) * h + dz).view(np.uint64))
 
 
 @pytest.mark.parametrize("drift", BUILT_IN_DRIFTS, ids=BUILT_IN_IDS)
 def test_drift_out_allocates_no_path_sized_array(drift):
     x = np.linspace(-5.0, 5.0, 100_000)
-    out = np.empty_like(x)
+    dz, a = np.zeros_like(x), np.empty_like(x)
 
     def peak_bytes(call):
         call()  # first call outside the trace
@@ -288,10 +336,9 @@ def test_drift_out_allocates_no_path_sized_array(drift):
         finally:
             tracemalloc.stop()
 
-    assert peak_bytes(lambda: drift.drift_coefficient(x, 0.3, 0.1, out=out)) < x.nbytes
-    assert peak_bytes(lambda: drift.du_dx_total(x, 0.3, 0.1, out=out)) < x.nbytes
-    # the trace does see numpy's buffers: the allocating call shows its result
-    assert peak_bytes(lambda: drift.drift_coefficient(x, 0.3, 0.1)) >= x.nbytes
+    assert peak_bytes(lambda: em_step(drift, 0.1, x, 0.3, 1e-3, dz, a)) < x.nbytes
+    # the trace does see numpy's buffers: the allocating step shows its result
+    assert peak_bytes(lambda: x + (-(0.1 * drift.du_dx(x, 0.3))) * 1e-3 + dz) >= x.nbytes
 
 
 def test_build_drift_unknown_family():

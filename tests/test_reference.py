@@ -19,6 +19,7 @@ from fpcascade.reference import (
     oracle_density,
     oracle_moments,
 )
+from fpcascade.transform import potential_exponent
 
 COS = ModulationV("cos", 1.0)
 SEED = 20107
@@ -30,7 +31,8 @@ def normalized_init(drift, lam, grid, d=1.0):
 
 
 def test_drift_without_closed_forms_has_no_oracle():
-    drift = DriftSpec(family="custom", term=quadratic_ou().term)
+    ou = quadratic_ou()
+    drift = DriftSpec("custom", ou.u, ou.du_dx, ou.d2u_dx2, ou.du_dt)
     x = np.linspace(-1.0, 1.0, 5)
     with pytest.raises(ValueError, match="no closed-form density for drift family 'custom'"):
         oracle_density(drift, 1.0, 0.1, x, 0.5)
@@ -39,6 +41,19 @@ def test_drift_without_closed_forms_has_no_oracle():
     # lam = 0 is the heat kernel whatever the drift
     assert np.array_equal(oracle_density(drift, 1.0, 0.0, x, 0.5), w0_diffusion(x, 0.5, 1.0))
     assert oracle_moments(drift, 1.0, 0.0, 0.5) == (0.0, 1.0)
+
+
+def test_drift_without_closed_forms_is_solved_from_its_evaluators():
+    # FD and the transform read only U_1's four evaluators, so a hand-built
+    # drift with the quadratic family's evaluators gives its bits exactly
+    ou = quadratic_ou()
+    custom = DriftSpec("custom", ou.u, ou.du_dx, ou.d2u_dx2, ou.du_dt)
+    grid = Grid(-12.0, 12.0, 241, 0.1, 1.0, 31)
+    w_init = normalized_init(ou, 0.3, grid)
+    fd = [fp_fd_solve(drift, 1.0, 0.3, grid, w_init).values for drift in (ou, custom)]
+    assert fd[0].tobytes() == fd[1].tobytes()
+    expo = [potential_exponent(drift, 1.0, 0.3, grid) for drift in (ou, custom)]
+    assert expo[0].tobytes() == expo[1].tobytes()
 
 
 class TestFdSolver:
@@ -147,9 +162,9 @@ class TestEmSimulate:
 
 def _drift_allocating(drift, x, t, lam):
     """D1 = -dU/dx = -(lam U_1') in a fresh array, kept here so that the
-    oracle does not move with DriftSpec's ``out`` buffer."""
+    oracle does not move with em_step's work buffer."""
     x = np.asarray(x, dtype=float)
-    return -(lam * np.broadcast_to(np.asarray(drift.term.du_dx(x, t), dtype=float), x.shape))
+    return -(lam * np.broadcast_to(np.asarray(drift.du_dx(x, t), dtype=float), x.shape))
 
 
 def _em_one_step_at_a_time(drift, d_coeff, lam, t0, checkpoints, dt, n_paths, seed):

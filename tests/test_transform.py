@@ -6,15 +6,15 @@ from fpcascade.errors import TransformOverflowError
 from fpcascade.hierarchy import analytic_expansion, assemble_density
 from fpcascade.model import Grid, linear_time_modulated, quadratic_ou, zero_drift
 from fpcascade.oracles import ModulationV
+from fpcascade.reference import em_step
 from fpcascade.transform import effective_potential_order
 
 
 def effective_potential(drift, d_coeff, lam, x, t):
     """Ubar(x,t) of the full potential U = lam U_1 at the given lam, built
-    from the drift's term directly: the oracle for the per-order
+    from the drift's U_1 evaluators directly: the oracle for the per-order
     coefficients."""
-    term = drift.term
-    upp, up, ut = lam * term.d2u_dx2(x, t), lam * term.du_dx(x, t), lam * term.du_dt(x, t)
+    upp, up, ut = lam * drift.d2u_dx2(x, t), lam * drift.du_dx(x, t), lam * drift.du_dt(x, t)
     return 0.5 * d_coeff * upp - 0.25 * up * up + 0.5 * ut
 
 
@@ -95,15 +95,15 @@ def _drifts(draw):
 )
 def test_orders_and_drift_buffer_agree_with_full_potential(drift, lam, d_coeff, x, t):
     # sum_n lam^n Ubar_n against Ubar of U = lam U_1, up to the rounding of its terms
-    term = drift.term
-    scale = (np.abs(0.5 * d_coeff * lam * term.d2u_dx2(x, t)) + 0.25 * (lam * term.du_dx(x, t)) ** 2
-             + np.abs(0.5 * lam * term.du_dt(x, t)))
+    scale = (np.abs(0.5 * d_coeff * lam * drift.d2u_dx2(x, t)) + 0.25 * (lam * drift.du_dx(x, t)) ** 2
+             + np.abs(0.5 * lam * drift.du_dt(x, t)))
     err = np.abs(potential_by_orders(drift, d_coeff, lam, x, t) - effective_potential(drift, d_coeff, lam, x, t))
     assert np.all(err <= 4e-15 * scale + 1e-320)  # the floor: subnormal rounding
-    # dU/dx into a caller's buffer is the allocating call, bit for bit
-    out = np.full_like(x, np.nan)
-    assert drift.du_dx_total(x, t, lam, out=out) is out
-    assert out.tobytes() == drift.du_dx_total(x, t, lam).tobytes()
+    # em_step's drift buffer holds the allocating dU/dx * (-h), bit for bit
+    a, x_new = np.full_like(x, np.nan), x.copy()
+    em_step(drift, lam, x_new, t, 0.01, np.zeros_like(x), a)
+    assert a.tobytes() == (np.broadcast_to(lam * drift.du_dx(x, t), x.shape) * -0.01).tobytes()
+    assert x_new.tobytes() == (x + a + np.zeros_like(x)).tobytes()
 
 
 class TestWavefunctionMap:
