@@ -35,9 +35,10 @@ FAST_T = [round(0.1 + 0.05 * k, 10) for k in range(29)]
 # (name, argv, JSON config or None): every subcommand and family, the three
 # modulations, orders 0, 3 and 8, lam = 0 and negative, two cascades that
 # march through several time blocks with a partial last one (99 and 66 steps
-# against hierarchy._BLOCK = 32), density.csv's checkpoint slices (which the
-# run formats itself, splicing in the writer process's part file around them)
-# on the first slice, on two adjacent slices, on the last slice only, on
+# against hierarchy._BLOCK = 32) and one that fills exactly two blocks (64
+# steps, the second ending on the last step), density.csv's checkpoint
+# slices (which the run formats itself, splicing in the writer process's part
+# file around them) on the first slice, on two adjacent slices, on the last slice only, on
 # every slice, off the nodes and on one node twice (0.51 and 0.52 both snap
 # to t = 0.5), a Monte Carlo run of three whole blocks and a one-path tail
 # (12289 paths; on two or more CPUs a forked chunk process samples the odd
@@ -57,6 +58,8 @@ CASES = (
     ("ou-order8-blocks", ("ou", "--order", "8", *FAST, "--nt", "100"), None),
     ("example1-sin-order3-blocks", ("example1", "--v", "sin", "--omega", "2", "--order", "3", *FAST, "--nt", "67"),
      None),
+    ("example1-sin-order3-two-blocks",
+     ("example1", "--v", "sin", "--omega", "2", "--order", "3", *FAST, "--nt", "65"), None),
     ("ou-lambda0", ("ou", "--lambda", "0", *FAST), None),
     ("ou-negative-lambda", ("ou", "--lambda", "-0.2", *FAST, "--x-min", "-20", "--x-max", "20", "--nx", "201"),
      None),

@@ -79,26 +79,22 @@ def _march(drift, orders, x, t_nodes, dx, dt, d_coeff, inits):
     """Crank-Nicolson march of the cascade orders ``orders`` from their t0
     slices ``inits``, in blocks of _BLOCK steps.
 
-    Each block builds the bands of its steps once and solves every order on
-    them, lowest first; an order's source on the block's time rows takes the
-    x gradients of the orders below it on those rows.  Yields ``(rows,
-    solved)`` per block: solved[i] holds the i-th order on ``rows`` (a
-    slice), the block's new rows, plus row 0 in the first block.  Each
-    order's last row and last source row carry over to the next block.
+    A block of steps lo .. hi starts from row lo: the t0 slices in the
+    first block, the previous block's last rows after that.  It builds the
+    bands of its steps once and solves every order on them, lowest first; an
+    order's source on rows lo .. hi takes the x gradients of the orders below
+    it on those rows.  Yields ``(rows, solved)`` per block: solved[i] holds
+    the i-th order on ``rows`` (a slice), the block's new rows lo + 1 .. hi.
     """
     nt = len(t_nodes)
     last = list(inits)  # each order's latest solved row
-    q_last = [None] * len(orders)  # each order's source at that row
     lo = 0
     while orders and lo < nt - 1:
         hi = min(lo + _BLOCK, nt - 1)
-        rows = slice(0 if lo == 0 else lo + 1, hi + 1)
         bands = kernels.cascade_bands(x, t_nodes[lo:hi] + 0.5 * dt, d_coeff, dt, dx)
         solved, grads = [], []
         for i, n in enumerate(orders):
-            q = _source_arrays(n, drift, d_coeff, x, t_nodes[rows], grads)
-            if lo > 0:
-                q = np.concatenate((q_last[i][None], q))
+            q = _source_arrays(n, drift, d_coeff, x, t_nodes[lo : hi + 1], grads)
             dq = q[:-1] + q[1:]
             dq *= 0.5
             dq *= dt
@@ -113,13 +109,11 @@ def _march(drift, orders, x, t_nodes, dx, dt, d_coeff, inits):
                     ) from exc
             if not np.all(np.isfinite(vals)):
                 raise SolverError(f"cascade failed at order {n}: non-finite values by step {hi}")
-            last[i], q_last[i] = vals[-1].copy(), q[-1].copy()
-            if lo > 0:
-                vals = vals[1:]
-            solved.append(vals)
+            last[i] = vals[-1].copy()
+            solved.append(vals[1:])
             if i < len(orders) - 1:
                 grads.append(_gradient(vals, dx))
-        yield rows, solved
+        yield slice(lo + 1, hi + 1), solved
         lo = hi
 
 
@@ -155,6 +149,8 @@ def solve_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, gr
     for j, tj in enumerate(grid.t):
         s0[j] = s0_log_heat_kernel(grid.x, tj, d_coeff)
     cropped = [np.empty((grid.nt, grid.nx)) for _ in orders]
+    for out, init in zip(cropped, inits):  # the march yields the rows after t0
+        out[0] = init[m : m + grid.nx]
     for rows, solved in _march(drift, orders, xp, grid.t, grid.dx, grid.dt, d_coeff, inits):
         for out, vals in zip(cropped, solved):
             out[rows] = vals[:, m : m + grid.nx]  # the cropped padded nodes are the grid's nodes bit for bit

@@ -131,6 +131,12 @@ def ou_action(n, x, t, d_coeff):
     return _OU_EVEN_COEFFS[n] * np.float_power(t, n - 1) * (d_coeff * t + (n // 2) * x * x)
 
 
+def ou_variance(t, d_coeff, lam):
+    """Variance D (1 - e^(-2 lam t)) / lam of the linearly restoring process
+    with drift -lam*x, started from a point; lam != 0."""
+    return d_coeff * (1.0 - np.exp(-2.0 * lam * t)) / lam
+
+
 def ou_density_exact(x, t, d_coeff, lam):
     """Exact density of the linearly restoring process with drift -lam*x.
 
@@ -140,7 +146,7 @@ def ou_density_exact(x, t, d_coeff, lam):
     if lam == 0.0:
         raise ValueError("lam = 0 has no closed form here; use w0_diffusion")
     x = np.asarray(x, dtype=float)
-    var = d_coeff * (1.0 - np.exp(-2.0 * lam * t)) / lam
+    var = ou_variance(t, d_coeff, lam)
     return np.exp(-(x * x) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
 
 

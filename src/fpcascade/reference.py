@@ -25,7 +25,7 @@ from numpy.random import SFC64, Generator, SeedSequence
 from . import forked, kernels
 from .analysis import trapezoid
 from .errors import SolverError
-from .model import DensityField, DriftSpec, Grid, em_steps
+from .model import NEGATIVITY_FLOOR, DensityField, DriftSpec, Grid, em_steps
 from .oracles import w0_diffusion
 
 
@@ -92,9 +92,9 @@ def fp_fd_solve(
                 f"FD boundary leak at step {j} (t={grid.t[j]:.6g}): density next to the edge "
                 f"exceeds {boundary_tol:g} of the peak; widen the domain"
             )
-        if w.min() < -1e-12:
+        if w.min() < NEGATIVITY_FLOOR:
             raise SolverError(
-                f"FD undershoot {w.min():.3e} below -1e-12 at step {j}; refine the grid"
+                f"FD undershoot {w.min():.3e} below {NEGATIVITY_FLOOR:.0e} at step {j}; refine the grid"
             )
 
     check_slice(0)

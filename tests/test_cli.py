@@ -287,7 +287,7 @@ class TestFailures:
          "n_paths x Monte Carlo steps must be <= 1e+12 path-steps, got 10000000000000 paths x 2.000e+00 steps"),
         # validated, then killed once its lattices had exhausted memory
         (["example1", "--nx", "1000000000"], None,
-         "nt * nx must be <= 1e+08 lattice nodes, got 199 x 1000000000"),
+         "nt * (nx + 2 x cascade pad) must be <= 1e+08 padded cascade nodes, got 199 x 1.083e+09"),
         # these validated, then died building the cascade's padded row
         (["ou", "--x-min", "0", "--x-max", "1e-300", "--nx", "161", "--nt", "29", "--t0", "0.1",
           "--t-max", "1.5", "--paths", "3000", "--mc-dt", "0.01"], None,
@@ -675,3 +675,50 @@ def test_writer_matches_per_value_oracle(tmp_path, checkpoints, forked):
     rows = [line.split(",") for line in density.decode("ascii").split("\n")[1:-1]]
     assert {"%.17g" % v for v in _EDGE_VALUES} <= {cell for row in rows for cell in row}
     assert [row[5] == "" for row in rows[::9]] == [False, False, True, False, False]
+
+
+@pytest.mark.parametrize("checkpoints", [(0.1,), (0.5, 0.55), (2.0,)], ids=["first", "adjacent", "last"])
+def test_summary_lists_every_checkpoint_for_every_field_and_pair(tmp_path, checkpoints):
+    # every field, w_mc included, is populated on every checkpoint slice, so
+    # each masses, moments and distances entry carries all the checkpoint times
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": "linear_time_modulated", "checkpoints": checkpoints}))
+    out = tmp_path / "out"
+    assert main(["custom", *FAST, "--config", str(path), "--out", str(out)]) == EXIT_OK
+    summary = read_summary(out)
+    times = summary["config"]["checkpoints"]
+    assert times == pytest.approx(checkpoints, abs=1e-12)  # the grid nodes they snap to
+    names = list(cli._COLUMNS)
+    for name in names:
+        assert summary["masses"][name]["t"] == times
+        assert len(summary["masses"][name]["mass"]) == len(times)
+        moments = summary["moments"][name]
+        assert moments["t"] == times
+        assert len(moments["mean"]) == len(moments["variance"]) == len(times)
+    pairs = [f"{a}_vs_{b}" for i, a in enumerate(names) for b in names[i + 1:]]
+    assert sorted(summary["distances"]) == sorted(pairs)
+    for pair in pairs:
+        assert sorted(summary["distances"][pair]) == sorted(cli.METRICS)
+        for per_metric in summary["distances"][pair].values():
+            assert per_metric["t"] == times
+            assert len(per_metric["value"]) == len(times)
+
+
+@pytest.mark.parametrize("mass_tol", [None, 1e-7], ids=["default", "mass-tol-1e-7"])
+def test_emission_checks_w_fd_at_the_configured_mass_tol(mass_tol):
+    # fp_fd_solve runs at tolerances.mass_tol, so a looser one must not turn
+    # a slice FD accepted into an invariant violation; the other fields keep
+    # their fixed tolerances
+    tolerances = Tolerances() if mass_tol is None else Tolerances(mass_tol=mass_tol)
+    cfg = validate_config(replace(RunConfig(), x_min=-4.0, x_max=4.0, nx=9, t0=0.1, t_max=0.5, nt=5,
+                                  tolerances=tolerances))
+    vals = np.full((cfg.grid.nt, cfg.grid.nx), 0.125)  # trapezoid mass 1 on 8 unit cells
+    vals[3] *= 1.0 + 5e-8
+    field = DensityField(grid=cfg.grid, values=vals)
+    if mass_tol is None:
+        with pytest.raises(InvariantViolation, match=r"^w_fd slice 3 mass 1\.00000005 deviates from 1 beyond 1e-08$"):
+            cli._check_emission({"w_fd": field}, cfg)
+    else:
+        cli._check_emission({"w_fd": field}, cfg)
+    with pytest.raises(InvariantViolation, match=r"^w_exact slice 3 mass"):
+        cli._check_emission({"w_exact": field}, cfg)

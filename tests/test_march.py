@@ -36,8 +36,9 @@ DRIFTS = {
     "quadratic": quadratic_ou(),
 }
 
-# one step; one full block; one block plus one row; several blocks, the last partial
-NTS = (2, H._BLOCK + 1, H._BLOCK + 2, 3 * H._BLOCK + 6)
+# one step; one full block; one block plus one row; two full blocks, the
+# second ending on the last step; several blocks, the last partial
+NTS = (2, H._BLOCK + 1, H._BLOCK + 2, 2 * H._BLOCK + 1, 3 * H._BLOCK + 6)
 
 
 def _grid(nt):

@@ -94,13 +94,17 @@ class TestValidateConfig:
                 validate_config(RunConfig(n_paths=n_paths, checkpoints=(0.05,)))
         validate_config(RunConfig(n_paths=2 * 10**8, checkpoints=(0.05,)))
 
-    @pytest.mark.parametrize("nt, nx", [(10001, 10001), (199, 10**9), (2 * 10**7 + 1, 5)])
-    def test_lattice_limit_rejected_before_any_axis_exists(self, nt, nx):
+    @pytest.mark.parametrize("nt, nx, padded", [
+        (10001, 10001, "1.084e+04"), (199, 10**9, "1.083e+09"), (2 * 10**7 + 1, 5, "2.100e+01"),
+    ], ids=["10001-10001", "199-1000000000", "20000001-5"])
+    def test_lattice_limit_rejected_before_any_axis_exists(self, nt, nx, padded):
         # either axis of these grids takes at least 80 kB, over the traced
-        # bound below, and the default checkpoints are read from grid.t
+        # bound below, and the default checkpoints are read from grid.t; the
+        # padded cap rejects them, since the pad is at least 8 nodes a side
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigError, match=f"nt \\* nx must be <= 1e\\+08 lattice nodes, got {nt} x {nx}"):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"nt * (nx + 2 x cascade pad) must be <= 1e+08 padded cascade nodes, got {nt} x {padded}")):
                 validate_config(RunConfig(nt=nt, nx=nx))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
