@@ -45,7 +45,10 @@ FAST_T = [round(0.1 + 0.05 * k, 10) for k in range(29)]
 # last block), small stand-ins for the two CLI benchmark workloads at two
 # seeds each, and the signed-zero edges of the drift product lam * U_1'
 # (lam = -0.0, V = +-0, and a sine whose omega t is within 1e-14 of pi at the
-# node t = 1).  Every case exits 0 (later flags override earlier ones).
+# node t = 1), and a config file that gives integers for float fields, a
+# partial tolerances object with an integer value and a list of checkpoints
+# (the summary.json config echo shows each as the validated config holds it).
+# Every case exits 0 (later flags override earlier ones).
 CASES = (
     ("example1-cos", ("example1", *FAST), None),
     ("example1-sin-order3", ("example1", "--v", "sin", "--omega", "2", "--order", "3", *FAST), None),
@@ -83,6 +86,9 @@ CASES = (
     ("ou-lambda-minus-zero", ("ou", "--lambda=-0.0", *FAST), None),
     ("example1-sin-omega-pi", ("example1", "--v", "sin", "--omega", "3.14159265358979", "--lambda=-0.4", *FAST),
      None),
+    ("custom-ints-for-floats", ("custom", *FAST),
+     {"family": "linear_time_modulated", "v_kind": "sin", "d_coeff": 1, "lam": 1, "omega": 2,
+      "tolerances": {"boundary_tol": 1}, "checkpoints": [0.5, 1]}),
 )
 
 OUTPUTS = ("density.csv", "summary.json")

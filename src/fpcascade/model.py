@@ -4,7 +4,9 @@ All types are immutable after construction (frozen dataclasses, read-only
 arrays) and therefore safe to share across threads.
 """
 
+import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -271,11 +273,6 @@ class Tolerances:
     mass_tol: float = 1e-8
     boundary_tol: float = 1e-12
 
-    def __post_init__(self):
-        for name in ("mass_tol", "boundary_tol"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -347,17 +344,47 @@ def em_steps(t0: float, checkpoints, dt: float) -> list:
     return steps
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# what a RunConfig or Tolerances field must hold, by its annotation
+_KINDS = {
+    float: ("a number", _is_number),
+    int: ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple: ("a list of numbers", lambda v: isinstance(v, (tuple, list)) and all(map(_is_number, v))),
+    Tolerances: ("a Tolerances object", lambda v: isinstance(v, Tolerances)),
+}
+
+
+def _check_fields(obj, prefix=""):
+    """Check each field of the dataclass ``obj`` against its annotation, and
+    every number in a float or tuple field for finiteness.  Values show as
+    JSON, as a config file holds them."""
+    for f in fields(obj):
+        name, value = prefix + f.name, getattr(obj, f.name)
+        kind, accepts = _KINDS[f.type]
+        if not accepts(value):
+            raise ConfigError(f"{name} must be {kind}, got {json.dumps(value, default=repr)}")
+        if f.type is Tolerances:
+            _check_fields(value, f"{name}.")
+        elif f.type in (float, tuple):
+            labelled = [(name, value)] if f.type is float else [(f"{name}[{i}]", v) for i, v in enumerate(value)]
+            for label, number in labelled:
+                if not abs(number) <= sys.float_info.max:  # NaN, +-inf, an int past the float range
+                    raise ConfigError(f"{label} must be finite, got {number}")
+
+
 def validate_config(cfg: RunConfig) -> ValidatedConfig:
     """Check every documented bound and populate derived quantities.
 
     Raises ConfigError naming the violated bound.
     """
-    schema = [(f.name, getattr(cfg, f.name), f.type) for f in fields(RunConfig)]
-    schema += [(f"tolerances.{f.name}", getattr(cfg.tolerances, f.name), f.type) for f in fields(Tolerances)]
-    schema += [(f"checkpoints[{i}]", c, float) for i, c in enumerate(cfg.checkpoints)]
-    for name, value, kind in schema:
-        if kind is float and not abs(value) <= sys.float_info.max:  # NaN, +-inf, an int past the float range
-            raise ConfigError(f"{name} must be finite, got {value}")
+    _check_fields(cfg)
+    for name, tol in vars(cfg.tolerances).items():
+        if not tol > 0:
+            raise ConfigError(f"tolerances.{name} must be > 0, got {tol}")
     if not cfg.d_coeff > 0:
         raise ConfigError(f"diffusion constant must be > 0, got {cfg.d_coeff}")
     if not 0 <= cfg.order <= MAX_EXPANSION_ORDER:

@@ -17,7 +17,7 @@ import pytest
 import fpcascade.forked
 from fpcascade import cli, reference
 from fpcascade.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, main
-from fpcascade.errors import InvariantViolation, SolverError
+from fpcascade.errors import ConfigError, InvariantViolation, SolverError
 from fpcascade.model import DensityField, RunConfig, Tolerances, validate_config
 
 FAST = [
@@ -130,6 +130,17 @@ class TestOu:
                       "1e300,2e300,3e300", "1e-300,2e-300,3e-300"):
             assert main(["ou", "--lambda-sweep", sweep, "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("lams, reason", [
+        ([0.1, 0.2], "need at least 3 distinct lambdas for a slope fit, got [0.1, 0.2]"),
+        ([0.1, 0.1, 0.1], "need at least 3 distinct lambdas for a slope fit, got [0.1, 0.1, 0.1]"),
+        ([0.01, -0.02, 0.05], "scaling fit requires positive lambdas and errors"),
+        ([0.0, 0.1, 0.2], "lam = 0 has no closed form here; use w0_diffusion"),
+    ], ids=["two-values", "one-distinct", "negative", "zero"])
+    def test_sweep_the_closed_forms_or_fit_reject_is_a_config_error(self, lams, reason):
+        # the fit and ou_density_exact own these rules; their ValueErrors become config errors
+        with pytest.raises(ConfigError, match=re.escape(f"lambda sweep {lams} gives no scaling fit: {reason}")):
+            cli._scaling_fit(lams, 1.0)
+
     def test_nonfinite_action_sum_is_a_solver_abort(self, tmp_path):
         # S_2 overflows at t = 1e300 (its -D t^2 / 12 at D = 1e-289); run as the
         # user does, so that stderr shows everything the user sees: the abort
@@ -189,6 +200,15 @@ class TestCustom:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"familly": "zero"}))
         assert main(["custom", "--config", str(path)]) == EXIT_CONFIG
+
+    def test_flag_overrides_mistyped_file_value(self, tmp_path):
+        # the effective config is checked: a file value a flag replaces is never used
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"family": "zero", "lam": None, "t0": 0.1, "t_max": 1.0, "nx": 201,
+                                    "nt": 21, "x_min": -12.0, "x_max": 12.0, "n_paths": 500}))
+        out = tmp_path / "out"
+        assert main(["custom", "--config", str(path), "--lambda", "0.1", "--out", str(out)]) == EXIT_OK
+        assert read_summary(out)["config"]["lam"] == 0.1
 
     def test_int_accepted_for_float(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -268,6 +288,10 @@ class TestFailures:
         (["custom"], {"lam": float("nan")}, "lam must be finite, got nan"),
         (["custom"], {"lam": 10**400}, f"lam must be finite, got {10**400}"),
         (["custom"], {"tolerances": {"mass_tol": float("inf")}}, "tolerances.mass_tol must be finite, got inf"),
+        (["custom"], {"tolerances": {"mass_tol": 0}}, "tolerances.mass_tol must be > 0, got 0"),
+        (["custom"], {"tolerances": {"mass_tol": -1e-9}}, "tolerances.mass_tol must be > 0, got -1e-09"),
+        (["custom"], {"tolerances": {"boundary_tol": 0}}, "tolerances.boundary_tol must be > 0, got 0"),
+        (["custom"], {"tolerances": {"boundary_tol": -1e-9}}, "tolerances.boundary_tol must be > 0, got -1e-09"),
         (["custom"], {"checkpoints": [0.5, float("nan")]}, "checkpoints[1] must be finite, got nan"),
         (["custom"], {"checkpoints": [10**400]}, f"checkpoints[0] must be finite, got {10**400}"),
         (["example1", "--omega", "-1"], None, "omega must be > 0 for cos/sin modulation"),
@@ -299,7 +323,8 @@ class TestFailures:
           "--nt", "3", "--paths", "3000", "--mc-dt", "1e299"], None,
          "nt * (nx + 2 x cascade pad) must be <= 1e+08 padded cascade nodes, got 3 x 4.472e+151"),
     ], ids=["lam-nan", "lam-minus-inf", "d-inf", "x-max-inf", "t-max-inf", "v0-nan", "json-lam-nan",
-            "json-lam-huge-int", "json-mass-tol-inf", "json-checkpoint-nan", "json-checkpoint-huge-int",
+            "json-lam-huge-int", "json-mass-tol-inf", "json-mass-tol-zero", "json-mass-tol-negative",
+            "json-boundary-tol-zero", "json-boundary-tol-negative", "json-checkpoint-nan", "json-checkpoint-huge-int",
             "omega-negative", "sin-omega-zero", "json-v-kind-tan", "mc-dt-subnormal", "mc-dt-tiny-ou",
             "mc-path-steps-huge", "mc-dt-past-span", "lattice-huge",
             "cascade-pad-tiny-domain", "cascade-pad-huge-d", "cascade-pad-t-max-1e300"])
@@ -594,7 +619,7 @@ def test_every_flag_dest_is_a_run_config_field():
     parser = cli.build_parser()
     fields = set(RunConfig.__dataclass_fields__)
     for command in ("example1", "ou", "custom"):
-        dests = set(vars(parser.parse_args([command]))) - {"config", "lambda_sweep", "command", "func"}
+        dests = set(vars(parser.parse_args([command]))) - {"config", "lambda_sweep", "command"}
         assert dests and dests <= fields, (command, sorted(dests - fields))
 
 

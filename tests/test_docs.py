@@ -1,11 +1,15 @@
 """Traceability: every test name cited in the verification guide must exist,
-and every command line the docs show must parse."""
+every command line the docs show must parse, and every benchmark script the
+README shows must start as written."""
 
 import dataclasses
 import importlib
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,3 +112,27 @@ def test_documented_command_parses(command):
         cli.build_parser().parse_args(shlex.split(command)[1:])
     except SystemExit as exc:
         pytest.fail(f"{command!r} does not parse (exit {exc.code})")
+
+
+def readme_benchmark_commands():
+    """Every ``python3 benchmarks/*.py`` command line in README.md, with the
+    ``VAR=value`` assignments written before it."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^((?:\w+=\S+ )*python3 benchmarks/\w+\.py.*)$", text, flags=re.M)
+
+
+def test_readme_shows_benchmark_commands():
+    assert len(readme_benchmark_commands()) >= 2
+
+
+@pytest.mark.parametrize("command", readme_benchmark_commands())
+def test_readme_benchmark_command_starts(command):
+    """Run from the repo root with only the environment the README gives it
+    (the suite's own PYTHONPATH removed), the script's ``--help`` exits 0."""
+    words = shlex.split(command)
+    at = words.index("python3")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update(word.split("=", 1) for word in words[:at])
+    proc = subprocess.run([sys.executable, words[at + 1], "--help"], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

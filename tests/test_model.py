@@ -152,6 +152,33 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="diffusion"):
             validate_config(default_example1_config(d_coeff=-1.0))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("nx", 161.0, "nx must be an integer, got 161.0"),
+        ("order", 2.0, "order must be an integer, got 2.0"),
+        ("n_paths", 3000.0, "n_paths must be an integer, got 3000.0"),
+        ("lam", True, "lam must be a number, got true"),
+        ("d_coeff", "1", 'd_coeff must be a number, got "1"'),
+        ("checkpoints", ("a",), 'checkpoints must be a list of numbers, got ["a"]'),
+        ("tolerances", None, "tolerances must be a Tolerances object, got null"),
+    ], ids=["seed", "nx", "order", "n_paths", "lam", "d_coeff", "checkpoints", "tolerances"])
+    def test_mistyped_field_rejected_before_any_solver(self, field, value, message):
+        # each of these validated at one time and then died in a solver, or
+        # (lam=True) ran as lam = 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                validate_config(RunConfig(**{field: value}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000
+
+    def test_checkpoints_list_accepted(self):
+        as_list = validate_config(RunConfig(checkpoints=[1.0, 2.5]))
+        as_tuple = validate_config(RunConfig(checkpoints=(1.0, 2.5)))
+        assert as_list.slices.tolist() == as_tuple.slices.tolist()
+
     def test_path_memory_limit_rejected_up_front(self):
         # one step per path: far under the step cap, but em_simulate would
         # map 5e11 paths x 2 checkpoints of float64, 8 TB
