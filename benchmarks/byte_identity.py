@@ -3,13 +3,15 @@
 
 Runs a fixed list of CLI invocations once against each tree's ``src/``, each
 in its own ``python -m fpcascade`` subprocess, and compares the exit codes and
-``density.csv`` and ``summary.json`` byte for byte.  Then it compares the
-sha256 of the solved fields of the ``lib_acceptance_grids`` benchmark
-workload (``fields.f64``), run from this checkout's ``perfbench/``.
-Prints one line per case, and under a case whose outputs differ, which
-``density.csv`` columns and which ``summary.json`` keys (dotted, two levels
-deep) differ.  Exits 1 on any difference, or on a case that exits nonzero in
-both trees (it then has no outputs to compare).
+``density.csv`` and ``summary.json`` byte for byte; for the abort cases,
+which write no outputs, it compares the exit code and the last stderr line.
+Then it compares the sha256 of the solved fields of the
+``lib_acceptance_grids`` benchmark workload (``fields.f64``), run from this
+checkout's ``perfbench/``.  Prints one line per case, and under a case whose
+outputs differ, which ``density.csv`` columns and which ``summary.json`` keys
+(dotted, two levels deep) differ, or the two last stderr lines.  Exits 1 on
+any difference, on a case that exits nonzero in both trees (it then has no
+outputs to compare) or on an abort case that exits 0 in both.
 
     python3 benchmarks/byte_identity.py --parent DIR --change DIR
 
@@ -91,6 +93,18 @@ CASES = (
       "tolerances": {"boundary_tol": 1}, "checkpoints": [0.5, 1]}),
 )
 
+# (name, argv, JSON config or None) of runs that abort with exit 3: an action
+# sum that overflows (tests/test_cli.py's
+# TestOu::test_nonfinite_action_sum_is_a_solver_abort), an exponent U/2D past
+# the exp() range, and an FD boundary leak on the default grid
+ABORT_CASES = (
+    ("abort-action-sum", ("ou", "--x-min", "-16", "--x-max", "16", "--nx", "161", "--t0", "0.1",
+                          "--t-max", "1e300", "--nt", "3", "--paths", "3000", "--mc-dt", "1e299",
+                          "--d", "1e-289"), None),
+    ("abort-transform-overflow", ("ou", "--lambda", "1e4", *FAST), None),
+    ("abort-fd-boundary-leak", ("example1", "--v", "sin", "--omega", "2", "--d", "1.5"), None),
+)
+
 OUTPUTS = ("density.csv", "summary.json")
 
 # the lib_acceptance_grids benchmark workload, as perfbench defines it, run
@@ -111,7 +125,8 @@ def _env(tree: Path) -> dict:
 
 
 def run_case(tree: Path, argv, config, out_dir: Path):
-    """Run one invocation against ``tree``; returns (exit code, output bytes)."""
+    """Run one invocation against ``tree``; returns (exit code, output bytes,
+    last stderr line)."""
     out_dir.mkdir(parents=True)
     argv = [*argv, "--out", str(out_dir)]
     if config is not None:
@@ -121,7 +136,7 @@ def run_case(tree: Path, argv, config, out_dir: Path):
     proc = subprocess.run([sys.executable, "-m", "fpcascade", *argv], env=_env(tree),
                           capture_output=True, text=True)
     files = {name: (out_dir / name).read_bytes() if (out_dir / name).exists() else None for name in OUTPUTS}
-    return proc.returncode, files
+    return proc.returncode, files, (proc.stderr.splitlines() or [""])[-1]
 
 
 def csv_columns_differing(a: bytes, b: bytes) -> list:
@@ -171,15 +186,19 @@ def main(argv=None) -> int:
             parser.error(f"--{label} {tree} holds no src/fpcascade")
     differing = 0
     with tempfile.TemporaryDirectory(prefix="byte-identity-") as tmp:
-        for name, case_argv, config in CASES:
+        for (name, case_argv, config), aborts in [*((c, False) for c in CASES), *((c, True) for c in ABORT_CASES)]:
             results = {label: run_case(tree, case_argv, config, Path(tmp) / label / name)
                        for label, tree in trees.items()}
-            (code_a, files_a), (code_b, files_b) = results["parent"], results["change"]
+            (code_a, files_a, last_a), (code_b, files_b, last_b) = results["parent"], results["change"]
             diffs = [n for n in OUTPUTS if files_a[n] != files_b[n]]
-            status = "DIFFERS" if diffs or code_a != code_b else "identical" if code_b == 0 else "FAILED"
+            if aborts:
+                diffs += ["stderr"] if last_a != last_b else []
+            status = "DIFFERS" if diffs or code_a != code_b else "identical" if (code_b != 0) == aborts else "FAILED"
             print(f"{status:9s} {name} (exit {code_a} -> {code_b}{''.join(', ' + n for n in diffs)})", flush=True)
             for n in diffs:
-                if files_a[n] is not None and files_b[n] is not None:
+                if n == "stderr":
+                    print(f"          stderr: {last_a!r} -> {last_b!r}", flush=True)
+                elif files_a[n] is not None and files_b[n] is not None:
                     what, differing_parts = DIFFERING_PARTS[n]
                     print(f"          {n} {what}: {', '.join(differing_parts(files_a[n], files_b[n]))}", flush=True)
             differing += status != "identical"
@@ -188,7 +207,7 @@ def main(argv=None) -> int:
     print(f"{'identical' if same else 'DIFFERS':9s} library-acceptance-grids (fields.f64 "
           f"{digests['parent']}" + ("" if same else f" -> {digests['change']}") + ")")
     differing += not same
-    print(f"{differing} of {len(CASES) + 1} cases differ")
+    print(f"{differing} of {len(CASES) + len(ABORT_CASES) + 1} cases differ")
     return 1 if differing else 0
 
 

@@ -44,8 +44,9 @@ def slice_moments(w: DensityField, j: int, mass_tol: float = 1e-6):
     return mean, var
 
 
-def field_distance(a: DensityField, b: DensityField, metric: str) -> np.ndarray:
-    """Per-slice distance between two densities on the same grid.
+def field_distance(a: DensityField, b: DensityField, metric: str, rows=slice(None)) -> np.ndarray:
+    """Per-slice distance between two densities on the same grid, on the time
+    slices ``rows`` (a slice or an index array; every slice by default).
 
     peak-relative-Linf divides by the larger of the two slice peaks, which
     keeps the metric symmetric in its arguments.
@@ -54,12 +55,13 @@ def field_distance(a: DensityField, b: DensityField, metric: str) -> np.ndarray:
         raise ValueError("fields live on different grids")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-    diff = np.abs(a.values - b.values)
+    va, vb = a.values[rows], b.values[rows]
+    diff = np.abs(va - vb)
     if metric == L1:
         return trapezoid(diff, a.grid.dx)
     if metric == LINF:
         return diff.max(axis=1)
-    peak = np.maximum(a.values.max(axis=1), b.values.max(axis=1))
+    peak = np.maximum(va.max(axis=1), vb.max(axis=1))
     return diff.max(axis=1) / peak
 
 

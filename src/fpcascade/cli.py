@@ -159,6 +159,11 @@ def _scaling_fit(lams, d_coeff: float) -> dict:
     try:
         with np.errstate(all="ignore"):
             for lam in lams:
+                # the fit's positive-lambda rule, ahead of the closed forms,
+                # which give a NaN lambda a misleading reason; lam = 0 keeps
+                # ou_density_exact's own
+                if not lam >= 0:
+                    raise ValueError(f"scaling fit requires positive lambdas and errors, got lambda {lam}")
                 exact = ou_density_exact(_SWEEP_X, _SWEEP_T, d_coeff, lam)
                 pert = ou_density_pert(_SWEEP_X, _SWEEP_T, d_coeff, lam)
                 errors.append(float(np.abs(pert - exact).max() / exact.max()))
@@ -195,11 +200,8 @@ def _summarize(fields: dict, cfg: ValidatedConfig, scaling_fit):
         for b in names[i + 1:]:
             per_metric = {}
             for metric in METRICS:
-                dist = field_distance(fields[a], fields[b], metric)
-                per_metric[metric] = {
-                    "t": t_idx,
-                    "value": [float(dist[j]) for j in idx],
-                }
+                dist = field_distance(fields[a], fields[b], metric, rows=cfg.slices)
+                per_metric[metric] = {"t": t_idx, "value": dist.tolist()}
             distances[f"{a}_vs_{b}"] = per_metric
 
     summary = {

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .analysis import trapezoid
-from .errors import SolverError
+from .errors import SolverError, TransformOverflowError
 from .model import MAX_EXPANSION_ORDER, ActionExpansion, DensityField, DriftSpec, Grid, cascade_pad
 from .oracles import s0_log_heat_kernel
 from .transform import potential_exponent, effective_potential_order
@@ -164,13 +164,28 @@ def assemble_density(expansion: ActionExpansion, drift: DriftSpec) -> DensityFie
     the action terms.
     """
     grid = expansion.grid
-    # in place on one buffer: the IEEE operations of exp(S/D - U/2D), so the
-    # same bits, with three full lattices alive at the peak, not four
-    w = expansion.action_sum()
-    w /= expansion.d_coeff
-    w -= potential_exponent(drift, expansion.d_coeff, expansion.lam, grid)
-    np.exp(w, out=w)
-    if not np.all(np.isfinite(w)):
+    # S/D - U/2D written into the result _BLOCK slices at a time, then exp()
+    # in place: the IEEE operations of the whole-lattice formula, so the same
+    # bits, with no lattice-sized temporary beside the result.  The action sum
+    # of every block is checked before an exponent overflow is raised, as the
+    # whole-lattice sum was checked before the exponent was formed.
+    w = np.empty((grid.nt, grid.nx))
+    overflow = None
+    for lo in range(0, grid.nt, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        block = np.divide(expansion.action_sum(rows), expansion.d_coeff, out=w[rows])
+        if overflow is None:
+            try:
+                block -= potential_exponent(drift, expansion.d_coeff, expansion.lam, grid, rows)
+            except TransformOverflowError as exc:
+                overflow = exc
+    if overflow is not None:
+        raise overflow
+    with np.errstate(over="ignore"):  # an overflow is the SolverError below, not a warning
+        np.exp(w, out=w)
+    # exp() gives no -inf and max() propagates a NaN, so the max is finite
+    # exactly when every value is
+    if not np.isfinite(w.max()):
         raise SolverError("assembled density overflowed; widen the domain or reduce lam")
     masses = trapezoid(w, grid.dx)
     if np.any(masses <= 0):

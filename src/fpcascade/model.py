@@ -134,11 +134,17 @@ class DensityField:
             mask = np.asarray(mask, dtype=bool)
             if mask.shape != (self.grid.nt,):
                 raise ValueError("populated mask must have shape (nt,)")
-        filled = vals[mask]
-        if not np.all(np.isfinite(filled)):
-            raise ValueError("density contains non-finite values in populated slices")
-        if filled.size and filled.min() < NEGATIVITY_FLOOR:
-            raise ValueError(f"density undershoot {filled.min():.3e} below {NEGATIVITY_FLOOR:.0e}")
+        # checked on views, never on a copy of the populated rows: min
+        # propagates a NaN, and an infinity shows in min or max
+        parts = (vals,) if mask.all() else (vals[j] for j in np.flatnonzero(mask))
+        lows = []
+        for part in parts:
+            low = part.min()
+            if not (np.isfinite(low) and np.isfinite(part.max())):
+                raise ValueError("density contains non-finite values in populated slices")
+            lows.append(low)
+        if lows and min(lows) < NEGATIVITY_FLOOR:
+            raise ValueError(f"density undershoot {min(lows):.3e} below {NEGATIVITY_FLOOR:.0e}")
         mask = mask.copy()
         mask.setflags(write=False)
         object.__setattr__(self, "values", _readonly(vals))
@@ -256,13 +262,14 @@ class ActionExpansion:
     def order(self) -> int:
         return len(self.terms) - 1
 
-    def action_sum(self) -> np.ndarray:
-        """S = sum_n lam^n S_n on the grid."""
-        acc = self.terms[0].copy()
+    def action_sum(self, rows=slice(None)) -> np.ndarray:
+        """S = sum_n lam^n S_n on the time slices ``rows`` of the grid (a
+        slice; every slice by default)."""
+        acc = self.terms[0][rows].copy()
         lam_n = 1.0
         for term in self.terms[1:]:
             lam_n *= self.lam
-            acc += lam_n * term
+            acc += lam_n * term[rows]
         if not np.all(np.isfinite(acc)):
             raise SolverError("action sum is not finite everywhere on the grid")
         return acc

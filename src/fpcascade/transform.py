@@ -37,16 +37,18 @@ def effective_potential_order(drift: DriftSpec, d_coeff: float, n: int, x, t):
     return np.broadcast_to(vals, np.broadcast_shapes(x.shape, np.shape(vals)))
 
 
-def potential_exponent(drift: DriftSpec, d_coeff: float, lam: float, grid):
-    """U/2D on the whole grid; raises TransformOverflowError naming the first
-    node where exp() of it would leave the double range."""
-    expo = np.multiply(drift.u(grid.x, grid.t[:, None]), lam, out=np.empty((grid.nt, grid.nx)))
+def potential_exponent(drift: DriftSpec, d_coeff: float, lam: float, grid, rows=slice(None)):
+    """U/2D on the time slices ``rows`` of the grid (a slice; every slice by
+    default); raises TransformOverflowError naming the first node, in
+    row-major order, where exp() of it would leave the double range."""
+    t = grid.t[rows]
+    expo = np.multiply(drift.u(grid.x, t[:, None]), lam, out=np.empty((len(t), grid.nx)))
     expo /= 2.0 * d_coeff
     bad = np.argwhere(np.abs(expo) > _EXP_LIMIT)
     if bad.size:
         j, i = bad[0]
         raise TransformOverflowError(
             f"U/2D = {expo[j, i]:.3e} exceeds the exp() range at node "
-            f"(t={grid.t[j]:.6g}, x={grid.x[i]:.6g}); shrink the domain or lam"
+            f"(t={t[j]:.6g}, x={grid.x[i]:.6g}); shrink the domain or lam"
         )
     return expo

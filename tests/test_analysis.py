@@ -112,6 +112,14 @@ class TestFieldDistance:
         with pytest.raises(ValueError, match="metric"):
             field_distance(w, w, "L7")
 
+    @pytest.mark.parametrize("rows", [np.array([0, 5, 6, 78]), np.array([40]), slice(10, 20)], ids=str)
+    def test_rows_equal_the_whole_lattice_rows(self, small_grid, rows):
+        # the summary computes its distances on the checkpoint slices alone
+        a = sample_density(small_grid, lambda x, t: w0_diffusion(x, t, 1.0))
+        b = sample_density(small_grid, lambda x, t: w0_diffusion(x, t, 1.4))
+        for metric in (L1, LINF, PEAK_RELATIVE_LINF):
+            assert field_distance(a, b, metric, rows=rows).tobytes() == field_distance(a, b, metric)[rows].tobytes()
+
 
 class TestScalingFit:
     def test_exact_cubic(self):

@@ -135,7 +135,8 @@ class TestOu:
         ([0.1, 0.1, 0.1], "need at least 3 distinct lambdas for a slope fit, got [0.1, 0.1, 0.1]"),
         ([0.01, -0.02, 0.05], "scaling fit requires positive lambdas and errors"),
         ([0.0, 0.1, 0.2], "lam = 0 has no closed form here; use w0_diffusion"),
-    ], ids=["two-values", "one-distinct", "negative", "zero"])
+        ([float("nan"), 0.1, 0.2], "scaling fit requires positive lambdas and errors, got lambda nan"),
+    ], ids=["two-values", "one-distinct", "negative", "zero", "nan"])
     def test_sweep_the_closed_forms_or_fit_reject_is_a_config_error(self, lams, reason):
         # the fit and ou_density_exact own these rules; their ValueErrors become config errors
         with pytest.raises(ConfigError, match=re.escape(f"lambda sweep {lams} gives no scaling fit: {reason}")):
