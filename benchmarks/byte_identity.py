@@ -96,13 +96,17 @@ CASES = (
 # (name, argv, JSON config or None) of runs that abort with exit 3: an action
 # sum that overflows (tests/test_cli.py's
 # TestOu::test_nonfinite_action_sum_is_a_solver_abort), an exponent U/2D past
-# the exp() range, and an FD boundary leak on the default grid
+# the exp() range, an FD boundary leak on the default grid, and two tiny D
+# whose S/D overflows before U/2D leaves the exp() range, at 1e-308 as inf
 ABORT_CASES = (
     ("abort-action-sum", ("ou", "--x-min", "-16", "--x-max", "16", "--nx", "161", "--t0", "0.1",
                           "--t-max", "1e300", "--nt", "3", "--paths", "3000", "--mc-dt", "1e299",
                           "--d", "1e-289"), None),
     ("abort-transform-overflow", ("ou", "--lambda", "1e4", *FAST), None),
     ("abort-fd-boundary-leak", ("example1", "--v", "sin", "--omega", "2", "--d", "1.5"), None),
+    *((f"abort-tiny-d-{d}", ("ou", "--x-min=-1e4", "--x-max", "1e4", "--nx", "161", "--t0", "0.1",
+                             "--t-max", "1.5", "--nt", "29", "--paths", "1000", "--d", d), None)
+      for d in ("1e-300", "1e-308")),
 )
 
 OUTPUTS = ("density.csv", "summary.json")

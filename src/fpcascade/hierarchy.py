@@ -34,7 +34,6 @@ from . import kernels
 from .analysis import trapezoid
 from .errors import SolverError, TransformOverflowError
 from .model import MAX_EXPANSION_ORDER, ActionExpansion, DensityField, DriftSpec, Grid, cascade_pad
-from .oracles import s0_log_heat_kernel
 from .transform import potential_exponent, effective_potential_order
 
 
@@ -45,8 +44,7 @@ def analytic_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int,
     x, t = grid.x, grid.t[:, None]
     # a term that overflows is inf, which action_sum rejects as a SolverError
     with np.errstate(over="ignore"):
-        terms = [s0_log_heat_kernel(x, t, d_coeff)]
-        terms += [drift.action(n, x, t, d_coeff) for n in range(1, order + 1)]
+        terms = [drift.action(n, x, t, d_coeff) for n in range(1, order + 1)]
     # a vanishing term is shaped like x; ActionExpansion copies the view
     terms = tuple(np.broadcast_to(vals, (grid.nt, grid.nx)) for vals in terms)
     return ActionExpansion(grid=grid, d_coeff=d_coeff, lam=lam, terms=terms)
@@ -126,7 +124,9 @@ def _padded_nodes(grid: Grid, d_coeff: float):
 
 
 def solve_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, grid: Grid) -> ActionExpansion:
-    """Numeric cascade: S0 closed form, then orders 1..order by Crank-Nicolson.
+    """Numeric cascade: orders 1..order by Crank-Nicolson, the ``order``
+    solved lattices and nothing else (S0 enters only through the bands'
+    advection -x/t; ``ActionExpansion.action_sum`` evaluates it).
 
     Initial slices come from the drift's closed-form ``action`` (zero for a
     drift without one), inheriting the finiteness-at-zero choice of
@@ -142,19 +142,13 @@ def solve_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, gr
         inits = [np.zeros(len(xp)) for _ in orders]
     else:
         inits = [drift.action(n, xp, grid.t0, d_coeff) for n in orders]
-    # S0 enters the cascade only through its advection -x/t, so it is
-    # evaluated on the requested nodes alone, and per slice: a lattice call
-    # costs 13 MB of peak RSS on the acceptance grids (docs/method.md)
-    s0 = np.empty((grid.nt, grid.nx))
-    for j, tj in enumerate(grid.t):
-        s0[j] = s0_log_heat_kernel(grid.x, tj, d_coeff)
     cropped = [np.empty((grid.nt, grid.nx)) for _ in orders]
     for out, init in zip(cropped, inits):  # the march yields the rows after t0
         out[0] = init[m : m + grid.nx]
     for rows, solved in _march(drift, orders, xp, grid.t, grid.dx, grid.dt, d_coeff, inits):
         for out, vals in zip(cropped, solved):
             out[rows] = vals[:, m : m + grid.nx]  # the cropped padded nodes are the grid's nodes bit for bit
-    return ActionExpansion(grid=grid, d_coeff=d_coeff, lam=lam, terms=(s0, *cropped))
+    return ActionExpansion(grid=grid, d_coeff=d_coeff, lam=lam, terms=tuple(cropped))
 
 
 def assemble_density(expansion: ActionExpansion, drift: DriftSpec) -> DensityField:
@@ -171,17 +165,19 @@ def assemble_density(expansion: ActionExpansion, drift: DriftSpec) -> DensityFie
     # whole-lattice sum was checked before the exponent was formed.
     w = np.empty((grid.nt, grid.nx))
     overflow = None
-    for lo in range(0, grid.nt, _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        block = np.divide(expansion.action_sum(rows), expansion.d_coeff, out=w[rows])
-        if overflow is None:
-            try:
-                block -= potential_exponent(drift, expansion.d_coeff, expansion.lam, grid, rows)
-            except TransformOverflowError as exc:
-                overflow = exc
-    if overflow is not None:
-        raise overflow
-    with np.errstate(over="ignore"):  # an overflow is the SolverError below, not a warning
+    # an S/D or exp() that overflows is an inf, which ends as one of the
+    # SolverErrors below, not as a warning
+    with np.errstate(over="ignore"):
+        for lo in range(0, grid.nt, _BLOCK):
+            rows = slice(lo, lo + _BLOCK)
+            block = np.divide(expansion.action_sum(rows), expansion.d_coeff, out=w[rows])
+            if overflow is None:
+                try:
+                    block -= potential_exponent(drift, expansion.d_coeff, expansion.lam, grid, rows)
+                except TransformOverflowError as exc:
+                    overflow = exc
+        if overflow is not None:
+            raise overflow
         np.exp(w, out=w)
     # exp() gives no -inf and max() propagates a NaN, so the max is finite
     # exactly when every value is
@@ -203,8 +199,8 @@ def cascade_residual(n: int, expansion: ActionExpansion, drift: DriftSpec) -> fl
     if not 1 <= n <= expansion.order:
         raise ValueError(f"residual needs 1 <= n <= {expansion.order}, got {n}")
     grid = expansion.grid
-    term = expansion.terms[n]
-    grads = [_gradient(s, grid.dx) for s in expansion.terms[1:n]]
+    term = expansion.terms[n - 1]
+    grads = [_gradient(s, grid.dx) for s in expansion.terms[: n - 1]]
     source = _source_arrays(n, drift, expansion.d_coeff, grid.x, grid.t, grads)
     dx, dt = grid.dx, grid.dt
     mid = term[1:-1]

@@ -239,8 +239,8 @@ def quadratic_ou() -> DriftSpec:
 
 @dataclass(frozen=True)
 class ActionExpansion:
-    """The solved action terms S0..SN on one grid, plus D and lam: terms[n]
-    is S_n, a read-only (nt, nx) array."""
+    """The solved action terms S_1..S_N on one grid, plus D and lam: terms[n - 1]
+    is S_n, a read-only (nt, nx) array.  S0 is a closed form, not stored."""
 
     grid: Grid
     d_coeff: float
@@ -250,24 +250,24 @@ class ActionExpansion:
     def __post_init__(self):
         if not self.d_coeff > 0:
             raise ValueError(f"diffusion constant must be > 0, got {self.d_coeff}")
-        if not self.terms:
-            raise ValueError("expansion needs at least the order-0 term")
         shape = (self.grid.nt, self.grid.nx)
-        for n, term in enumerate(self.terms):
+        for n, term in enumerate(self.terms, start=1):
             if np.shape(term) != shape:
                 raise ValueError(f"term {n} shape {np.shape(term)} != grid shape {shape}")
         object.__setattr__(self, "terms", tuple(map(_readonly, self.terms)))
 
     @property
     def order(self) -> int:
-        return len(self.terms) - 1
+        return len(self.terms)
 
     def action_sum(self, rows=slice(None)) -> np.ndarray:
-        """S = sum_n lam^n S_n on the time slices ``rows`` of the grid (a
+        """S = S0 + sum_n lam^n S_n on the time slices ``rows`` of the grid (a
         slice; every slice by default)."""
-        acc = self.terms[0][rows].copy()
+        # an S0 that overflows is inf, which the check below rejects
+        with np.errstate(over="ignore"):
+            acc = oracles.s0_log_heat_kernel(self.grid.x, self.grid.t[rows, None], self.d_coeff)
         lam_n = 1.0
-        for term in self.terms[1:]:
+        for term in self.terms:
             lam_n *= self.lam
             acc += lam_n * term[rows]
         if not np.all(np.isfinite(acc)):

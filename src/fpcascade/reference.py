@@ -20,7 +20,6 @@ data the cascade uses, so all solvers address one initial-value problem.
 import os
 
 import numpy as np
-from numpy.random import SFC64, Generator, SeedSequence
 
 from . import forked, kernels
 from .analysis import trapezoid
@@ -86,16 +85,19 @@ def fp_fd_solve(
             raise SolverError(
                 f"FD mass drift |{mass:.12g} - 1| > {mass_tol:g} first at step {j} (t={grid.t[j]:.6g})"
             )
-        peak = w.max()
+        peak, low = w.max(), w.min()
         if max(w[1], w[-2]) > boundary_tol * peak:
             raise SolverError(
                 f"FD boundary leak at step {j} (t={grid.t[j]:.6g}): density next to the edge "
                 f"exceeds {boundary_tol:g} of the peak; widen the domain"
             )
-        if w.min() < NEGATIVITY_FLOOR:
+        if low < NEGATIVITY_FLOOR:
             raise SolverError(
-                f"FD undershoot {w.min():.3e} below {NEGATIVITY_FLOOR:.0e} at step {j}; refine the grid"
+                f"FD undershoot {low:.3e} below {NEGATIVITY_FLOOR:.0e} at step {j}; refine the grid"
             )
+        # a NaN passes the checks above; max() and min() propagate it
+        if not (np.isfinite(peak) and np.isfinite(low)):
+            raise SolverError(f"FD solve produced non-finite values at step {j} (t={grid.t[j]:.6g})")
 
     check_slice(0)
     # the band is rebuilt only when the interface drift changes in a bit:
@@ -114,8 +116,6 @@ def fp_fd_solve(
         except ZeroDivisionError as exc:
             raise SolverError(f"FD tridiagonal solve failed at step {j}") from exc
         check_slice(j + 1)
-    if not np.all(np.isfinite(vals)):
-        raise SolverError("FD solve produced non-finite values")
     return DensityField(grid=grid, values=vals)
 
 
@@ -178,7 +178,8 @@ def em_simulate(
     segments = [(c, n, h, noise_scale * np.sqrt(h)) for c, (n, h) in zip(checkpoints, steps)]
     mean0, var0 = oracle_moments(drift, d_coeff, lam, t0)
 
-    import mmap  # only a run that samples needs it
+    import mmap  # only a run that samples needs these
+    from numpy.random import SFC64, Generator, SeedSequence
 
     # on a shared mapping, so that the chunks run in forked children write into it
     positions = np.frombuffer(mmap.mmap(-1, 8 * len(checkpoints) * n_paths)).reshape(-1, n_paths)

@@ -43,7 +43,8 @@ def potential_exponent(drift: DriftSpec, d_coeff: float, lam: float, grid, rows=
     row-major order, where exp() of it would leave the double range."""
     t = grid.t[rows]
     expo = np.multiply(drift.u(grid.x, t[:, None]), lam, out=np.empty((len(t), grid.nx)))
-    expo /= 2.0 * d_coeff
+    with np.errstate(over="ignore"):  # an inf is reported below, not warned about
+        expo /= 2.0 * d_coeff
     bad = np.argwhere(np.abs(expo) > _EXP_LIMIT)
     if bad.size:
         j, i = bad[0]

@@ -70,12 +70,12 @@ def _numeric_errors(grid):
     drift1 = linear_time_modulated(COS)
     exp1 = solve_expansion(drift1, 1.0, 0.5, 2, grid)
     x, t = grid.x, grid.t
-    e_s1 = np.abs(exp1.terms[1] - np.array([example1_s1(x, tj, COS) for tj in t])).max()
-    e_s2 = np.abs(exp1.terms[2] - np.array([example1_s2(x, tj, COS) for tj in t])).max()
+    e_s1 = np.abs(exp1.terms[0] - np.array([example1_s1(x, tj, COS) for tj in t])).max()
+    e_s2 = np.abs(exp1.terms[1] - np.array([example1_s2(x, tj, COS) for tj in t])).max()
     driftq = quadratic_ou()
     expq = solve_expansion(driftq, 1.0, 0.1, 2, grid)
-    e_q1 = np.abs(expq.terms[1] - ou_s1(t, 1.0)[:, None]).max()
-    e_q2 = np.abs(expq.terms[2] - np.array([ou_s2(x, tj, 1.0) for tj in t])).max()
+    e_q1 = np.abs(expq.terms[0] - ou_s1(t, 1.0)[:, None]).max()
+    e_q2 = np.abs(expq.terms[1] - np.array([ou_s2(x, tj, 1.0) for tj in t])).max()
     return e_s1, e_s2, e_q1, e_q2
 
 
@@ -101,11 +101,20 @@ def test_criterion_2_numeric_cascade_matches_closed_forms():
     assert elapsed < 30.0
 
 
+def test_refined_cascade_holds_only_its_solved_terms():
+    """The refined-grid expansion holds order x nt x nx float64s and nothing
+    more: S0 is a closed form, and each term owns its cropped lattice."""
+    grid = CASCADE_GRID.refined()
+    exp = solve_expansion(quadratic_ou(), 1.0, 0.1, 2, grid)
+    assert all(term.base is None for term in exp.terms)
+    assert sum(term.nbytes for term in exp.terms) == exp.order * grid.nt * grid.nx * 8
+
+
 def test_criterion_3_cascade_truncation_s3():
     """Order-3 term of the linear family vanishes after per-slice constant removal."""
     drift = linear_time_modulated(COS)
     exp = solve_expansion(drift, 1.0, 0.5, 3, CASCADE_GRID)
-    s3 = exp.terms[3]
+    s3 = exp.terms[2]
     s3 = s3 - s3.mean(axis=1, keepdims=True)
     worst = np.abs(s3).max()
     print(f"criterion 3: S3 max-abs after constant removal {worst:.3e} (<= 1e-3)")

@@ -1,8 +1,8 @@
 """Density assembly in row blocks and DensityField validation on views.
 
 The oracle below is the whole-lattice assembly that the row blocks replaced:
-the action sum, the exponent U/2D, their difference and exp() each formed on
-the full (nt, nx) lattice.  Blocked assembly must give its bits
+the closed-form S0, the action sum, the exponent U/2D, their difference and
+exp() each formed on the full (nt, nx) lattice.  Blocked assembly must give its bits
 (``tobytes``, so signed zeros count) and raise its errors in its order: a
 non-finite action sum anywhere, then the first exponent overflow in
 row-major order, then an exp() overflow, then a non-positive slice mass.
@@ -26,7 +26,7 @@ from fpcascade.model import (
     quadratic_ou,
     zero_drift,
 )
-from fpcascade.oracles import ModulationV
+from fpcascade.oracles import ModulationV, s0_log_heat_kernel
 
 D = 0.7
 LAM = 0.3
@@ -50,12 +50,13 @@ def _grid(nt):
 
 
 def _assemble(expansion, drift):
-    """The whole-lattice assembly; its exp() overflow is silenced, as the
-    blocked assembly's is, so that it reaches its SolverError."""
+    """The whole-lattice assembly; its S0 and exp() overflows are silenced,
+    as the blocked assembly's are, so that it reaches its SolverError."""
     grid = expansion.grid
-    w = expansion.terms[0].copy()
+    with np.errstate(over="ignore"):
+        w = s0_log_heat_kernel(grid.x, grid.t[:, None], expansion.d_coeff)
     lam_n = 1.0
-    for term in expansion.terms[1:]:
+    for term in expansion.terms:
         lam_n *= expansion.lam
         w += lam_n * term
     if not np.all(np.isfinite(w)):
@@ -121,8 +122,10 @@ def _potential_drift(grid, rows_from, x_from):
 GRID = _grid(2 * B + 5)
 
 
-# (S0 entries set, as (row, value) pairs, the first row of the exponent
-# overflow or None, the error that must surface)
+# (S_1 entries set, as (row, value) pairs, the first row of the exponent
+# overflow or None, the error that must surface); lam = 1 adds the entries to
+# the closed-form S0, which lies in [-180, 0.3] on GRID, so that exp() of
+# 800 + S0 still overflows near x = 0 and of -800 + S0 underflows everywhere
 PRECEDENCE = {
     "sum-late-exponent-early": ([(2 * B + 1, np.inf)], 0, "action sum is not finite"),
     "nan-sum-late-exponent-early": ([(2 * B + 4, np.nan)], 1, "action sum is not finite"),
@@ -136,11 +139,11 @@ PRECEDENCE = {
 @pytest.mark.parametrize("case", list(PRECEDENCE))
 def test_errors_keep_the_whole_lattice_precedence(case):
     entries, rows_from, reason = PRECEDENCE[case]
-    s0 = np.zeros((GRID.nt, GRID.nx))
+    s1 = np.zeros((GRID.nt, GRID.nx))
     for row, value in entries:
-        s0[row] = value
+        s1[row] = value
     drift = zero_drift() if rows_from is None else _potential_drift(GRID, rows_from, x_from=1.0)
-    expansion = ActionExpansion(grid=GRID, d_coeff=1.0, lam=1.0, terms=(s0,))
+    expansion = ActionExpansion(grid=GRID, d_coeff=1.0, lam=1.0, terms=(s1,))
     got = _outcome(H.assemble_density, expansion, drift)
     assert got == _outcome(_assemble, expansion, drift)
     with pytest.raises(SolverError, match=reason):

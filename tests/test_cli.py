@@ -159,6 +159,20 @@ class TestOu:
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
+    @pytest.mark.parametrize("d, expo", [("1e-300", "5.000e+306"), ("1e-308", "inf")])
+    def test_tiny_d_overflow_is_a_solver_abort(self, tmp_path, d, expo):
+        # S/D overflows, and at D = 1e-308 so does U/2D; the abort names the
+        # first node where U/2D leaves the exp() range, with no numpy warning
+        argv = ["ou", "--x-min=-1e4", "--x-max", "1e4", "--nx", "161", "--t0", "0.1", "--t-max", "1.5",
+                "--nt", "29", "--paths", "1000", "--d", d, "--out", str(tmp_path / "out")]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "fpcascade", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_SOLVER
+        assert f"solver abort: U/2D = {expo} exceeds the exp() range at node (t=0.1, x=-10000)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
 
 class TestCustom:
     def test_config_file_run(self, tmp_path):

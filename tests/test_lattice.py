@@ -57,8 +57,8 @@ def _per_slice_residual(n, expansion, drift):
     """cascade_residual as it was before it worked on 2-D slices: one time
     slice at a time.  Kept as the oracle."""
     grid = expansion.grid
-    term = expansion.terms[n]
-    grads = [_gradient(s, grid.dx) for s in expansion.terms[1:n]]
+    term = expansion.terms[n - 1]
+    grads = [_gradient(s, grid.dx) for s in expansion.terms[: n - 1]]
     source = _source_arrays(n, drift, expansion.d_coeff, grid.x, grid.t, grads)
     x = grid.x[1:-1]
     dx, dt = grid.dx, grid.dt

@@ -117,7 +117,9 @@ def test_solve_expansion_equals_order_by_order_loop(name, nt):
     for order in range(9):
         got = H.solve_expansion(drift, D, LAM, order, grid)
         assert got.order == order
-        for n, term in enumerate(got.terms):
+        if order == 0:  # the action sum is then the closed-form S0 alone
+            assert got.action_sum().tobytes() == want[0].tobytes()
+        for n, term in enumerate(got.terms, start=1):
             assert term.tobytes() == want[n].tobytes(), (order, n)
 
 

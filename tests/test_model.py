@@ -380,7 +380,7 @@ def test_build_drift_unknown_family():
 class TestFields:
     def test_scalar_field_shape_check(self, small_grid):
         zeros = np.zeros((small_grid.nt, small_grid.nx))
-        with pytest.raises(ValueError, match=r"term 1 shape \(3, 3\) != grid shape"):
+        with pytest.raises(ValueError, match=r"term 2 shape \(3, 3\) != grid shape"):
             ActionExpansion(grid=small_grid, d_coeff=1.0, lam=0.1, terms=(zeros, np.zeros((3, 3))))
 
     def test_scalar_field_immutable(self, small_grid):

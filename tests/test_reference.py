@@ -2,7 +2,10 @@ import errno
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +102,39 @@ class TestFdSolver:
         grid = Grid(-4.0, 4.0, 401, 0.1, 1.0, 101)
         with pytest.raises(SolverError, match="widen the domain"):
             fp_fd_solve(zero_drift(), 1.0, 0.0, grid, normalized_init(zero_drift(), 0.0, grid))
+
+    def test_non_finite_slice_aborts_at_its_step(self):
+        # dU/dx turns NaN after t = 0.5: the band of step 13 (half-step time
+        # 0.505) is NaN, so slice 14 (t = 0.52) is the first NaN slice; a NaN
+        # passes the mass, leak and undershoot checks, so only the finiteness
+        # check can name it
+        ou = quadratic_ou()
+
+        def du_dx(x, t):
+            return np.where(np.asarray(t) > 0.5, np.nan, np.asarray(x, dtype=float))
+
+        drift = DriftSpec("custom", ou.u, du_dx, ou.d2u_dx2, ou.du_dt)
+        grid = Grid(-12.0, 12.0, 241, 0.1, 1.0, 31)
+        with pytest.raises(SolverError, match=r"non-finite values at step 14 \(t=0\.52\)"):
+            fp_fd_solve(drift, 1.0, 0.3, grid, normalized_init(ou, 0.3, grid))
+
+
+def test_cascade_and_fd_do_not_import_numpy_random():
+    # only em_simulate draws normals, and numpy.random costs about 6 MB of
+    # RSS; run in a fresh interpreter, since another test may have imported it here
+    script = (
+        "import sys\n"
+        "import fpcascade as F\n"
+        "from fpcascade.analysis import trapezoid\n"
+        "drift, grid = F.quadratic_ou(), F.Grid(-12.0, 12.0, 241, 0.1, 1.0, 31)\n"
+        "F.assemble_density(F.solve_expansion(drift, 1.0, 0.3, 2, grid), drift)\n"
+        "w = F.ou_density_exact(grid.x, grid.t0, 1.0, 0.3)\n"
+        "F.fp_fd_solve(drift, 1.0, 0.3, grid, w / float(trapezoid(w, grid.dx)))\n"
+        "assert 'numpy.random' not in sys.modules, sorted(m for m in sys.modules if m.startswith('numpy.random'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(reference.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestEmSimulate:
