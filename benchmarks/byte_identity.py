@@ -68,7 +68,6 @@ CASES = (
     ("ou-lambda0", ("ou", "--lambda", "0", *FAST), None),
     ("ou-negative-lambda", ("ou", "--lambda", "-0.2", *FAST, "--x-min", "-20", "--x-max", "20", "--nx", "201"),
      None),
-    ("ou-sweep", ("ou", "--lambda-sweep", "0.01,0.03,0.09", *FAST), None),
     ("custom-zero", ("custom", *FAST), {"family": "zero"}),
     ("custom-quadratic", ("custom", *FAST),
      {"family": "quadratic_ou", "lam": 0.15, "checkpoints": [0.5, 1.0], "tolerances": {"mass_tol": 1e-7}}),
@@ -154,19 +153,27 @@ def csv_columns_differing(a: bytes, b: bytes) -> list:
     return [col_a[0] for col_a, col_b in zip(columns_a, columns_b) if col_a != col_b]
 
 
-def summary_keys_differing(a: bytes, b: bytes) -> list:
-    """Dotted paths, two levels deep, of the summary keys whose values differ."""
-    doc_a, doc_b = json.loads(a), json.loads(b)
+def _keys_differing(doc_a: dict, doc_b: dict, prefix: str, depth: int) -> list:
     keys = []
     for key in sorted(doc_a.keys() | doc_b.keys()):
-        val_a, val_b = doc_a.get(key), doc_b.get(key)
-        if val_a == val_b:
-            continue
-        if isinstance(val_a, dict) and isinstance(val_b, dict):
-            keys += [f"{key}.{sub}" for sub in sorted(val_a.keys() | val_b.keys()) if val_a.get(sub) != val_b.get(sub)]
-        else:
-            keys.append(key)
+        path = prefix + key
+        if key not in doc_b:
+            keys.append(f"{path} (removed)")
+        elif key not in doc_a:
+            keys.append(f"{path} (added)")
+        elif doc_a[key] != doc_b[key]:
+            if depth > 1 and isinstance(doc_a[key], dict) and isinstance(doc_b[key], dict):
+                keys += _keys_differing(doc_a[key], doc_b[key], path + ".", depth - 1)
+            else:
+                keys.append(path)
     return keys
+
+
+def summary_keys_differing(a: bytes, b: bytes) -> list:
+    """Dotted paths, two levels deep, of the summary keys whose values differ.
+    A key that only one tree writes is marked ``(removed)`` or ``(added)``,
+    whatever its value (a removed ``null`` differs too)."""
+    return _keys_differing(json.loads(a), json.loads(b), "", 2)
 
 
 DIFFERING_PARTS = {"density.csv": ("columns", csv_columns_differing),

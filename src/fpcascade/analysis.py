@@ -90,12 +90,3 @@ def normalized_reference(grid: Grid, sampler) -> DensityField:
     vals = sampler(grid.x, grid.t[:, None])
     return DensityField(grid=grid, values=vals / trapezoid(vals, grid.dx)[:, None])
 
-
-def translation_residual(w: DensityField, exact) -> float:
-    """Largest per-slice peak-relative deviation from ``exact(x, t)``.
-
-    The linear drift family is solved exactly by the heat kernel evaluated at
-    x + lam*Vbar(t); this measures how far a density is from that identity.
-    """
-    ref = normalized_reference(w.grid, exact)
-    return float(field_distance(w, ref, PEAK_RELATIVE_LINF).max())

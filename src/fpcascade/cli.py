@@ -2,21 +2,23 @@
 
 Subcommands:
 
-* ``example1``  linear drift x*V(t): perturbative (analytic and numeric
-  paths), finite-difference and Monte Carlo solvers; the summary carries the
-  shifted-heat-kernel translation residual.
-* ``ou``        quadratic drift x^2/2: same solver set; the summary adds the
-  lambda-sweep scaling fit and the log-resummation gaps.
+* ``example1``  linear drift x*V(t).
+* ``ou``        quadratic drift x^2/2.
 * ``custom``    any built-in drift family, configured via JSON.
 
+Every run solves its drift the same way: perturbatively (analytic and numeric
+paths), by finite differences and by Monte Carlo, next to the closed-form
+density.  The subcommands differ only in their flags and the family they set.
+
 Outputs (in --out): ``density.csv`` with one row per (t-slice, x-node) in
-time-major order, and ``summary.json``.  Floats are written with 17
-significant digits and LF line endings so identical invocations produce
-byte-identical files.  Both files are written beside their targets under
-temporary names and renamed onto them only once both are complete, so a run
-that dies mid-write leaves the previous pair in place.  The output directory
-is created before any solver runs; when it cannot be, the run is rejected as
-a config error.
+time-major order, and ``summary.json``, which holds the config echo and, at
+the checkpoints, every field's masses and moments and the distances between
+every pair of fields.  Floats are written with 17 significant digits and LF
+line endings so identical invocations produce byte-identical files.  Both
+files are written beside their targets under temporary names and renamed onto
+them only once both are complete, so a run that dies mid-write leaves the
+previous pair in place.  The output directory is created before any solver
+runs; when it cannot be, the run is rejected as a config error.
 
 On Linux a forked writer process formats the ``density.csv`` slices that hold
 no ``w_mc`` into a part file while this process samples ``w_mc``; the
@@ -38,15 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import forked
-from .analysis import (
-    METRICS,
-    field_distance,
-    scaling_order_fit,
-    slice_mass,
-    slice_moments,
-    translation_residual,
-    trapezoid,
-)
+from .analysis import METRICS, field_distance, slice_mass, slice_moments, trapezoid
 from .errors import ConfigError, InvariantViolation, SolverError
 from .hierarchy import analytic_expansion, assemble_density, solve_expansion
 from .model import (
@@ -58,17 +52,12 @@ from .model import (
     ValidatedConfig,
     validate_config,
 )
-from .oracles import log_resummation_gap, ou_density_exact, ou_density_pert
 from .reference import density_from_samples, em_simulate, fp_fd_solve, oracle_density
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INVARIANT = 4
-
-# evaluation lattice for the oracle-vs-oracle lambda sweep (grid independent)
-_SWEEP_T = 1.0
-_SWEEP_X = np.linspace(-12.0, 12.0, 4801)
 
 # w_fd is held to tolerances.mass_tol, the tolerance fp_fd_solve ran at
 _MASS_TOL = {"w_pert": 1e-9, "w_pert_numeric": 1e-9, "w_exact": 1e-8, "w_mc": 1e-9}
@@ -150,34 +139,8 @@ def _check_emission(fields: dict, cfg: ValidatedConfig):
                 )
 
 
-def _scaling_fit(lams, d_coeff: float) -> dict:
-    """Oracle-vs-oracle lambda sweep of the resummed quadratic-drift density
-    and its log-log slope.  A sweep the fit rejects (fewer than 3 distinct
-    lambdas, one that is not > 0) or whose errors or slope are not finite (an
-    extreme lambda over- or underflows the closed forms) is a config error."""
-    errors = []
-    try:
-        with np.errstate(all="ignore"):
-            for lam in lams:
-                # the fit's positive-lambda rule, ahead of the closed forms,
-                # which give a NaN lambda a misleading reason; lam = 0 keeps
-                # ou_density_exact's own
-                if not lam >= 0:
-                    raise ValueError(f"scaling fit requires positive lambdas and errors, got lambda {lam}")
-                exact = ou_density_exact(_SWEEP_X, _SWEEP_T, d_coeff, lam)
-                pert = ou_density_pert(_SWEEP_X, _SWEEP_T, d_coeff, lam)
-                errors.append(float(np.abs(pert - exact).max() / exact.max()))
-            # the fit rejects an error of 0, and a NaN error is no fit either
-            slope = scaling_order_fit(list(zip(lams, errors))) if all(e > 0 for e in errors) else float("nan")
-    except ValueError as exc:
-        raise ConfigError(f"lambda sweep {list(lams)} gives no scaling fit: {exc}") from exc
-    if not np.all(np.isfinite([*errors, slope])):
-        raise ConfigError(f"lambda sweep {list(lams)} gives no finite scaling fit: errors {errors}, slope {slope}")
-    return {"lambdas": [float(l) for l in lams], "errors": errors, "slope": slope}
-
-
-def _summarize(fields: dict, cfg: ValidatedConfig, scaling_fit):
-    grid, drift = cfg.grid, cfg.drift
+def _summarize(fields: dict, cfg: ValidatedConfig):
+    grid = cfg.grid
     # every field is populated on every checkpoint slice
     idx = cfg.slices.tolist()
     t_idx = grid.t[cfg.slices].tolist()
@@ -204,25 +167,12 @@ def _summarize(fields: dict, cfg: ValidatedConfig, scaling_fit):
                 per_metric[metric] = {"t": t_idx, "value": dist.tolist()}
             distances[f"{a}_vs_{b}"] = per_metric
 
-    summary = {
+    return {
         "config": _config_dict(cfg),
         "masses": masses,
         "moments": moments,
         "distances": distances,
-        "translation_residual": None,
-        "scaling_fit": scaling_fit,  # None unless the drift is quadratic
-        "resummation_gaps": None,
     }
-    if drift.family == FAMILY_LINEAR:
-        summary["translation_residual"] = translation_residual(
-            fields["w_pert"], lambda x, t: oracle_density(drift, cfg.raw.d_coeff, cfg.raw.lam, x, t)
-        )
-    if drift.family == FAMILY_QUADRATIC:
-        summary["resummation_gaps"] = {
-            "t": grid.t.tolist(),
-            "gap": log_resummation_gap(cfg.raw.lam, grid.t).tolist(),
-        }
-    return summary
 
 
 def _config_dict(cfg: ValidatedConfig):
@@ -345,14 +295,6 @@ class _SliceWriter(forked.Child):
 
 def _run(args) -> int:
     cfg = validate_config(_config_from_args(args))
-    scaling_fit = None
-    if cfg.drift.family == FAMILY_QUADRATIC:
-        sweep = getattr(args, "lambda_sweep", None) or "0.02,0.04,0.08,0.16"  # custom has no --lambda-sweep
-        try:
-            lams = [float(s) for s in sweep.split(",") if s.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad --lambda-sweep list: {sweep!r}") from exc
-        scaling_fit = _scaling_fit(lams, cfg.raw.d_coeff)
     try:
         Path(cfg.raw.out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -367,7 +309,7 @@ def _run(args) -> int:
         # default run's peak RSS by 1.6 MB (glibc then maps the checks' temporaries anew)
         del positions
         _check_emission(fields, cfg)
-        summary = _summarize(fields, cfg, scaling_fit)
+        summary = _summarize(fields, cfg)
         out_dir = _write_outputs(fields, summary, cfg, part)
     print(f"wrote {out_dir / 'density.csv'} and {out_dir / 'summary.json'}")
     return EXIT_OK
@@ -390,6 +332,12 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", type=str, default=None, help="JSON config file; flags override it")
 
 
+def _add_modulation_flags(p: argparse.ArgumentParser):
+    p.add_argument("--v", dest="v_kind", choices=["cos", "sin", "const"], default=None, help="modulation V(t)")
+    p.add_argument("--omega", type=float, default=None, help="angular frequency of V")
+    p.add_argument("--v0", type=float, default=None, help="constant V value")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fpcascade",
@@ -399,27 +347,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p1 = sub.add_parser("example1", help="linear drift potential x*V(t)")
-    p1.add_argument("--v", dest="v_kind", choices=["cos", "sin", "const"], default=None, help="modulation V(t)")
-    p1.add_argument("--omega", type=float, default=None, help="angular frequency of V")
-    p1.add_argument("--v0", type=float, default=None, help="constant V value")
+    _add_modulation_flags(p1)
     _add_common_flags(p1)
     p1.set_defaults(family=FAMILY_LINEAR)
 
     p2 = sub.add_parser("ou", help="quadratic drift potential x^2/2")
-    p2.add_argument(
-        "--lambda-sweep",
-        dest="lambda_sweep",
-        type=str,
-        default=None,
-        help="comma list of lambdas for the scaling fit (default 0.02,0.04,0.08,0.16)",
-    )
     _add_common_flags(p2)
     p2.set_defaults(family=FAMILY_QUADRATIC)
 
     p3 = sub.add_parser("custom", help="any built-in drift family from a JSON config")
-    p3.add_argument("--v", dest="v_kind", choices=["cos", "sin", "const"], default=None)
-    p3.add_argument("--omega", type=float, default=None)
-    p3.add_argument("--v0", type=float, default=None)
+    _add_modulation_flags(p3)
     _add_common_flags(p3)
     return parser
 

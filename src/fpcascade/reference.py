@@ -58,7 +58,8 @@ def fp_fd_solve(
 ) -> DensityField:
     """Crank-Nicolson flux-form integration of the density equation.
 
-    The initial slice must be non-negative with trapezoid mass 1 within 1e-8.
+    The initial slice must be finite and non-negative with trapezoid mass 1
+    within 1e-8.
     Aborts if the per-slice mass drifts beyond ``mass_tol`` or if the density
     next to the absorbing boundary ever exceeds ``boundary_tol`` of the slice
     peak (the domain is then too narrow for the run).
@@ -66,6 +67,9 @@ def fp_fd_solve(
     w_init = np.asarray(w_init, dtype=float)
     if w_init.shape != (grid.nx,):
         raise ValueError(f"initial slice must have shape ({grid.nx},)")
+    # NaN passes both checks below, and an inf would be named a mass error
+    if not np.isfinite(w_init).all():
+        raise ValueError("initial slice must hold finite values only")
     if w_init.min() < 0:
         raise ValueError("initial density must be non-negative")
     if abs(float(trapezoid(w_init, grid.dx)) - 1.0) > 1e-8:

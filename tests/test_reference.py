@@ -98,6 +98,14 @@ class TestFdSolver:
         with pytest.raises(ValueError, match="non-negative"):
             fp_fd_solve(zero_drift(), 1.0, 0.0, grid, bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_init(self, value):
+        # a NaN slice passes the sign and mass checks, and an inf one fails
+        # the mass check; both are named as non-finite input
+        grid = Grid(-8.0, 8.0, 401, 0.1, 1.0, 51)
+        with pytest.raises(ValueError, match="initial slice must hold finite values only"):
+            fp_fd_solve(zero_drift(), 1.0, 0.0, grid, np.full(401, value))
+
     def test_narrow_domain_aborts_with_hint(self):
         grid = Grid(-4.0, 4.0, 401, 0.1, 1.0, 101)
         with pytest.raises(SolverError, match="widen the domain"):
