@@ -47,9 +47,9 @@ FAST_T = [round(0.1 + 0.05 * k, 10) for k in range(29)]
 # last block), small stand-ins for the two CLI benchmark workloads at two
 # seeds each, and the signed-zero edges of the drift product lam * U_1'
 # (lam = -0.0, V = +-0, and a sine whose omega t is within 1e-14 of pi at the
-# node t = 1), and a config file that gives integers for float fields, a
-# partial tolerances object with an integer value and a list of checkpoints
-# (the summary.json config echo shows each as the validated config holds it).
+# node t = 1), and a config file that gives integers for float fields and a
+# list of checkpoints (the summary.json config echo shows each as the
+# validated config holds it).
 # Every case exits 0 (later flags override earlier ones).
 CASES = (
     ("example1-cos", ("example1", *FAST), None),
@@ -70,7 +70,7 @@ CASES = (
      None),
     ("custom-zero", ("custom", *FAST), {"family": "zero"}),
     ("custom-quadratic", ("custom", *FAST),
-     {"family": "quadratic_ou", "lam": 0.15, "checkpoints": [0.5, 1.0], "tolerances": {"mass_tol": 1e-7}}),
+     {"family": "quadratic_ou", "lam": 0.15, "checkpoints": [0.5, 1.0]}),
     *((f"custom-checkpoints-{layout}", ("custom", *FAST), {"family": "linear_time_modulated", "checkpoints": ts})
       for layout, ts in (("first", FAST_T[:1]), ("adjacent", FAST_T[8:10]), ("last", FAST_T[-1:]),
                          ("every", FAST_T), ("off-node", [0.51, 1.23]),
@@ -89,7 +89,7 @@ CASES = (
      None),
     ("custom-ints-for-floats", ("custom", *FAST),
      {"family": "linear_time_modulated", "v_kind": "sin", "d_coeff": 1, "lam": 1, "omega": 2,
-      "tolerances": {"boundary_tol": 1}, "checkpoints": [0.5, 1]}),
+      "checkpoints": [0.5, 1]}),
 )
 
 # (name, argv, JSON config or None) of runs that abort with exit 3: an action

@@ -28,15 +28,15 @@ def slice_mass(w: DensityField, j: int) -> float:
     return float(trapezoid(w.values[j], w.grid.dx))
 
 
-def slice_moments(w: DensityField, j: int, mass_tol: float = 1e-6):
+def slice_moments(w: DensityField, j: int):
     """(mean, variance) of slice j by trapezoid quadrature.
 
-    Requires the slice mass to be within mass_tol of 1 so the moments are
-    those of a probability density.
+    Requires the slice mass to be within 1e-6 of 1 so the moments are those
+    of a probability density.
     """
     mass = slice_mass(w, j)
-    if abs(mass - 1.0) > mass_tol:
-        raise ValueError(f"slice {j} mass {mass:.12g} deviates from 1 beyond {mass_tol:g}")
+    if abs(mass - 1.0) > 1e-6:
+        raise ValueError(f"slice {j} mass {mass:.12g} deviates from 1 beyond 1e-06")
     x = w.grid.x
     vals = w.values[j]
     mean = float(trapezoid(x * vals, w.grid.dx)) / mass

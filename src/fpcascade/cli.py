@@ -48,19 +48,19 @@ from .model import (
     FAMILY_LINEAR,
     FAMILY_QUADRATIC,
     RunConfig,
-    Tolerances,
     ValidatedConfig,
     validate_config,
 )
-from .reference import density_from_samples, em_simulate, fp_fd_solve, oracle_density
+from .reference import FD_MASS_TOL, density_from_samples, em_simulate, fp_fd_solve, oracle_density
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INVARIANT = 4
 
-# w_fd is held to tolerances.mass_tol, the tolerance fp_fd_solve ran at
-_MASS_TOL = {"w_pert": 1e-9, "w_pert_numeric": 1e-9, "w_exact": 1e-8, "w_mc": 1e-9}
+# the largest |mass - 1| of an emitted slice, per column; w_fd is held to the
+# tolerance fp_fd_solve checked every slice at
+_MASS_TOL = {"w_pert": 1e-9, "w_pert_numeric": 1e-9, "w_exact": 1e-8, "w_fd": FD_MASS_TOL, "w_mc": 1e-9}
 
 # density.csv columns after x and t, in order
 _COLUMNS = ("w_pert", "w_pert_numeric", "w_exact", "w_fd", "w_mc")
@@ -80,14 +80,6 @@ def _load_config_file(path) -> dict:
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    tolerances = data.pop("tolerances", {})
-    if type(tolerances) is not dict:
-        raise ConfigError(f"tolerances must be a JSON object, got {json.dumps(tolerances)}")
-    unknown = set(tolerances) - set(Tolerances.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
-    if tolerances:
-        data["tolerances"] = Tolerances(**tolerances)
     if type(data.get("checkpoints")) is list:
         data["checkpoints"] = tuple(data["checkpoints"])
     return data
@@ -120,17 +112,13 @@ def _run_solvers(cfg: ValidatedConfig):
     fields["w_exact"] = DensityField(grid=grid, values=exact)
 
     w_init = exact[0] / float(trapezoid(exact[0], grid.dx))
-    fields["w_fd"] = fp_fd_solve(
-        drift, d, lam, grid, w_init,
-        mass_tol=raw.tolerances.mass_tol, boundary_tol=raw.tolerances.boundary_tol,
-    )
+    fields["w_fd"] = fp_fd_solve(drift, d, lam, grid, w_init)
     return fields
 
 
-def _check_emission(fields: dict, cfg: ValidatedConfig):
-    tols = dict(_MASS_TOL, w_fd=cfg.raw.tolerances.mass_tol)
+def _check_emission(fields: dict):
     for name, field in fields.items():
-        tol = tols[name]
+        tol = _MASS_TOL[name]
         for j in np.flatnonzero(field.populated):
             mass = slice_mass(field, int(j))
             if abs(mass - 1.0) > tol:
@@ -308,7 +296,7 @@ def _run(args) -> int:
         # free the paths before the checks: held through them, they raised the
         # default run's peak RSS by 1.6 MB (glibc then maps the checks' temporaries anew)
         del positions
-        _check_emission(fields, cfg)
+        _check_emission(fields)
         summary = _summarize(fields, cfg)
         out_dir = _write_outputs(fields, summary, cfg, part)
     print(f"wrote {out_dir / 'density.csv'} and {out_dir / 'summary.json'}")

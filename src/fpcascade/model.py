@@ -8,7 +8,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -276,12 +276,6 @@ class ActionExpansion:
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    mass_tol: float = 1e-8
-    boundary_tol: float = 1e-12
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything needed to reproduce one run; loadable from JSON (see cli)."""
 
@@ -302,7 +296,6 @@ class RunConfig:
     seed: int = 20107
     mc_dt: float = 1e-3
     checkpoints: tuple = ()
-    tolerances: Tolerances = field(default_factory=Tolerances)
     out_dir: str = "fpcascade-out"
 
 
@@ -355,28 +348,25 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-# what a RunConfig or Tolerances field must hold, by its annotation
+# what a RunConfig field must hold, by its annotation
 _KINDS = {
     float: ("a number", _is_number),
     int: ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     tuple: ("a list of numbers", lambda v: isinstance(v, (tuple, list)) and all(map(_is_number, v))),
-    Tolerances: ("a Tolerances object", lambda v: isinstance(v, Tolerances)),
 }
 
 
-def _check_fields(obj, prefix=""):
-    """Check each field of the dataclass ``obj`` against its annotation, and
-    every number in a float or tuple field for finiteness.  Values show as
-    JSON, as a config file holds them."""
-    for f in fields(obj):
-        name, value = prefix + f.name, getattr(obj, f.name)
+def _check_fields(cfg: RunConfig):
+    """Check each field of ``cfg`` against its annotation, and every number in
+    a float or tuple field for finiteness.  Values show as JSON, as a config
+    file holds them."""
+    for f in fields(cfg):
+        name, value = f.name, getattr(cfg, f.name)
         kind, accepts = _KINDS[f.type]
         if not accepts(value):
             raise ConfigError(f"{name} must be {kind}, got {json.dumps(value, default=repr)}")
-        if f.type is Tolerances:
-            _check_fields(value, f"{name}.")
-        elif f.type in (float, tuple):
+        if f.type in (float, tuple):
             labelled = [(name, value)] if f.type is float else [(f"{name}[{i}]", v) for i, v in enumerate(value)]
             for label, number in labelled:
                 if not abs(number) <= sys.float_info.max:  # NaN, +-inf, an int past the float range
@@ -389,9 +379,6 @@ def validate_config(cfg: RunConfig) -> ValidatedConfig:
     Raises ConfigError naming the violated bound.
     """
     _check_fields(cfg)
-    for name, tol in vars(cfg.tolerances).items():
-        if not tol > 0:
-            raise ConfigError(f"tolerances.{name} must be > 0, got {tol}")
     if not cfg.d_coeff > 0:
         raise ConfigError(f"diffusion constant must be > 0, got {cfg.d_coeff}")
     if not 0 <= cfg.order <= MAX_EXPANSION_ORDER:

@@ -47,22 +47,20 @@ def oracle_moments(drift: DriftSpec, d_coeff: float, lam: float, t):
     return drift.moments(t, d_coeff, lam)
 
 
-def fp_fd_solve(
-    drift: DriftSpec,
-    d_coeff: float,
-    lam: float,
-    grid: Grid,
-    w_init: np.ndarray,
-    mass_tol: float = 1e-8,
-    boundary_tol: float = 1e-12,
-) -> DensityField:
+# fp_fd_solve's abort thresholds: the largest |mass - 1| of a slice, and of
+# the density next to either edge as a fraction of the slice peak
+FD_MASS_TOL = 1e-8
+FD_BOUNDARY_TOL = 1e-12
+
+
+def fp_fd_solve(drift: DriftSpec, d_coeff: float, lam: float, grid: Grid, w_init: np.ndarray) -> DensityField:
     """Crank-Nicolson flux-form integration of the density equation.
 
     The initial slice must be finite and non-negative with trapezoid mass 1
-    within 1e-8.
-    Aborts if the per-slice mass drifts beyond ``mass_tol`` or if the density
-    next to the absorbing boundary ever exceeds ``boundary_tol`` of the slice
-    peak (the domain is then too narrow for the run).
+    within ``FD_MASS_TOL``.  Aborts if a slice's mass drifts from 1 beyond
+    ``FD_MASS_TOL`` or if the density next to the absorbing boundary ever
+    exceeds ``FD_BOUNDARY_TOL`` of the slice peak (the domain is then too
+    narrow for the run).
     """
     w_init = np.asarray(w_init, dtype=float)
     if w_init.shape != (grid.nx,):
@@ -72,8 +70,8 @@ def fp_fd_solve(
         raise ValueError("initial slice must hold finite values only")
     if w_init.min() < 0:
         raise ValueError("initial density must be non-negative")
-    if abs(float(trapezoid(w_init, grid.dx)) - 1.0) > 1e-8:
-        raise ValueError("initial density must have unit trapezoid mass within 1e-8")
+    if abs(float(trapezoid(w_init, grid.dx)) - 1.0) > FD_MASS_TOL:
+        raise ValueError(f"initial density must have unit trapezoid mass within {FD_MASS_TOL:g}")
     x = grid.x
     x_half = x[:-1] + 0.5 * grid.dx
     dx, dt = grid.dx, grid.dt
@@ -85,15 +83,15 @@ def fp_fd_solve(
     def check_slice(j):
         w = vals[j]
         mass = float(trapezoid(w, dx))
-        if abs(mass - 1.0) > mass_tol:
+        if abs(mass - 1.0) > FD_MASS_TOL:
             raise SolverError(
-                f"FD mass drift |{mass:.12g} - 1| > {mass_tol:g} first at step {j} (t={grid.t[j]:.6g})"
+                f"FD mass drift |{mass:.12g} - 1| > {FD_MASS_TOL:g} first at step {j} (t={grid.t[j]:.6g})"
             )
         peak, low = w.max(), w.min()
-        if max(w[1], w[-2]) > boundary_tol * peak:
+        if max(w[1], w[-2]) > FD_BOUNDARY_TOL * peak:
             raise SolverError(
                 f"FD boundary leak at step {j} (t={grid.t[j]:.6g}): density next to the edge "
-                f"exceeds {boundary_tol:g} of the peak; widen the domain"
+                f"exceeds {FD_BOUNDARY_TOL:g} of the peak; widen the domain"
             )
         if low < NEGATIVITY_FLOOR:
             raise SolverError(

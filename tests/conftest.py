@@ -16,3 +16,24 @@ def sample_density(grid: Grid, sampler, normalize=True) -> DensityField:
     if normalize:
         vals = vals / trapezoid(vals, grid.dx)[:, None]
     return DensityField(grid=grid, values=vals)
+
+
+def after_call(monkeypatch, module, name, n, act):
+    """Patch ``module.name`` so that its call number ``n`` (counted from 0)
+    runs as usual and is then followed by ``act(*args)``, which may raise or
+    change the arrays the call wrote."""
+    real, calls = getattr(module, name), []
+
+    def wrapped(*args):
+        result = real(*args)
+        if len(calls) == n:
+            act(*args)
+        calls.append(None)
+        return result
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+def singular(*args):
+    """Stands in for a tridiagonal solve on a singular band."""
+    raise ZeroDivisionError("singular tridiagonal matrix")

@@ -18,7 +18,7 @@ import fpcascade.forked
 from fpcascade import cli, reference
 from fpcascade.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, main
 from fpcascade.errors import InvariantViolation, SolverError
-from fpcascade.model import DensityField, RunConfig, Tolerances, validate_config
+from fpcascade.model import DensityField, Grid, RunConfig, validate_config
 
 FAST = [
     "--t0", "0.1", "--t-max", "2", "--x-min", "-16", "--x-max", "16",
@@ -204,10 +204,9 @@ class TestCustom:
 
     def test_int_accepted_for_float(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"lam": 1, "checkpoints": [1, 2.5], "tolerances": {"mass_tol": 1}}))
+        path.write_text(json.dumps({"lam": 1, "checkpoints": [1, 2.5]}))
         overrides = cli._load_config_file(path)
         assert overrides["lam"] == 1 and overrides["checkpoints"] == (1, 2.5)
-        assert overrides["tolerances"] == Tolerances(mass_tol=1)
 
 
 def test_narrow_domain_solver_abort(tmp_path):
@@ -246,9 +245,8 @@ class TestFailures:
         assert capsys.readouterr().err.startswith("config rejected: cannot create output directory")
 
     @pytest.mark.parametrize("bad, message", [
-        ({"tolerances": {"bogus": 1}}, "unknown tolerance keys: ['bogus']"),
-        ({"tolerances": 5}, "tolerances must be a JSON object, got 5"),
-        ({"tolerances": {"mass_tol": "x"}}, 'tolerances.mass_tol must be a number, got "x"'),
+        # FD's thresholds are constants, not config keys
+        ({"tolerances": {"mass_tol": 1e-7}}, "unknown config keys: ['tolerances']"),
         ({"checkpoints": 5}, "checkpoints must be a list of numbers, got 5"),
         ({"checkpoints": [0.5, None]}, "checkpoints must be a list of numbers, got [0.5, null]"),
         ({"lam": None}, "lam must be a number, got null"),
@@ -256,7 +254,7 @@ class TestFailures:
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"nx": "241"}, 'nx must be an integer, got "241"'),
         ({"family": 0}, "family must be a string, got 0"),
-    ], ids=["unknown-tolerance", "tolerances-int", "tolerance-str", "checkpoints-int",
+    ], ids=["unknown-tolerance", "checkpoints-int",
             "checkpoint-null", "lam-null", "lam-bool", "seed-float", "nx-str", "family-int"])
     def test_mistyped_config_value_rejected(self, tmp_path, monkeypatch, capsys, bad, message):
         def must_not_run(cfg):
@@ -279,13 +277,13 @@ class TestFailures:
         (["example1", "--v", "const", "--v0", "nan"], None, "v0 must be finite, got nan"),
         (["custom"], {"lam": float("nan")}, "lam must be finite, got nan"),
         (["custom"], {"lam": 10**400}, f"lam must be finite, got {10**400}"),
-        (["custom"], {"tolerances": {"mass_tol": float("inf")}}, "tolerances.mass_tol must be finite, got inf"),
-        (["custom"], {"tolerances": {"mass_tol": 0}}, "tolerances.mass_tol must be > 0, got 0"),
-        (["custom"], {"tolerances": {"mass_tol": -1e-9}}, "tolerances.mass_tol must be > 0, got -1e-09"),
-        (["custom"], {"tolerances": {"boundary_tol": 0}}, "tolerances.boundary_tol must be > 0, got 0"),
-        (["custom"], {"tolerances": {"boundary_tol": -1e-9}}, "tolerances.boundary_tol must be > 0, got -1e-09"),
         (["custom"], {"checkpoints": [0.5, float("nan")]}, "checkpoints[1] must be finite, got nan"),
         (["custom"], {"checkpoints": [10**400]}, f"checkpoints[0] must be finite, got {10**400}"),
+        (["custom"], {"checkpoints": [2.0, 1.0]}, "checkpoints must be ascending"),
+        (["custom"], [1, 2], "config file must hold a JSON object"),
+        (["example1", "--seed", str(2**64)], None, f"seed must fit in 64 bits, got {2**64}"),
+        (["example1", "--mc-dt", "0"], None, "mc_dt must be > 0, got 0.0"),
+        (["ou", "--nt", "1"], None, "nt must be >= 2, got 1"),
         (["example1", "--omega", "-1"], None, "omega must be > 0 for cos/sin modulation"),
         (["example1", "--v", "sin", "--omega", "0"], None, "omega must be > 0 for cos/sin modulation"),
         (["custom"], {"v_kind": "tan"}, "unknown modulation kind 'tan'"),
@@ -315,8 +313,8 @@ class TestFailures:
           "--nt", "3", "--paths", "3000", "--mc-dt", "1e299"], None,
          "nt * (nx + 2 x cascade pad) must be <= 1e+08 padded cascade nodes, got 3 x 4.472e+151"),
     ], ids=["lam-nan", "lam-minus-inf", "d-inf", "x-max-inf", "t-max-inf", "v0-nan", "json-lam-nan",
-            "json-lam-huge-int", "json-mass-tol-inf", "json-mass-tol-zero", "json-mass-tol-negative",
-            "json-boundary-tol-zero", "json-boundary-tol-negative", "json-checkpoint-nan", "json-checkpoint-huge-int",
+            "json-lam-huge-int", "json-checkpoint-nan", "json-checkpoint-huge-int",
+            "json-checkpoints-descending", "json-not-an-object", "seed-past-64-bits", "mc-dt-zero", "nt-one",
             "omega-negative", "sin-omega-zero", "json-v-kind-tan", "mc-dt-subnormal", "mc-dt-tiny-ou",
             "mc-path-steps-huge", "mc-dt-past-span", "lattice-huge",
             "cascade-pad-tiny-domain", "cascade-pad-huge-d", "cascade-pad-t-max-1e300"])
@@ -569,26 +567,21 @@ def _hand_written_config_dict(cfg):
         "seed": raw.seed,
         "mc_dt": raw.mc_dt,
         "checkpoints": [float(cfg.grid.t[j]) for j in cfg.slices],
-        "tolerances": {
-            "mass_tol": raw.tolerances.mass_tol,
-            "boundary_tol": raw.tolerances.boundary_tol,
-        },
     }
 
 
 _ECHO_CONFIG = {"family": "quadratic_ou", "lam": 1, "d_coeff": 2, "x_min": -16, "nx": 301,
-                "checkpoints": [1, 2.5], "tolerances": {"boundary_tol": 1}}
+                "checkpoints": [1, 2.5]}
 
 
 @pytest.mark.parametrize("argv, config", [
     (["custom"], {}),
     (["custom"], _ECHO_CONFIG),
-    (["custom"], {"tolerances": {"mass_tol": 1e-7}}),
     (["custom"], {"checkpoints": [0.07, 2.4, 2.41]}),
     (["example1", "--v", "sin", "--omega", "2", "--d", "1.5", "--paths", "7", "--lambda", "0.1",
       "--order", "3", "--x-min", "-9", "--x-max", "9", "--nx", "37", "--nt", "11", "--t0", "0.1",
       "--t-max", "3", "--seed", "7", "--mc-dt", "0.01"], _ECHO_CONFIG),
-], ids=["default", "ints-for-floats", "partial-tolerances", "checkpoints", "flag-overrides"])
+], ids=["default", "ints-for-floats", "checkpoints", "flag-overrides"])
 def test_config_echo_matches_hand_written_oracle(tmp_path, argv, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -721,21 +714,14 @@ def test_summary_lists_every_checkpoint_for_every_field_and_pair(tmp_path, check
             assert len(per_metric["value"]) == len(times)
 
 
-@pytest.mark.parametrize("mass_tol", [None, 1e-7], ids=["default", "mass-tol-1e-7"])
-def test_emission_checks_w_fd_at_the_configured_mass_tol(mass_tol):
-    # fp_fd_solve runs at tolerances.mass_tol, so a looser one must not turn
-    # a slice FD accepted into an invariant violation; the other fields keep
-    # their fixed tolerances
-    tolerances = Tolerances() if mass_tol is None else Tolerances(mass_tol=mass_tol)
-    cfg = validate_config(replace(RunConfig(), x_min=-4.0, x_max=4.0, nx=9, t0=0.1, t_max=0.5, nt=5,
-                                  tolerances=tolerances))
-    vals = np.full((cfg.grid.nt, cfg.grid.nx), 0.125)  # trapezoid mass 1 on 8 unit cells
+def test_emission_checks_w_fd_at_the_fd_mass_tol():
+    # w_fd is held to reference.FD_MASS_TOL, the tolerance fp_fd_solve checked
+    # every slice at; the other fields keep their own fixed tolerances
+    grid = Grid(-4.0, 4.0, 9, 0.1, 0.5, 5)
+    vals = np.full((grid.nt, grid.nx), 0.125)  # trapezoid mass 1 on 8 unit cells
     vals[3] *= 1.0 + 5e-8
-    field = DensityField(grid=cfg.grid, values=vals)
-    if mass_tol is None:
-        with pytest.raises(InvariantViolation, match=r"^w_fd slice 3 mass 1\.00000005 deviates from 1 beyond 1e-08$"):
-            cli._check_emission({"w_fd": field}, cfg)
-    else:
-        cli._check_emission({"w_fd": field}, cfg)
+    field = DensityField(grid=grid, values=vals)
+    with pytest.raises(InvariantViolation, match=r"^w_fd slice 3 mass 1\.00000005 deviates from 1 beyond 1e-08$"):
+        cli._check_emission({"w_fd": field})
     with pytest.raises(InvariantViolation, match=r"^w_exact slice 3 mass"):
-        cli._check_emission({"w_exact": field}, cfg)
+        cli._check_emission({"w_exact": field})

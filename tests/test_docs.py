@@ -1,6 +1,7 @@
 """Traceability: every test name cited in the verification guide must exist,
-every command line the docs show must parse, and every benchmark script the
-README shows must start as written."""
+every command line the docs show must parse, every JSON config README.md
+shows must validate, and every benchmark script the README shows must start
+as written."""
 
 import dataclasses
 import importlib
@@ -16,6 +17,7 @@ import pytest
 
 import fpcascade
 from fpcascade import cli
+from fpcascade.model import RunConfig, validate_config
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ROOT / "docs"
@@ -112,6 +114,18 @@ def test_documented_command_parses(command):
         cli.build_parser().parse_args(shlex.split(command)[1:])
     except SystemExit as exc:
         pytest.fail(f"{command!r} does not parse (exit {exc.code})")
+
+
+def test_readme_json_configs_validate(tmp_path):
+    """Every ``json`` block of README.md is a config file the CLI accepts:
+    its keys are RunConfig fields and the config they give validates."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```json\n(.*?)^```$", text, flags=re.M | re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(block, encoding="utf-8")
+        validate_config(dataclasses.replace(RunConfig(), **cli._load_config_file(path)))
 
 
 def readme_benchmark_commands():

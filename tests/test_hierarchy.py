@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 
+from conftest import after_call, singular
+from fpcascade import kernels
 from fpcascade.analysis import field_distance, normalized_reference
 from fpcascade.errors import SolverError, TransformOverflowError
 from fpcascade.hierarchy import (
@@ -143,6 +145,14 @@ class TestSolveExpansion:
         drift = DriftSpec("custom", zero, zero, inf, zero)
         with pytest.raises(SolverError, match="order 1"):
             solve_expansion(drift, 1.0, 0.1, 1, small_grid)
+
+    def test_singular_step_names_order_and_step(self, monkeypatch, small_grid):
+        # the first block holds steps 0 .. 31; order 1 solves them all before
+        # order 2 starts, so call 36 is order 2's step 4
+        after_call(monkeypatch, kernels, "tridiag_solve", 36, singular)
+        with pytest.raises(SolverError, match=r"^cascade failed at order 2: tridiagonal solve failed at step 4$") as info:
+            solve_expansion(quadratic_ou(), 1.0, 0.1, 2, small_grid)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 class TestOuAllOrders:

@@ -160,8 +160,7 @@ class TestValidateConfig:
         ("lam", True, "lam must be a number, got true"),
         ("d_coeff", "1", 'd_coeff must be a number, got "1"'),
         ("checkpoints", ("a",), 'checkpoints must be a list of numbers, got ["a"]'),
-        ("tolerances", None, "tolerances must be a Tolerances object, got null"),
-    ], ids=["seed", "nx", "order", "n_paths", "lam", "d_coeff", "checkpoints", "tolerances"])
+    ], ids=["seed", "nx", "order", "n_paths", "lam", "d_coeff", "checkpoints"])
     def test_mistyped_field_rejected_before_any_solver(self, field, value, message):
         # each of these validated at one time and then died in a solver, or
         # (lam=True) ran as lam = 1

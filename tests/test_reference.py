@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpcascade import forked, reference
+from conftest import after_call, singular
+from fpcascade import forked, kernels, reference
 from fpcascade.analysis import trapezoid
 from fpcascade.errors import SolverError
 from fpcascade.model import DriftSpec, Grid, linear_time_modulated, quadratic_ou, zero_drift
@@ -125,6 +126,38 @@ class TestFdSolver:
         grid = Grid(-12.0, 12.0, 241, 0.1, 1.0, 31)
         with pytest.raises(SolverError, match=r"non-finite values at step 14 \(t=0\.52\)"):
             fp_fd_solve(drift, 1.0, 0.3, grid, normalized_init(ou, 0.3, grid))
+
+
+class TestFdAborts:
+    """The per-step aborts of fp_fd_solve, each forced at one step of a zero
+    drift run that passes every check by itself (t = 0.1 + 0.03 j)."""
+
+    GRID = Grid(-12.0, 12.0, 241, 0.1, 1.0, 31)
+
+    def solve(self):
+        return fp_fd_solve(zero_drift(), 1.0, 0.0, self.GRID, normalized_init(zero_drift(), 0.0, self.GRID))
+
+    def test_mass_drift(self, monkeypatch):
+        def scale(w_in, band, w_out):
+            w_out *= 1.0 + 1e-6
+
+        after_call(monkeypatch, kernels, "fp_cn_step", 5, scale)
+        with pytest.raises(SolverError, match=r"^FD mass drift \|1\.000001\d* - 1\| > 1e-08 first at step 6 \(t=0\.28\)$"):
+            self.solve()
+
+    def test_undershoot(self, monkeypatch):
+        def dip(w_in, band, w_out):
+            w_out[2] = -1e-9  # next to the edge, where the density is about 1e-30
+
+        after_call(monkeypatch, kernels, "fp_cn_step", 5, dip)
+        with pytest.raises(SolverError, match=r"^FD undershoot -1\.000e-09 below -1e-12 at step 6; refine the grid$"):
+            self.solve()
+
+    def test_singular_step(self, monkeypatch):
+        after_call(monkeypatch, kernels, "tridiag_solve", 3, singular)
+        with pytest.raises(SolverError, match=r"^FD tridiagonal solve failed at step 3$") as info:
+            self.solve()
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 def test_cascade_and_fd_do_not_import_numpy_random():
@@ -440,6 +473,13 @@ class TestDensityFromSamples:
         grid = Grid(-2.0, 2.0, 9, 0.5, 1.0, 2)
         with pytest.raises(ValueError, match=r"slices must be ascending, distinct indices in \[0, 2\)"):
             density_from_samples(np.zeros((len(slices), 10)), slices, grid)
+
+    def test_every_sample_off_the_grid_rejected(self):
+        # the bins span [x_min - dx/2, x_max + dx/2]; slice 0 keeps its samples
+        grid = Grid(-2.0, 2.0, 9, 0.5, 1.0, 2)
+        positions = np.array([np.zeros(10), np.concatenate([np.full(5, -2.26), np.full(5, 2.26)])])
+        with pytest.raises(ValueError, match="^all samples of slice 1 fall outside the grid$"):
+            density_from_samples(positions, [0, 1], grid)
 
     def test_empty_row_rejected(self):
         grid = Grid(-2.0, 2.0, 9, 0.5, 1.0, 2)
