@@ -35,7 +35,8 @@ FAST = ("--x-min", "-16", "--x-max", "16", "--nx", "161", "--t0", "0.1", "--t-ma
 FAST_T = [round(0.1 + 0.05 * k, 10) for k in range(29)]
 
 # (name, argv, JSON config or None): every subcommand and family, the three
-# modulations, orders 0, 3 and 8, lam = 0 and negative, two cascades that
+# modulations, orders 0, 3 and 8, lam = 0, negative and 1e-17 (where the
+# quadratic family's 1 - exp(-2 lam t) cancels to 0), two cascades that
 # march through several time blocks with a partial last one (99 and 66 steps
 # against hierarchy._BLOCK = 32) and one that fills exactly two blocks (64
 # steps, the second ending on the last step), density.csv's checkpoint
@@ -66,6 +67,7 @@ CASES = (
     ("example1-sin-order3-two-blocks",
      ("example1", "--v", "sin", "--omega", "2", "--order", "3", *FAST, "--nt", "65"), None),
     ("ou-lambda0", ("ou", "--lambda", "0", *FAST), None),
+    ("ou-lambda-tiny", ("ou", "--lambda=1e-17", *FAST), None),
     ("ou-negative-lambda", ("ou", "--lambda", "-0.2", *FAST, "--x-min", "-20", "--x-max", "20", "--nx", "201"),
      None),
     ("custom-zero", ("custom", *FAST), {"family": "zero"}),

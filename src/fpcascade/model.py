@@ -173,7 +173,9 @@ class DriftSpec:
 
     The built-in constructors attach the family's closed forms, None
     otherwise: ``action(n, x, t, D)``, S_n for n = 1..8, and for lam != 0
-    ``density(x, t, D, lam)`` and its ``moments(t, D, lam)``, (mean, variance).
+    ``law(t, lam)``, the (centre, time) at which the heat kernel is the exact
+    density: ``w0_diffusion(x - centre, time, D)``, of mean centre and
+    variance 2 D time.
     """
 
     family: str
@@ -182,8 +184,7 @@ class DriftSpec:
     d2u_dx2: _EvalFn
     du_dt: _EvalFn
     action: Optional[Callable] = None
-    density: Optional[Callable] = None
-    moments: Optional[Callable] = None
+    law: Optional[Callable] = None
 
 
 def zero_drift() -> DriftSpec:
@@ -191,8 +192,7 @@ def zero_drift() -> DriftSpec:
     return DriftSpec(
         FAMILY_ZERO, _zero, _zero, _zero, _zero,
         action=lambda n, x, t, d_coeff: np.zeros_like(np.asarray(x, dtype=float)),
-        density=lambda x, t, d_coeff, lam: oracles.w0_diffusion(x, t, d_coeff),
-        moments=lambda t, d_coeff, lam: (0.0, 2.0 * d_coeff * t),
+        law=lambda t, lam: (0.0, t),
     )
 
 
@@ -211,8 +211,7 @@ def linear_time_modulated(v: ModulationV) -> DriftSpec:
     return DriftSpec(
         FAMILY_LINEAR, u, du_dx, _zero, du_dt,
         action=lambda n, x, t, d_coeff: oracles.example1_action(n, x, t, v),
-        density=lambda x, t, d_coeff, lam: oracles.example1_density_exact(x, t, d_coeff, lam, v),
-        moments=lambda t, d_coeff, lam: (-lam * float(v.antiderivative(t)), 2.0 * d_coeff * t),
+        law=lambda t, lam: (-lam * v.antiderivative(t), t),
     )
 
 
@@ -232,8 +231,7 @@ def quadratic_ou() -> DriftSpec:
     return DriftSpec(
         FAMILY_QUADRATIC, u, du_dx, d2u_dx2, _zero,
         action=oracles.ou_action,
-        density=oracles.ou_density_exact,
-        moments=lambda t, d_coeff, lam: (0.0, oracles.ou_variance(t, d_coeff, lam)),
+        law=lambda t, lam: (0.0, oracles.ou_time(t, lam)),
     )
 
 

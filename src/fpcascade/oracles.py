@@ -1,4 +1,4 @@
-"""Closed-form ground truth for the two solvable drift families.
+"""Closed-form ground truth for the three solvable drift families.
 
 Every function here is a direct transcription of an exact formula and does no
 numerical integration, so these serve as independent references for the
@@ -105,7 +105,8 @@ def ou_s1(t, d_coeff):
 
 
 def ou_s2(x, t, d_coeff):
-    """Second-order action for the quadratic drift: S2 = -D t^2/12 - x^2 t/12."""
+    """Second-order action for the quadratic drift: S2 = -D t^2/12 - x^2 t/12,
+    term by term (ou_action evaluates it with the other even orders)."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     return -d_coeff * t * t / 12.0 - x * x * t / 12.0
@@ -113,9 +114,8 @@ def ou_s2(x, t, d_coeff):
 
 # S_2k = c_k t^(2k-1) (D t + k x^2) for the quadratic drift, with
 # c_k = -B_2k 4^(k-1) / (k (2k)!) (B_2k the Bernoulli numbers), from the
-# series in lam of the exact action; S_2 is ou_s2 and the odd orders beyond
-# S_1 vanish
-_OU_EVEN_COEFFS = {4: 1.0 / 360.0, 6: -1.0 / 5670.0, 8: 1.0 / 75600.0}
+# series in lam of the exact action; the odd orders beyond S_1 vanish
+_OU_EVEN_COEFFS = {2: -1.0 / 12.0, 4: 1.0 / 360.0, 6: -1.0 / 5670.0, 8: 1.0 / 75600.0}
 
 
 def ou_action(n, x, t, d_coeff):
@@ -123,31 +123,31 @@ def ou_action(n, x, t, d_coeff):
     x = np.asarray(x, dtype=float)
     if n == 1:
         return ou_s1(t, d_coeff) * np.ones_like(x)
-    if n == 2:
-        return ou_s2(x, t, d_coeff)
     if n % 2:
         return np.zeros_like(x)
     # float_power: numpy's vectorized float64 ** can be an ulp off the scalar pow
     return _OU_EVEN_COEFFS[n] * np.float_power(t, n - 1) * (d_coeff * t + (n // 2) * x * x)
 
 
-def ou_variance(t, d_coeff, lam):
-    """Variance D (1 - e^(-2 lam t)) / lam of the linearly restoring process
-    with drift -lam*x, started from a point; lam != 0."""
-    return d_coeff * (1.0 - np.exp(-2.0 * lam * t)) / lam
+def ou_time(t, lam):
+    """-expm1(-2 lam t) / (2 lam), lam != 0: the time at which the heat kernel
+    is the density of the linearly restoring process with drift -lam*x,
+    started from a point.  expm1 keeps it near t as lam t -> 0, where
+    1 - exp(-2 lam t) cancels to 0; where 2 lam t is subnormal (below
+    2^-1022) it has lost bits to underflow, and the time is t to the last bit."""
+    u = 2.0 * lam * np.asarray(t, dtype=float)
+    return np.where(np.abs(u) < 2.0 ** -1022, t, -np.expm1(-u) / (2.0 * lam))
 
 
 def ou_density_exact(x, t, d_coeff, lam):
-    """Exact density of the linearly restoring process with drift -lam*x.
+    """Exact density of the linearly restoring process with drift -lam*x: the
+    heat kernel at time ou_time(t, lam).
 
-    W = sqrt(lam / (2 pi D (1 - e^(-2 lam t)))) exp(-lam x^2 / (2 D (1 - e^(-2 lam t)))).
     The lam = 0 limit is the heat kernel; callers must use w0_diffusion there.
     """
     if lam == 0.0:
         raise ValueError("lam = 0 has no closed form here; use w0_diffusion")
-    x = np.asarray(x, dtype=float)
-    var = ou_variance(t, d_coeff, lam)
-    return np.exp(-(x * x) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+    return w0_diffusion(x, ou_time(t, lam), d_coeff)
 
 
 def resummation_factor(lam, t):

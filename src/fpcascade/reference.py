@@ -28,23 +28,21 @@ from .model import NEGATIVITY_FLOOR, DensityField, DriftSpec, Grid, em_steps
 from .oracles import w0_diffusion
 
 
-def oracle_density(drift: DriftSpec, d_coeff: float, lam: float, x, t):
-    """The drift's closed-form density at time t (lam = 0 falls back to the
-    heat kernel); a column t (``grid.t[:, None]``) gives the lattice."""
+def oracle_law(drift: DriftSpec, lam: float, t):
+    """The (centre, time) of the heat kernel that is the drift's closed-form
+    density at time t; lam = 0 gives the heat kernel itself, (0.0, t)."""
     if lam == 0.0:
-        return w0_diffusion(x, t, d_coeff)
-    if drift.density is None:
+        return 0.0, t
+    if drift.law is None:
         raise ValueError(f"no closed-form density for drift family {drift.family!r}")
-    return drift.density(x, t, d_coeff, lam)
+    return drift.law(t, lam)
 
 
-def oracle_moments(drift: DriftSpec, d_coeff: float, lam: float, t):
-    """(mean, variance) of the closed-form density at time t."""
-    if lam == 0.0:
-        return 0.0, 2.0 * d_coeff * t
-    if drift.moments is None:
-        raise ValueError(f"no closed-form moments for drift family {drift.family!r}")
-    return drift.moments(t, d_coeff, lam)
+def oracle_density(drift: DriftSpec, d_coeff: float, lam: float, x, t):
+    """The drift's closed-form density at time t; a column t
+    (``grid.t[:, None]``) gives the lattice."""
+    centre, time = oracle_law(drift, lam, t)
+    return w0_diffusion(x - centre, time, d_coeff)
 
 
 # fp_fd_solve's abort thresholds: the largest |mass - 1| of a slice, and of
@@ -178,7 +176,7 @@ def em_simulate(
     # (checkpoint, steps before it, step size, noise scale of one step)
     steps = em_steps(t0, checkpoints, dt)
     segments = [(c, n, h, noise_scale * np.sqrt(h)) for c, (n, h) in zip(checkpoints, steps)]
-    mean0, var0 = oracle_moments(drift, d_coeff, lam, t0)
+    mean0, time0 = oracle_law(drift, lam, t0)
 
     import mmap  # only a run that samples needs these
     from numpy.random import SFC64, Generator, SeedSequence
@@ -188,7 +186,7 @@ def em_simulate(
     n_blocks = -(-n_paths // _EM_BLOCK)
     n_chunks = max(1, min(_EM_CHUNKS, n_paths // _EM_BLOCK))
     bounds = [min(n_blocks * i // n_chunks * _EM_BLOCK, n_paths) for i in range(n_chunks + 1)]
-    sd0 = np.sqrt(var0)
+    sd0 = np.sqrt(2.0 * d_coeff * time0)
 
     def run_chunk(lo, hi):  # paths [lo, hi): whole blocks, but for the last chunk
         blocks = range(lo // _EM_BLOCK, -(-hi // _EM_BLOCK))

@@ -3,7 +3,6 @@ import errno
 import json
 import os
 import re
-import signal
 import subprocess
 import sys
 import time
@@ -15,6 +14,7 @@ import numpy as np
 import pytest
 
 import fpcascade.forked
+from conftest import assert_no_child_process, counted_forks, in_children, kill_self
 from fpcascade import cli, reference
 from fpcascade.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, main
 from fpcascade.errors import InvariantViolation, SolverError
@@ -92,6 +92,21 @@ class TestOu:
         # perturbative vs exact stays tight over the whole run
         dist = s["distances"]["w_pert_vs_w_exact"]["peak-relative-Linf"]["value"]
         assert max(dist) <= 2e-3
+
+    @pytest.mark.parametrize("lam", ["1e-17", "5e-324"])
+    def test_tiny_lambda_runs_with_finite_fields(self, tmp_path, lam):
+        # 1 - exp(-2 lam t) cancels to 0 at lam = 1e-17, and 2 lam t
+        # underflows to 0 at the least subnormal: an exact density spelled
+        # with either has zero variance, and the run died on a NaN w_exact
+        out = tmp_path / "ou"
+        argv = ["ou", f"--lambda={lam}", "--nx", "161", "--x-min", "-16", "--x-max", "16", "--nt", "21",
+                "--t-max", "1", "--paths", "1000", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        rows = read_density(out)
+        for name in ("w_pert", "w_pert_numeric", "w_exact", "w_fd", "w_mc"):
+            values = [float(row[name]) for row in rows if row[name] != ""]
+            assert values and np.isfinite(values).all(), name
+        read_summary(out)  # rejects NaN and Infinity
 
     def test_run_does_not_import_numpy_ma(self, tmp_path):
         # np.unique imports numpy.ma, about 0.9 MB of RSS; run in a fresh
@@ -411,48 +426,17 @@ def _assert_outputs_are(out_dir, outputs):
         assert (out_dir / name).read_bytes() == data
 
 
-def _assert_no_child_process():
-    # a running child reads (0, 0) here and an unreaped one its pid
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 forked_writer = pytest.mark.skipif(not fpcascade.forked.ENABLED, reason="the forked writer runs on Linux only")
-
-
-def _in_writer_child(monkeypatch, act):
-    """Make the forked writer process call ``act()`` before it formats
-    anything; formatting in the parent is unchanged."""
-    parent = os.getpid()
-    formatter = cli._slice_formatter
-
-    def formatter_calling_act_in_child(fields, grid):
-        if os.getpid() != parent:
-            act()
-        return formatter(fields, grid)
-
-    monkeypatch.setattr(cli, "_slice_formatter", formatter_calling_act_in_child)
 
 
 def _raise_disk_full():
     raise OSError(errno.ENOSPC, "No space left on device")
 
 
-def _kill_self():
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
 @forked_writer
 class TestWriterProcess:
     def test_run_forks_one_writer_and_matches_in_process_run(self, tmp_path, monkeypatch):
-        forks = []
-        fork = os.fork
-
-        def counted_fork():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted_fork)
+        forks = counted_forks(monkeypatch)
         outputs = {}
         for forked in (True, False):
             monkeypatch.setattr(fpcascade.forked, "ENABLED", forked)
@@ -462,20 +446,13 @@ class TestWriterProcess:
             outputs[forked] = {name: (out / name).read_bytes() for name in ("density.csv", "summary.json")}
             _assert_outputs_are(out, outputs[forked])
         assert outputs[True] == outputs[False]
-        _assert_no_child_process()
+        assert_no_child_process()
 
     def test_run_forks_writer_and_chunk_processes_and_matches_gate_off(self, tmp_path, monkeypatch):
         # three blocks and a 1-path tail in three chunks: one writer and two
         # chunk processes fork, whatever the CPU count
         monkeypatch.setattr(reference, "_EM_CHUNKS", 3)
-        forks = []
-        fork = os.fork
-
-        def counted_fork():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted_fork)
+        forks = counted_forks(monkeypatch)
         outputs = {}
         for enabled, n_forks in ((True, 3), (False, 0)):
             monkeypatch.setattr(fpcascade.forked, "ENABLED", enabled)
@@ -485,7 +462,7 @@ class TestWriterProcess:
             assert len(forks) == n_forks
             outputs[enabled] = {name: (out / name).read_bytes() for name in ("density.csv", "summary.json")}
             _assert_outputs_are(out, outputs[enabled])
-            _assert_no_child_process()
+            assert_no_child_process()
         assert outputs[True] == outputs[False]
 
     @pytest.mark.parametrize("stage, error, code", [
@@ -506,7 +483,7 @@ class TestWriterProcess:
                 time.sleep(0.01)
             raise error
 
-        _in_writer_child(monkeypatch, stall)
+        in_children(monkeypatch, cli, "_slice_formatter", stall)
         monkeypatch.setattr(cli, stage, fail)
         out = tmp_path / "out"
         earlier = _write_earlier_outputs(out)
@@ -514,7 +491,7 @@ class TestWriterProcess:
         assert run_example1(out) == code
         assert time.monotonic() - began < 30, "the writer was waited for, not killed"
         _assert_outputs_are(out, earlier)
-        _assert_no_child_process()
+        assert_no_child_process()
 
     def test_failed_fork_closes_its_pipe_and_keeps_previous_outputs(self, tmp_path, monkeypatch):
         def fork_fails():
@@ -531,16 +508,16 @@ class TestWriterProcess:
 
     @pytest.mark.parametrize("act, message", [
         (_raise_disk_full, "OSError: [Errno 28] No space left on device"),
-        (_kill_self, "killed by signal 9"),
+        (kill_self, "killed by signal 9"),
     ], ids=["raises", "killed"])
     def test_failing_writer_fails_the_run_with_its_message(self, tmp_path, monkeypatch, act, message):
-        _in_writer_child(monkeypatch, act)
+        in_children(monkeypatch, cli, "_slice_formatter", act)
         out = tmp_path / "out"
         earlier = _write_earlier_outputs(out)
         with pytest.raises(OSError, match="density.csv writer process failed: " + re.escape(message)):
             run_example1(out)
         _assert_outputs_are(out, earlier)
-        _assert_no_child_process()
+        assert_no_child_process()
 
 
 def _hand_written_config_dict(cfg):
@@ -677,7 +654,7 @@ def test_writer_matches_per_value_oracle(tmp_path, checkpoints, forked):
         before_mc = {name: field for name, field in fields.items() if name != "w_mc"}
         with cli._SliceWriter(before_mc, cfg) as part:
             assert cli._write_outputs(fields, summary, cfg, part) == tmp_path
-        _assert_no_child_process()
+        assert_no_child_process()
     else:
         assert cli._write_outputs(fields, summary, cfg) == tmp_path
     _assert_outputs_are(tmp_path, {"density.csv": density, "summary.json": summary_bytes})

@@ -1,7 +1,5 @@
-import errno
 import os
 import re
-import signal
 import subprocess
 import sys
 import time
@@ -9,8 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import after_call, singular
+from conftest import (
+    after_call,
+    assert_no_child_process,
+    builtin_drifts,
+    counted_forks,
+    in_children,
+    kill_self,
+    singular,
+)
 from fpcascade import forked, kernels, reference
 from fpcascade.analysis import trapezoid
 from fpcascade.errors import SolverError
@@ -21,7 +28,7 @@ from fpcascade.reference import (
     em_simulate,
     fp_fd_solve,
     oracle_density,
-    oracle_moments,
+    oracle_law,
 )
 from fpcascade.transform import potential_exponent
 
@@ -40,11 +47,30 @@ def test_drift_without_closed_forms_has_no_oracle():
     x = np.linspace(-1.0, 1.0, 5)
     with pytest.raises(ValueError, match="no closed-form density for drift family 'custom'"):
         oracle_density(drift, 1.0, 0.1, x, 0.5)
-    with pytest.raises(ValueError, match="no closed-form moments for drift family 'custom'"):
-        oracle_moments(drift, 1.0, 0.1, 0.5)
+    with pytest.raises(ValueError, match="no closed-form density for drift family 'custom'"):
+        oracle_law(drift, 0.1, 0.5)
     # lam = 0 is the heat kernel whatever the drift
     assert np.array_equal(oracle_density(drift, 1.0, 0.0, x, 0.5), w0_diffusion(x, 0.5, 1.0))
-    assert oracle_moments(drift, 1.0, 0.0, 0.5) == (0.0, 1.0)
+    assert oracle_law(drift, 0.0, 0.5) == (0.0, 0.5)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    drift=builtin_drifts(),
+    lam=st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([1.0, -1.0]), st.floats(-323.0, -12.0)),
+    d_coeff=st.floats(0.1, 10.0),
+    t=st.floats(0.01, 10.0),
+)
+def test_tiny_lambda_density_is_the_heat_kernel(drift, lam, d_coeff, t):
+    # at |lam| <= 1e-12 the shift |lam Vbar| <= 3e-11 and the quadratic
+    # family's relative time change |lam t| <= 1e-11 move the density on 8
+    # standard deviations by a relative 1e-8 at most; 1 - exp(-2 lam t)
+    # cancels to 0 here, where -expm1 does not, and below about 1e-308
+    # (10^-323 is a subnormal) 2 lam t underflows
+    x = np.linspace(-8.0, 8.0, 33) * np.sqrt(2.0 * d_coeff * t)
+    w = oracle_density(drift, d_coeff, lam, x, t)
+    assert np.isfinite(w).all()
+    np.testing.assert_allclose(w, w0_diffusion(x, t, d_coeff), rtol=1e-6, atol=0.0)
 
 
 def test_drift_without_closed_forms_is_solved_from_its_evaluators():
@@ -259,7 +285,8 @@ def _em_one_step_at_a_time(drift, d_coeff, lam, t0, checkpoints, dt, n_paths, se
     def normals():
         return np.concatenate([block_normals(gen, w) for gen, w in zip(gens, widths)])
 
-    mean0, var0 = oracle_moments(drift, d_coeff, lam, t0)
+    mean0, time0 = oracle_law(drift, lam, t0)
+    var0 = 2.0 * d_coeff * time0
     xpos = mean0 + np.sqrt(var0) * normals()
     noise_scale = np.sqrt(2.0 * d_coeff)
     out = []
@@ -326,48 +353,8 @@ class TestEmChunking:
             _assert_same_bits(other, results[0])
 
 
-def _assert_no_child_process():
-    # a running child reads (0, 0) here and an unreaped one its pid
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _in_chunk_children(monkeypatch, act):
-    """Make every forked chunk process call ``act()`` before it steps its
-    paths; the chunk that runs in this process is unchanged."""
-    parent = os.getpid()
-    em_paths = reference._em_paths
-
-    def em_paths_calling_act_in_child(*args):
-        if os.getpid() != parent:
-            act()
-        return em_paths(*args)
-
-    monkeypatch.setattr(reference, "_em_paths", em_paths_calling_act_in_child)
-
-
 def _raise_in_chunk():
     raise RuntimeError("chunk 1 gave up")
-
-
-def _kill_self():
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _counted_forks(monkeypatch, fail_from=None):
-    """A list that grows by one per ``os.fork``; the call numbered
-    ``fail_from`` (from 0) and every later one fails with EAGAIN."""
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(1)
-        if fail_from is not None and len(forks) > fail_from:
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
 
 
 # three chunks (the last an odd 1-path block), so two chunk processes
@@ -381,23 +368,23 @@ class TestEmChunkProcesses:
         monkeypatch.setattr(reference, "_EM_CHUNKS", 3)
 
     def test_forks_all_but_one_chunk_and_matches_gate_off(self, monkeypatch):
-        forks = _counted_forks(monkeypatch)
+        forks = counted_forks(monkeypatch)
         forked_run = em_simulate(**THREE_CHUNKS)
         assert len(forks) == 2
-        _assert_no_child_process()
+        assert_no_child_process()
         monkeypatch.setattr(forked, "ENABLED", False)
         _assert_same_bits(em_simulate(**THREE_CHUNKS), forked_run)
         assert len(forks) == 2
 
     @pytest.mark.parametrize("act, message", [
         (_raise_in_chunk, "RuntimeError: chunk 1 gave up"),
-        (_kill_self, "killed by signal 9"),
+        (kill_self, "killed by signal 9"),
     ], ids=["raises", "killed"])
     def test_failing_chunk_fails_the_run_with_its_message(self, monkeypatch, act, message):
-        _in_chunk_children(monkeypatch, act)
+        in_children(monkeypatch, reference, "_em_paths", act)
         with pytest.raises(OSError, match="Monte Carlo chunk process failed: " + re.escape(message)):
             em_simulate(**THREE_CHUNKS)
-        _assert_no_child_process()
+        assert_no_child_process()
 
     def test_error_in_own_chunk_kills_every_child(self, tmp_path, monkeypatch):
         parent = os.getpid()
@@ -417,16 +404,16 @@ class TestEmChunkProcesses:
         with pytest.raises(SolverError, match="own chunk abort"):
             em_simulate(**THREE_CHUNKS)
         assert time.monotonic() - began < 30, "the chunk processes were waited for, not killed"
-        _assert_no_child_process()
+        assert_no_child_process()
 
     def test_failed_fork_leaves_no_open_fd_and_no_child(self, monkeypatch):
-        forks = _counted_forks(monkeypatch, fail_from=1)  # the second chunk process cannot fork
+        forks = counted_forks(monkeypatch, fail_from=1)  # the second chunk process cannot fork
         open_fds = sorted(os.listdir("/proc/self/fd"))
         with pytest.raises(BlockingIOError):
             em_simulate(**THREE_CHUNKS)
         assert len(forks) == 2
         assert sorted(os.listdir("/proc/self/fd")) == open_fds
-        _assert_no_child_process()
+        assert_no_child_process()
 
 
 class TestDensityFromSamples:

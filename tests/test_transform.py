@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import builtin_drifts
 from fpcascade.errors import TransformOverflowError
 from fpcascade.hierarchy import analytic_expansion, assemble_density
 from fpcascade.model import Grid, linear_time_modulated, quadratic_ou, zero_drift
@@ -73,21 +74,9 @@ class TestEffectivePotential:
             effective_potential_order(zero_drift(), 1.0, -1, 0.0, 1.0)
 
 
-@st.composite
-def _drifts(draw):
-    kind = draw(st.sampled_from(["zero", "cos", "sin", "const", "quadratic"]))
-    if kind == "zero":
-        return zero_drift()
-    if kind == "quadratic":
-        return quadratic_ou()
-    if kind == "const":
-        return linear_time_modulated(ModulationV("const", v0=draw(st.floats(-3.0, 3.0))))
-    return linear_time_modulated(ModulationV(kind, draw(st.floats(0.1, 5.0))))
-
-
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(
-    drift=_drifts(),
+    drift=builtin_drifts(),
     lam=st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0),
     d_coeff=st.floats(0.01, 10.0),
     x=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8).map(np.array),
