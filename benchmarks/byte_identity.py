@@ -50,7 +50,8 @@ FAST_T = [round(0.1 + 0.05 * k, 10) for k in range(29)]
 # (lam = -0.0, V = +-0, and a sine whose omega t is within 1e-14 of pi at the
 # node t = 1), and a config file that gives integers for float fields and a
 # list of checkpoints (the summary.json config echo shows each as the
-# validated config holds it).
+# validated config holds it), and an OU run on x in [-80, 80] whose U/2D
+# passes the exp() range near the edges, where S/D lies far below it.
 # Every case exits 0 (later flags override earlier ones).
 CASES = (
     ("example1-cos", ("example1", *FAST), None),
@@ -92,22 +93,30 @@ CASES = (
     ("custom-ints-for-floats", ("custom", *FAST),
      {"family": "linear_time_modulated", "v_kind": "sin", "d_coeff": 1, "lam": 1, "omega": 2,
       "checkpoints": [0.5, 1]}),
+    ("ou-wide-domain", ("ou", "--lambda", "0.5", "--x-min", "-80", "--x-max", "80", "--nx", "801", "--t0", "0.05",
+                        "--t-max", "1", "--nt", "21", "--paths", "2000", "--mc-dt", "0.01", "--seed", "7"), None),
 )
+
+# the grid of the tiny-D runs (tests/test_cli.py's
+# TestOu::test_tiny_d_overflow_is_a_solver_abort)
+TINY_D = ("--x-min=-1e4", "--x-max", "1e4", "--nx", "161", "--t0", "0.1", "--t-max", "1.5", "--nt", "29",
+          "--paths", "1000")
 
 # (name, argv, JSON config or None) of runs that abort with exit 3: an action
 # sum that overflows (tests/test_cli.py's
-# TestOu::test_nonfinite_action_sum_is_a_solver_abort), an exponent U/2D past
-# the exp() range, an FD boundary leak on the default grid, and two tiny D
-# whose S/D overflows before U/2D leaves the exp() range, at 1e-308 as inf
+# TestOu::test_nonfinite_action_sum_is_a_solver_abort), an OU lam of 1e4
+# whose exp(S/D - U/2D) underflows to a zero slice mass, an FD boundary leak
+# on the default grid, two tiny D whose S/D overflows (at 1e-308 U/2D too)
+# and FD then undershoots, and a tiny D at a negative lam, where
+# S/D - U/2D is -inf + inf
 ABORT_CASES = (
     ("abort-action-sum", ("ou", "--x-min", "-16", "--x-max", "16", "--nx", "161", "--t0", "0.1",
                           "--t-max", "1e300", "--nt", "3", "--paths", "3000", "--mc-dt", "1e299",
                           "--d", "1e-289"), None),
-    ("abort-transform-overflow", ("ou", "--lambda", "1e4", *FAST), None),
+    ("abort-zero-slice-mass", ("ou", "--lambda", "1e4", *FAST), None),
     ("abort-fd-boundary-leak", ("example1", "--v", "sin", "--omega", "2", "--d", "1.5"), None),
-    *((f"abort-tiny-d-{d}", ("ou", "--x-min=-1e4", "--x-max", "1e4", "--nx", "161", "--t0", "0.1",
-                             "--t-max", "1.5", "--nt", "29", "--paths", "1000", "--d", d), None)
-      for d in ("1e-300", "1e-308")),
+    *((f"abort-tiny-d-{d}", ("ou", *TINY_D, "--d", d), None) for d in ("1e-300", "1e-308")),
+    ("abort-tiny-d-negative-lambda", ("ou", "--lambda=-0.2", *TINY_D, "--d", "1e-308"), None),
 )
 
 OUTPUTS = ("density.csv", "summary.json")

@@ -6,7 +6,7 @@ a direct finite-difference integration and Euler-Maruyama sampling.
 """
 
 from .analysis import field_distance, scaling_order_fit, slice_mass, slice_moments
-from .errors import ConfigError, InvariantViolation, SolverError, TransformOverflowError
+from .errors import ConfigError, InvariantViolation, SolverError
 from .hierarchy import (
     analytic_expansion,
     assemble_density,

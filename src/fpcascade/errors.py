@@ -13,9 +13,5 @@ class SolverError(RuntimeError):
     """A numerical solve aborted (singular step, mass drift, boundary leak)."""
 
 
-class TransformOverflowError(SolverError):
-    """exp(U/2D) left the double exponent range at some grid node."""
-
-
 class InvariantViolation(RuntimeError):
     """A produced field failed its mass/positivity contract at emission time."""

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .analysis import trapezoid
-from .errors import SolverError, TransformOverflowError
+from .errors import SolverError
 from .model import MAX_EXPANSION_ORDER, ActionExpansion, DensityField, DriftSpec, Grid, cascade_pad
 from .transform import potential_exponent, effective_potential_order
 
@@ -160,24 +160,15 @@ def assemble_density(expansion: ActionExpansion, drift: DriftSpec) -> DensityFie
     grid = expansion.grid
     # S/D - U/2D written into the result _BLOCK slices at a time, then exp()
     # in place: the IEEE operations of the whole-lattice formula, so the same
-    # bits, with no lattice-sized temporary beside the result.  The action sum
-    # of every block is checked before an exponent overflow is raised, as the
-    # whole-lattice sum was checked before the exponent was formed.
+    # bits, with no lattice-sized temporary beside the result.
     w = np.empty((grid.nt, grid.nx))
-    overflow = None
-    # an S/D or exp() that overflows is an inf, which ends as one of the
-    # SolverErrors below, not as a warning
-    with np.errstate(over="ignore"):
+    # an inf from S/D, U/2D or exp(), or the NaN of inf - inf, ends as one of
+    # the SolverErrors below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, grid.nt, _BLOCK):
             rows = slice(lo, lo + _BLOCK)
             block = np.divide(expansion.action_sum(rows), expansion.d_coeff, out=w[rows])
-            if overflow is None:
-                try:
-                    block -= potential_exponent(drift, expansion.d_coeff, expansion.lam, grid, rows)
-                except TransformOverflowError as exc:
-                    overflow = exc
-        if overflow is not None:
-            raise overflow
+            block -= potential_exponent(drift, expansion.d_coeff, expansion.lam, grid, rows)
         np.exp(w, out=w)
     # exp() gives no -inf and max() propagates a NaN, so the max is finite
     # exactly when every value is

@@ -261,13 +261,14 @@ class ActionExpansion:
     def action_sum(self, rows=slice(None)) -> np.ndarray:
         """S = S0 + sum_n lam^n S_n on the time slices ``rows`` of the grid (a
         slice; every slice by default)."""
-        # an S0 that overflows is inf, which the check below rejects
-        with np.errstate(over="ignore"):
+        # an S0 or lam^n that overflows is inf, and inf * 0 is NaN, which the
+        # check below rejects
+        with np.errstate(over="ignore", invalid="ignore"):
             acc = oracles.s0_log_heat_kernel(self.grid.x, self.grid.t[rows, None], self.d_coeff)
-        lam_n = 1.0
-        for term in self.terms:
-            lam_n *= self.lam
-            acc += lam_n * term[rows]
+            lam_n = 1.0
+            for term in self.terms:
+                lam_n *= self.lam
+                acc += lam_n * term[rows]
         if not np.all(np.isfinite(acc)):
             raise SolverError("action sum is not finite everywhere on the grid")
         return acc

@@ -63,7 +63,9 @@ class ModulationV:
 def w0_diffusion(x, t, d_coeff):
     """Heat kernel (4 pi D t)^(-1/2) exp(-x^2 / 4Dt) for a unit point source at t=0."""
     x = np.asarray(x, dtype=float)
-    return np.exp(-(x * x) / (4.0 * d_coeff * t)) / np.sqrt(4.0 * np.pi * d_coeff * t)
+    with np.errstate(over="ignore"):  # at a tiny D the exponent is -inf, and exp() of it 0
+        expo = -(x * x) / (4.0 * d_coeff * t)
+    return np.exp(expo) / np.sqrt(4.0 * np.pi * d_coeff * t)
 
 
 def s0_log_heat_kernel(x, t, d_coeff):

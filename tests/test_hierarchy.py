@@ -1,12 +1,10 @@
-import re
-
 import numpy as np
 import pytest
 
 from conftest import after_call, singular
 from fpcascade import kernels
 from fpcascade.analysis import field_distance, normalized_reference
-from fpcascade.errors import SolverError, TransformOverflowError
+from fpcascade.errors import SolverError
 from fpcascade.hierarchy import (
     _gradient,
     _source_arrays,
@@ -254,18 +252,33 @@ def test_overflowing_closed_form_is_a_solver_abort():
     expansion = analytic_expansion(quadratic_ou(), 1.0, 0.2, 2, grid)
     with pytest.raises(SolverError, match="action sum is not finite"):
         expansion.action_sum()
+    # lam^2 overflows at lam = 1e200, and inf * 0 is NaN
+    zeros = np.zeros((grid.nt, grid.nx))
+    with pytest.raises(SolverError, match="action sum is not finite"):
+        ActionExpansion(grid=grid, d_coeff=1.0, lam=1e200, terms=(zeros, zeros)).action_sum()
 
 
 @pytest.mark.parametrize("expand", [analytic_expansion, solve_expansion])
-@pytest.mark.parametrize("d, expo", [(1e-300, "5.000e+306"), (1e-308, "inf")])
-def test_tiny_d_overflow_is_a_transform_abort(expand, d, expo):
+@pytest.mark.parametrize("d", [1e-300, 1e-308])
+def test_tiny_d_assembles_without_a_warning(expand, d):
     # the grid of test_cli's TestOu::test_tiny_d_overflow_is_a_solver_abort:
-    # S/D overflows, and at D = 1e-308 so does U/2D; under this suite's
-    # error::RuntimeWarning filter either divide's warning would surface here
+    # S/D overflows to -inf off x = 0, and at D = 1e-308 so does -U/2D, which
+    # leaves a spike at x = 0; under this suite's error::RuntimeWarning
+    # filter any divide's or exp()'s warning would surface here
     grid = Grid(-1e4, 1e4, 161, 0.1, 1.5, 29)
     drift = quadratic_ou()
-    with pytest.raises(TransformOverflowError, match=re.escape(f"U/2D = {expo} exceeds the exp() range")):
-        assemble_density(expand(drift, d, 0.2, 2, grid), drift)
+    w = assemble_density(expand(drift, d, 0.2, 2, grid), drift).values
+    assert np.array_equal(w[:, 80], np.full(grid.nt, 1.0 / grid.dx))
+    assert not np.any(np.delete(w, 80, axis=1))
+
+
+@pytest.mark.parametrize("expand", [analytic_expansion, solve_expansion])
+def test_tiny_d_negative_lambda_is_a_solver_abort(expand):
+    # at lam < 0, -U/2D overflows to +inf where S/D is -inf: inf - inf is NaN
+    grid = Grid(-1e4, 1e4, 161, 0.1, 1.5, 29)
+    drift = quadratic_ou()
+    with pytest.raises(SolverError, match="assembled density overflowed"):
+        assemble_density(expand(drift, 1e-308, -0.2, 2, grid), drift)
 
 
 class TestCascadeResidual:

@@ -74,6 +74,16 @@ class TestHeatKernel:
         for d in (0.5, 1.0, 2.0):
             assert np.allclose(np.exp(s0_log_heat_kernel(x, 0.8, d) / d), w0_diffusion(x, 0.8, d), rtol=1e-13)
 
+    @pytest.mark.parametrize("d", [1e-300, 1e-308])
+    def test_tiny_d_is_a_spike_without_a_warning(self, d):
+        # x^2 / 4Dt overflows off x = 0 (the grid of a zero-family custom run
+        # on x in [-1e4, 1e4]); exp(-inf) is 0, and this suite turns the
+        # divide's RuntimeWarning into an error
+        x = np.linspace(-1e4, 1e4, 161)
+        w = w0_diffusion(x, 0.1, d)
+        assert w[80] == 1.0 / np.sqrt(4.0 * np.pi * d * 0.1)
+        assert not np.any(np.delete(w, 80))
+
 
 class TestExample1Actions:
     def test_finite_at_small_t(self):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import builtin_drifts
-from fpcascade.errors import TransformOverflowError
-from fpcascade.hierarchy import analytic_expansion, assemble_density
+from fpcascade.analysis import trapezoid
+from fpcascade.errors import SolverError
+from fpcascade.hierarchy import analytic_expansion, assemble_density, solve_expansion
 from fpcascade.model import Grid, linear_time_modulated, quadratic_ou, zero_drift
 from fpcascade.oracles import ModulationV
 from fpcascade.reference import em_step
@@ -95,12 +96,34 @@ def test_orders_and_drift_buffer_agree_with_full_potential(drift, lam, d_coeff, 
     assert x_new.tobytes() == (x + a + np.zeros_like(x)).tobytes()
 
 
-class TestWavefunctionMap:
-    """Assembly maps the action back through W = exp(-U/2D) psi, and its
-    exponent U/2D must stay inside the exp() range."""
+# the five built-in drifts, the const modulation at v0 = 0
+MAP_DRIFTS = (zero_drift(), linear_time_modulated(ModulationV("cos", 1.0)),
+              linear_time_modulated(ModulationV("sin", 1.0)), linear_time_modulated(ModulationV("const", v0=0.0)),
+              quadratic_ou())
 
-    def test_overflow_reports_node(self):
-        grid = Grid(-10.0, 10.0, 11, 0.5, 1.5, 3)
-        expansion = analytic_expansion(quadratic_ou(), 1.0, 1e6, 1, grid)
-        with pytest.raises(TransformOverflowError, match="x="):
-            assemble_density(expansion, quadratic_ou())
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    drift=st.sampled_from(MAP_DRIFTS),
+    expand=st.sampled_from([analytic_expansion, solve_expansion]),
+    order=st.integers(0, 3),
+    d_coeff=_log_uniform(1e-308, 1e3),
+    lam=st.tuples(st.sampled_from([1.0, -1.0]), _log_uniform(1e-3, 1e300)).map(lambda p: p[0] * p[1]),
+    half=st.floats(1.0, 1e4),
+)
+def test_wavefunction_map_gives_a_density_or_a_solver_abort(drift, expand, order, d_coeff, lam, half):
+    # W = exp(-U/2D) exp(S/D) on domains and lam where U/2D leaves the exp()
+    # range: a unit-mass density where exp() stays finite, a SolverError
+    # where it does not, and no numpy warning either way (this suite turns a
+    # RuntimeWarning into an error)
+    grid = Grid(-half, half, 41, 0.1, 1.0, 5)
+    try:
+        w = assemble_density(expand(drift, d_coeff, lam, order, grid), drift)
+    except SolverError:
+        return
+    assert w.values.min() >= 0.0
+    np.testing.assert_allclose(trapezoid(w.values, grid.dx), 1.0, rtol=1e-12)
