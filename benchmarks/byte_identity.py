@@ -50,8 +50,10 @@ FAST_T = [round(0.1 + 0.05 * k, 10) for k in range(29)]
 # (lam = -0.0, V = +-0, and a sine whose omega t is within 1e-14 of pi at the
 # node t = 1), and a config file that gives integers for float fields and a
 # list of checkpoints (the summary.json config echo shows each as the
-# validated config holds it), and an OU run on x in [-80, 80] whose U/2D
-# passes the exp() range near the edges, where S/D lies far below it.
+# validated config holds it), an OU run on x in [-80, 80] whose U/2D
+# passes the exp() range near the edges, where S/D lies far below it, and
+# an OU run on three time nodes, whose two FD output steps take 16
+# Crank-Nicolson substeps between them (reference.fd_substeps).
 # Every case exits 0 (later flags override earlier ones).
 CASES = (
     ("example1-cos", ("example1", *FAST), None),
@@ -95,6 +97,7 @@ CASES = (
       "checkpoints": [0.5, 1]}),
     ("ou-wide-domain", ("ou", "--lambda", "0.5", "--x-min", "-80", "--x-max", "80", "--nx", "801", "--t0", "0.05",
                         "--t-max", "1", "--nt", "21", "--paths", "2000", "--mc-dt", "0.01", "--seed", "7"), None),
+    ("ou-coarse-time", ("ou", *FAST, "--nt", "3"), None),
 )
 
 # the grid of the tiny-D runs (tests/test_cli.py's

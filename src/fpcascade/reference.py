@@ -17,6 +17,7 @@ Both start from the family's closed-form density at t0 > 0, the same initial
 data the cascade uses, so all solvers address one initial-value problem.
 """
 
+import math
 import os
 
 import numpy as np
@@ -49,16 +50,44 @@ def oracle_density(drift: DriftSpec, d_coeff: float, lam: float, x, t):
 # the density next to either edge as a fraction of the slice peak
 FD_MASS_TOL = 1e-8
 FD_BOUNDARY_TOL = 1e-12
+# the longest Crank-Nicolson step of fp_fd_solve as a fraction of the time it
+# starts at; a longer output step is split into geometrically growing substeps
+FD_SUBSTEP_RATIO = 0.2
+
+
+def fd_substeps(t_start: float, t_end: float, dt: float) -> list:
+    """The (mid time, length) of each Crank-Nicolson step that takes
+    fp_fd_solve from t_start to t_end, an output step of length dt.
+
+    A step no longer than ``FD_SUBSTEP_RATIO * t_start`` is one step,
+    ``[(t_start + 0.5 * dt, dt)]``.  A longer one is split into the fewest
+    substeps whose boundaries grow from t_start by one common ratio of at
+    most ``1 + FD_SUBSTEP_RATIO``, the last ending on t_end: about
+    ``ln(t_end / t_start) / ln(1 + FD_SUBSTEP_RATIO)`` of them.
+    """
+    if dt <= FD_SUBSTEP_RATIO * t_start:
+        return [(t_start + 0.5 * dt, dt)]
+    # in logarithms, since t_end / t_start may overflow
+    log_start = math.log(t_start)
+    span = math.log(t_end) - log_start
+    n = max(2, math.ceil(span / math.log1p(FD_SUBSTEP_RATIO)))
+    bounds = [t_start, *(math.exp(log_start + span * k / n) for k in range(1, n)), t_end]
+    return [(a + 0.5 * (b - a), b - a) for a, b in zip(bounds, bounds[1:])]
 
 
 def fp_fd_solve(drift: DriftSpec, d_coeff: float, lam: float, grid: Grid, w_init: np.ndarray) -> DensityField:
     """Crank-Nicolson flux-form integration of the density equation.
 
+    Output step j runs through the CN steps ``fd_substeps`` gives for it, so
+    an early step longer than ``FD_SUBSTEP_RATIO`` times its start time is
+    taken in geometrically growing substeps.
+
     The initial slice must be finite and non-negative with trapezoid mass 1
     within ``FD_MASS_TOL``.  Aborts if a slice's mass drifts from 1 beyond
     ``FD_MASS_TOL`` or if the density next to the absorbing boundary ever
     exceeds ``FD_BOUNDARY_TOL`` of the slice peak (the domain is then too
-    narrow for the run).
+    narrow for the run).  These checks run once per output slice, and every
+    abort names the output step.
     """
     w_init = np.asarray(w_init, dtype=float)
     if w_init.shape != (grid.nx,):
@@ -100,21 +129,24 @@ def fp_fd_solve(drift: DriftSpec, d_coeff: float, lam: float, grid: Grid, w_init
             raise SolverError(f"FD solve produced non-finite values at step {j} (t={grid.t[j]:.6g})")
 
     check_slice(0)
-    # the band is rebuilt only when the interface drift changes in a bit:
-    # never for a drift constant in time (the zero and quadratic families)
+    # the band is rebuilt only when the step length or the interface drift
+    # changes in a bit: for a drift constant in time (the zero and quadratic
+    # families) only where the early substeps begin, change or end
     a_half, a_next = np.empty(grid.nx - 1), np.empty(grid.nx - 1)
-    band = None
+    band, band_h = None, None
     for j in range(grid.nt - 1):
-        tm = grid.t[j] + 0.5 * dt
-        np.multiply(drift.du_dx(x_half, tm), lam, out=a_next)
-        np.negative(a_next, out=a_next)
-        if band is None or not np.array_equal(a_next.view(np.uint64), a_half.view(np.uint64)):
-            band = kernels.fp_band(a_next, d_coeff, dt, dx)
-            a_half, a_next = a_next, a_half
-        try:
-            kernels.fp_cn_step(vals[j], band, vals[j + 1])
-        except ZeroDivisionError as exc:
-            raise SolverError(f"FD tridiagonal solve failed at step {j}") from exc
+        w_in = vals[j]
+        for tm, h in fd_substeps(float(grid.t[j]), float(grid.t[j + 1]), dt):
+            np.multiply(drift.du_dx(x_half, tm), lam, out=a_next)
+            np.negative(a_next, out=a_next)
+            if h != band_h or not np.array_equal(a_next.view(np.uint64), a_half.view(np.uint64)):
+                band, band_h = kernels.fp_band(a_next, d_coeff, h, dx), h
+                a_half, a_next = a_next, a_half
+            try:
+                kernels.fp_cn_step(w_in, band, vals[j + 1])
+            except ZeroDivisionError as exc:
+                raise SolverError(f"FD tridiagonal solve failed at step {j}") from exc
+            w_in = vals[j + 1]
         check_slice(j + 1)
     return DensityField(grid=grid, values=vals)
 

@@ -149,6 +149,14 @@ class TestOu:
                             ("w_exact_vs_w_fd", 1e-2)):
             assert max(dist[pair]["L1"]["value"]) <= bound, pair
 
+    def test_coarse_time_grid_runs(self, tmp_path):
+        # five time nodes on [0.05, 5]: the first output step is 25 times
+        # its start time, so FD splits it into early substeps; as one CN
+        # step it undershot by -0.28 at step 1
+        out = tmp_path / "ou"
+        assert main(["ou", "--nt", "5", "--paths", "2000", "--mc-dt", "0.01", "--out", str(out)]) == EXIT_OK
+        assert max(read_summary(out)["distances"]["w_exact_vs_w_fd"]["L1"]["value"]) <= 1e-3
+
     @pytest.mark.parametrize("d", ["1e-300", "1e-308"])
     def test_tiny_d_overflow_is_a_solver_abort(self, tmp_path, d):
         # S/D overflows, and at D = 1e-308 so does U/2D: the cascade and exact

@@ -5,7 +5,7 @@ The oracles below are the order-by-order cascade as it stood before the
 march: each order solved over the whole time range before the next, its band
 rebuilt at every step, its source and the lower orders' gradients held on the
 whole padded lattice, S0 solved on the padded nodes and cropped.  The FD
-oracle assembles its band at every step."""
+oracle assembles its band at every Crank-Nicolson step, substeps included."""
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from fpcascade.model import (
     zero_drift,
 )
 from fpcascade.oracles import ModulationV, s0_log_heat_kernel
-from fpcascade.reference import fp_fd_solve, oracle_density
+from fpcascade.reference import fd_substeps, fp_fd_solve, oracle_density
 from fpcascade.transform import effective_potential_order
 
 D = 0.7
@@ -156,33 +156,39 @@ def test_failure_at_a_higher_order_names_it():
 
 
 def _fp_loop(drift, d_coeff, lam, grid, w_init):
-    """fp_fd_solve's march with the band assembled at every step."""
+    """fp_fd_solve's march, through the substeps of ``fd_substeps``, with the
+    band assembled at every step."""
     x_half = grid.x[:-1] + 0.5 * grid.dx
-    dx, dt = grid.dx, grid.dt
-    alpha = d_coeff * dt / (2.0 * dx * dx)
-    g = dt / (4.0 * dx)
+    dx = grid.dx
     vals = np.empty((grid.nt, grid.nx))
     vals[0] = w_init
     vals[0, 0] = vals[0, -1] = 0.0
     for j in range(grid.nt - 1):
-        a_half = -(lam * np.broadcast_to(drift.du_dx(x_half, grid.t[j] + 0.5 * dt), x_half.shape))
-        ar, al = a_half[1:], a_half[:-1]
         w_in = vals[j]
-        diag = np.full(grid.nx - 2, 1.0 + 2.0 * alpha) + g * (ar - al)
-        upper = -(alpha - g * ar[:-1])
-        lower = -(alpha + g * al[1:])
-        rhs = (
-            (alpha + g * al) * w_in[:-2]
-            + (1.0 - 2.0 * alpha - g * (ar - al)) * w_in[1:-1]
-            + (alpha - g * ar) * w_in[2:]
-        )
-        vals[j + 1, 1:-1] = K.tridiag_solve(lower, diag, upper, rhs)
-        vals[j + 1, 0] = vals[j + 1, -1] = 0.0
+        for tm, h in fd_substeps(float(grid.t[j]), float(grid.t[j + 1]), grid.dt):
+            alpha = d_coeff * h / (2.0 * dx * dx)
+            g = h / (4.0 * dx)
+            a_half = -(lam * np.broadcast_to(drift.du_dx(x_half, tm), x_half.shape))
+            ar, al = a_half[1:], a_half[:-1]
+            diag = np.full(grid.nx - 2, 1.0 + 2.0 * alpha) + g * (ar - al)
+            upper = -(alpha - g * ar[:-1])
+            lower = -(alpha + g * al[1:])
+            rhs = (
+                (alpha + g * al) * w_in[:-2]
+                + (1.0 - 2.0 * alpha - g * (ar - al)) * w_in[1:-1]
+                + (alpha - g * ar) * w_in[2:]
+            )
+            vals[j + 1, 1:-1] = K.tridiag_solve(lower, diag, upper, rhs)
+            vals[j + 1, 0] = vals[j + 1, -1] = 0.0
+            w_in = vals[j + 1]
     return vals
 
 
+# ``bands``: the bands built for the output steps taken in one CN step.  On
+# this grid output steps 0 and 1 are split into two substeps each, and each
+# of those four gets its own band, since its length differs from every other
 @pytest.mark.parametrize("name, lam, bands", [("zero", 0.0, 1), ("quadratic", 0.3, 1), ("quadratic", -0.2, 1),
-                                               ("cos", 0.5, 60), ("const", 0.5, 1)])
+                                               ("cos", 0.5, 58), ("const", 0.5, 1)])
 def test_fd_band_reuse_equals_per_step_assembly(monkeypatch, name, lam, bands):
     built = []
 
@@ -193,9 +199,12 @@ def test_fd_band_reuse_equals_per_step_assembly(monkeypatch, name, lam, bands):
     fp_band = K.fp_band
     monkeypatch.setattr(K, "fp_band", counting)
     drift, grid = DRIFTS[name], Grid(-12.0, 12.0, 241, 0.05, 1.0, 61)
+    schedule = [fd_substeps(float(grid.t[j]), float(grid.t[j + 1]), grid.dt) for j in range(grid.nt - 1)]
+    assert [len(steps) for steps in schedule] == [2, 2] + [1] * 58
     w_init = oracle_density(drift, 1.0, lam, grid.x, grid.t0)
     w_init = w_init / float(trapezoid(w_init, grid.dx))
     got = fp_fd_solve(drift, 1.0, lam, grid, w_init)
     assert got.values.tobytes() == _fp_loop(drift, 1.0, lam, grid, w_init).tobytes()
-    # rebuilt only when the interface drift changes: never for a drift constant in time
-    assert len(built) == bands
+    # rebuilt only when the interface drift or the step length changes:
+    # for a drift constant in time, once more where the one-step output steps begin
+    assert len(built) == bands + 4

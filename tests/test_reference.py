@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -24,8 +25,10 @@ from fpcascade.errors import SolverError
 from fpcascade.model import DriftSpec, Grid, linear_time_modulated, quadratic_ou, zero_drift
 from fpcascade.oracles import ModulationV, example1_density_exact, ou_density_exact, w0_diffusion
 from fpcascade.reference import (
+    FD_SUBSTEP_RATIO,
     density_from_samples,
     em_simulate,
+    fd_substeps,
     fp_fd_solve,
     oracle_density,
     oracle_law,
@@ -156,7 +159,10 @@ class TestFdSolver:
 
 class TestFdAborts:
     """The per-step aborts of fp_fd_solve, each forced at one step of a zero
-    drift run that passes every check by itself (t = 0.1 + 0.03 j)."""
+    drift run that passes every check by itself (t = 0.1 + 0.03 j).  Output
+    steps 0 and 1 are longer than ``FD_SUBSTEP_RATIO`` times their start
+    time, so each takes two CN steps: CN calls 0-1 make output step 0, calls
+    2-3 step 1, and call k >= 4 makes step k - 2."""
 
     GRID = Grid(-12.0, 12.0, 241, 0.1, 1.0, 31)
 
@@ -167,7 +173,7 @@ class TestFdAborts:
         def scale(w_in, band, w_out):
             w_out *= 1.0 + 1e-6
 
-        after_call(monkeypatch, kernels, "fp_cn_step", 5, scale)
+        after_call(monkeypatch, kernels, "fp_cn_step", 7, scale)
         with pytest.raises(SolverError, match=r"^FD mass drift \|1\.000001\d* - 1\| > 1e-08 first at step 6 \(t=0\.28\)$"):
             self.solve()
 
@@ -175,15 +181,91 @@ class TestFdAborts:
         def dip(w_in, band, w_out):
             w_out[2] = -1e-9  # next to the edge, where the density is about 1e-30
 
-        after_call(monkeypatch, kernels, "fp_cn_step", 5, dip)
+        after_call(monkeypatch, kernels, "fp_cn_step", 7, dip)
         with pytest.raises(SolverError, match=r"^FD undershoot -1\.000e-09 below -1e-12 at step 6; refine the grid$"):
             self.solve()
 
     def test_singular_step(self, monkeypatch):
-        after_call(monkeypatch, kernels, "tridiag_solve", 3, singular)
+        after_call(monkeypatch, kernels, "tridiag_solve", 5, singular)
         with pytest.raises(SolverError, match=r"^FD tridiagonal solve failed at step 3$") as info:
             self.solve()
         assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    def test_faults_in_a_substep_name_its_output_step(self, monkeypatch):
+        # the slice checks run once per output step: a scale after the first
+        # substep of output step 1 (call 2) surfaces at slice 2
+        def scale(w_in, band, w_out):
+            w_out *= 1.0 + 1e-6
+
+        after_call(monkeypatch, kernels, "fp_cn_step", 2, scale)
+        with pytest.raises(SolverError, match=r"^FD mass drift \|1\.000001\d* - 1\| > 1e-08 first at step 2 \(t=0\.16\)$"):
+            self.solve()
+        monkeypatch.undo()
+        after_call(monkeypatch, kernels, "tridiag_solve", 1, singular)
+        with pytest.raises(SolverError, match=r"^FD tridiagonal solve failed at step 0$"):
+            self.solve()
+
+
+def _count_cn_steps(monkeypatch):
+    calls, real = [], kernels.fp_cn_step
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "fp_cn_step", counting)
+    return calls
+
+
+class TestFdSubsteps:
+    """The early-time substeps of fp_fd_solve (``reference.fd_substeps``)."""
+
+    def test_short_step_is_one_step_at_its_mid_time(self):
+        assert fd_substeps(0.25, 0.3, 0.05) == [(0.25 + 0.5 * 0.05, 0.05)]
+        # 0.2 * 0.5 is 0.1 exactly: a step of FD_SUBSTEP_RATIO times its start stays whole
+        assert FD_SUBSTEP_RATIO * 0.5 == 0.1
+        assert fd_substeps(0.5, 0.6, 0.1) == [(0.55, 0.1)]
+
+    @pytest.mark.parametrize("t_start, t_end", [(0.05, 0.0975), (0.1, 0.8), (1e-6, 0.05), (1e-300, 1e300)])
+    def test_long_step_splits_geometrically(self, t_start, t_end):
+        steps = fd_substeps(t_start, t_end, t_end - t_start)
+        mids, lengths = np.array(steps).T
+        starts = mids - 0.5 * lengths
+        assert len(steps) == math.ceil((math.log(t_end) - math.log(t_start)) / math.log(1.0 + FD_SUBSTEP_RATIO))
+        assert starts[0] == t_start and starts[-1] + lengths[-1] == pytest.approx(t_end, rel=1e-15)
+        np.testing.assert_allclose(starts[1:], starts[:-1] + lengths[:-1], rtol=1e-15)
+        # exp() of an argument near 700 (at 1e300) has a relative error near 1e-13
+        assert (lengths <= FD_SUBSTEP_RATIO * starts * (1.0 + 1e-10)).all()
+        # one common ratio
+        np.testing.assert_allclose(lengths[1:-1] / lengths[:-2], lengths[1] / lengths[0], rtol=1e-10)
+
+    def test_acceptance_grid_takes_one_step_per_output_step(self, monkeypatch):
+        calls = _count_cn_steps(monkeypatch)
+        grid = Grid(-12.0, 12.0, 1601, 0.01, 1.0, 1101)  # criterion 6
+        fp_fd_solve(zero_drift(), 1.0, 0.0, grid, normalized_init(zero_drift(), 0.0, grid))
+        assert len(calls) == grid.nt - 1
+
+    def test_tiny_t0_takes_few_steps(self, monkeypatch):
+        # the first output step spans t = 1e-6 to 0.05; equal substeps of at
+        # most 0.2 t0 would take 250,000
+        calls = _count_cn_steps(monkeypatch)
+        grid = Grid(-12.0, 12.0, 241, 1e-6, 1.0, 21)
+        fp_fd_solve(zero_drift(), 1.0, 0.0, grid, normalized_init(zero_drift(), 0.0, grid))
+        assert len(calls) < 100
+
+    @pytest.mark.parametrize("family, lam, grid, bound", [
+        # the two CLI benchmark grids: example1 with the RunConfig defaults,
+        # and the OU run of cli_ou_mc_heavy
+        ("example1", 0.2, Grid(-24.0, 24.0, 961, 0.05, 5.0, 199), 1.5e-3),
+        ("ou", 0.1, Grid(-12.0, 12.0, 241, 0.05, 1.0, 21), 3e-3),
+    ])
+    def test_cli_benchmark_grids_match_exact(self, family, lam, grid, bound):
+        drift = linear_time_modulated(COS) if family == "example1" else quadratic_ou()
+        sol = fp_fd_solve(drift, 1.0, lam, grid, normalized_init(drift, lam, grid))
+        exact = np.array([example1_density_exact(grid.x, t, 1.0, lam, COS) if family == "example1"
+                          else ou_density_exact(grid.x, t, 1.0, lam) for t in grid.t])
+        exact /= trapezoid(exact, grid.dx)[:, None]
+        assert float(trapezoid(np.abs(sol.values - exact), grid.dx).max()) <= bound
 
 
 def test_cascade_and_fd_do_not_import_numpy_random():
