@@ -27,7 +27,7 @@ import tempfile
 from pathlib import Path
 
 # a grid small enough to run in well under a second, wide enough that FD
-# sees no boundary leak up to t = 1.5
+# loses no mass through its edges up to t = 1.5
 FAST = ("--x-min", "-16", "--x-max", "16", "--nx", "161", "--t0", "0.1", "--t-max", "1.5",
         "--nt", "29", "--paths", "3000", "--mc-dt", "0.01", "--seed", "7")
 
@@ -52,8 +52,12 @@ FAST_T = [round(0.1 + 0.05 * k, 10) for k in range(29)]
 # list of checkpoints (the summary.json config echo shows each as the
 # validated config holds it), an OU run on x in [-80, 80] whose U/2D
 # passes the exp() range near the edges, where S/D lies far below it, and
-# an OU run on three time nodes, whose two FD output steps take 16
-# Crank-Nicolson substeps between them (reference.fd_substeps).
+# an OU run on three time nodes, whose two FD output steps take 54
+# Crank-Nicolson substeps between them (reference.fd_substeps), an OU run on
+# 400 time nodes, whose output steps are shorter than dx^2 / (6 D), so FD
+# scales its mass weights on every step, and the example1 run whose density
+# nears the edges of the default grid (it aborted on the FD boundary-leak
+# check that the mass check replaced).
 # Every case exits 0 (later flags override earlier ones).
 CASES = (
     ("example1-cos", ("example1", *FAST), None),
@@ -98,26 +102,26 @@ CASES = (
     ("ou-wide-domain", ("ou", "--lambda", "0.5", "--x-min", "-80", "--x-max", "80", "--nx", "801", "--t0", "0.05",
                         "--t-max", "1", "--nt", "21", "--paths", "2000", "--mc-dt", "0.01", "--seed", "7"), None),
     ("ou-coarse-time", ("ou", *FAST, "--nt", "3"), None),
+    ("ou-short-output-steps", ("ou", *FAST, "--nt", "400"), None),
+    ("example1-sin-d1.5", ("example1", "--v", "sin", "--omega", "2", "--d", "1.5"), None),
 )
 
 # the grid of the tiny-D runs (tests/test_cli.py's
-# TestOu::test_tiny_d_overflow_is_a_solver_abort)
+# TestOu::test_tiny_d_unresolved_start_is_rejected)
 TINY_D = ("--x-min=-1e4", "--x-max", "1e4", "--nx", "161", "--t0", "0.1", "--t-max", "1.5", "--nt", "29",
           "--paths", "1000")
 
-# (name, argv, JSON config or None) of runs that abort with exit 3: an action
-# sum that overflows (tests/test_cli.py's
-# TestOu::test_nonfinite_action_sum_is_a_solver_abort), an OU lam of 1e4
-# whose exp(S/D - U/2D) underflows to a zero slice mass, an FD boundary leak
-# on the default grid, two tiny D whose S/D overflows (at 1e-308 U/2D too)
-# and FD then undershoots, and a tiny D at a negative lam, where
-# S/D - U/2D is -inf + inf
+# (name, argv, JSON config or None) of runs that abort: an action sum that
+# overflows (tests/test_cli.py's
+# TestOu::test_nonfinite_action_sum_is_a_solver_abort) and an OU lam of 1e4
+# whose exp(S/D - U/2D) underflows to a zero slice mass (D = 1000 keeps its
+# width sqrt(D / lam) above dx), both exit 3; two tiny D and a tiny D at a
+# negative lam, whose start density is far narrower than dx, exit 2
 ABORT_CASES = (
-    ("abort-action-sum", ("ou", "--x-min", "-16", "--x-max", "16", "--nx", "161", "--t0", "0.1",
-                          "--t-max", "1e300", "--nt", "3", "--paths", "3000", "--mc-dt", "1e299",
-                          "--d", "1e-289"), None),
-    ("abort-zero-slice-mass", ("ou", "--lambda", "1e4", *FAST), None),
-    ("abort-fd-boundary-leak", ("example1", "--v", "sin", "--omega", "2", "--d", "1.5"), None),
+    ("abort-action-sum", ("ou", "--lambda", "0", "--x-min", "-16", "--x-max", "16", "--nx", "161",
+                          "--t0", "1e288", "--t-max", "1e300", "--nt", "3", "--paths", "3000",
+                          "--mc-dt", "1e299", "--d", "1e-289"), None),
+    ("abort-zero-slice-mass", ("ou", "--lambda", "1e4", *FAST, "--d", "1000"), None),
     *((f"abort-tiny-d-{d}", ("ou", *TINY_D, "--d", d), None) for d in ("1e-300", "1e-308")),
     ("abort-tiny-d-negative-lambda", ("ou", "--lambda=-0.2", *TINY_D, "--d", "1e-308"), None),
 )

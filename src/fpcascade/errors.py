@@ -10,7 +10,7 @@ class ConfigError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """A numerical solve aborted (singular step, mass drift, boundary leak)."""
+    """A numerical solve aborted (singular step, mass drift, undershoot)."""
 
 
 class InvariantViolation(RuntimeError):

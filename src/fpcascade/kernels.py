@@ -1,6 +1,7 @@
 """Hot numeric kernels, vectorized with numpy and LAPACK.
 
-The Crank-Nicolson steps take a prebuilt band, assembled with array
+The Crank-Nicolson steps (of the cascade, and of the density equation with
+a fourth-order compact flux) take a prebuilt band, assembled with array
 expressions, and solve it with LAPACK ``dgtsv`` (Gaussian elimination with
 partial pivoting; the early cascade steps are advection-dominated, so the
 band is not diagonally dominant and the pivoting is needed).  scipy's
@@ -112,22 +113,52 @@ def cascade_cn_step(s_in, band, dq, s_out):
 # Crank-Nicolson step for the Fokker-Planck equation in flux form
 #   dw/dt = -d/dx(a w) + D w'',  a given at the nx-1 cell interfaces,
 #   absorbing (zero) boundary values.  Same band layout as the cascade step.
+#
+# The space discretisation is a fourth-order compact flux (docs/method.md,
+# section 5): at interface k, with cell Peclet number P = a dx / D,
+#   flux    F_k = D_f (w_(k+1) - w_k) / dx - a (w_k + w_(k+1)) / 2,
+#   mass    phi_k = alpha w_(k+1) + beta w_k,  (M w)_i = w_i + phi_(i) - phi_(i-1),
+# with D_f = 12 D / (12 - P^2), alpha = (12 - 6P - 2P^2) / (12 (12 - P^2)) and
+# beta = -(12 + 6P - 2P^2) / (12 (12 - P^2)) where |P| < 2, and the
+# second-order flux (alpha = beta = 0, D_f = D) elsewhere.  A step solves
+# (M - h/2 L) w+ = (M + h/2 L) w.  The weights sit at the interfaces, so every
+# column of M sums to 1 and the trapezoid mass is conserved to rounding.
 # ---------------------------------------------------------------------------
 
 
-def fp_band(a_half, d_coeff, dt, dx):
-    """Band of one step whose interface drift is ``a_half``."""
-    n = a_half.shape[0] + 1
-    alpha = d_coeff * dt / (2.0 * dx * dx)
-    g = dt / (4.0 * dx)
-    ar = a_half[1:]  # right interface of rows 1..n-2
-    al = a_half[:-1]  # left interface of rows 1..n-2
-    diag = np.full(n - 2, 1.0 + 2.0 * alpha) + g * (ar - al)
-    upper = -(alpha - g * ar[:-1])
-    lower = -(alpha + g * al[1:])
-    left = alpha + g * al
-    center = 1.0 - 2.0 * alpha - g * (ar - al)
-    right = alpha - g * ar
+def fp_band(a_half, d_coeff, dt, dx, mass_weight=1.0):
+    """Band of one compact-flux step whose interface drift is ``a_half``.
+
+    ``mass_weight`` scales the mass weights alpha and beta: 1 gives the
+    fourth-order scheme, 0 the lumped mass of the second-order one.  The
+    implicit matrix keeps non-positive off-diagonals when ``mass_weight`` is
+    at most ``6 D dt / dx^2``, which fp_fd_solve passes on a step shorter
+    than ``dx^2 / (6 D)``."""
+    c = d_coeff * dt / (2.0 * dx * dx)
+    # an overflowing Peclet number is past the |P| < 2 guard; an inf or NaN
+    # drift gives a non-finite band, which fp_fd_solve's slice check names
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = a_half * (dx / d_coeff)
+        inside = np.abs(p) < 2.0
+        pc = np.where(inside, p, 0.0)
+        q = 12.0 - pc * pc
+        k = np.where(inside, mass_weight / (12.0 * q), 0.0)
+        m = k * (2.0 * q - 12.0)  # mass weights: alpha = m - n6, beta = -(m + n6)
+        n6 = (6.0 * k) * pc
+        diff = c * (12.0 / q)  # h/2 times D_f / dx^2
+        adv = (0.5 * c) * p  # h/2 times a / (2 dx)
+        e = diff - adv  # h/2 L's weight on w_(k+1) from interface k
+        f = diff + adv  # and on w_k, with the opposite sign in row k
+        pr = (m - n6) + e  # explicit weight on w_(k+1) in row k
+        qr = (m - n6) - e  # implicit one
+        rl = -(m + n6) - f  # row k+1's explicit weight on w_k, negated
+        sl = -(m + n6) + f  # and its implicit one, negated
+        lower = -sl[1:-1]
+        diag = 1.0 + sl[1:] - qr[:-1]
+        upper = qr[1:-1]
+        left = -rl[:-1]
+        center = 1.0 + rl[1:] - pr[:-1]
+        right = pr[1:]
     return lower, diag, upper, left, center, right
 
 

@@ -400,6 +400,16 @@ def validate_config(cfg: RunConfig) -> ValidatedConfig:
     if not np.isfinite((cfg.t_max - cfg.t0) / cfg.mc_dt):  # no Monte Carlo segment spans more
         raise ConfigError(f"mc_dt must give a finite step count (t_max - t0) / mc_dt, got {cfg.mc_dt}")
     drift = build_drift(cfg)
+    # the start density is the heat kernel at the law's time; narrower than
+    # dx, its sampled trapezoid mass is off 1 by about 2 exp(-2 pi^2 (width/dx)^2),
+    # past 1e-8, so the run would die at emission after every solver had run
+    time0 = cfg.t0 if cfg.lam == 0 or drift.law is None else drift.law(cfg.t0, cfg.lam)[1]
+    width = math.sqrt(2.0 * cfg.d_coeff * float(time0))  # Python floats: an overflow is inf, not a warning
+    if width < grid.dx:
+        raise ConfigError(
+            f"the initial density's width sqrt(2 D t) at t0 must be >= dx to be resolved, "
+            f"got {width:.3e} < dx = {grid.dx:.3e}"
+        )
     checkpoints = tuple(float(c) for c in cfg.checkpoints)
     if checkpoints:
         if any(c < grid.t0 or c > grid.t_max for c in checkpoints):

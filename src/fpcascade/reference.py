@@ -3,8 +3,9 @@
 Two back ends validate the cascade output:
 
 * ``fp_fd_solve`` integrates the density equation directly,
-  dw/dt = -d/dx(D1 w) + D w'' with D1 = -dU/dx, in conservative flux form
-  with Crank-Nicolson time stepping and absorbing (zero) boundary values.
+  dw/dt = -d/dx(D1 w) + D w'' with D1 = -dU/dx, with a conservative
+  fourth-order compact flux (``kernels.fp_band``), Crank-Nicolson time
+  stepping and absorbing (zero) boundary values.
 
 * ``em_simulate`` runs Euler-Maruyama paths of the matching stochastic
   process dx = D1(x,t) dt + sqrt(2D) dB.  Normal increments come from one
@@ -46,48 +47,73 @@ def oracle_density(drift: DriftSpec, d_coeff: float, lam: float, x, t):
     return w0_diffusion(x - centre, time, d_coeff)
 
 
-# fp_fd_solve's abort thresholds: the largest |mass - 1| of a slice, and of
-# the density next to either edge as a fraction of the slice peak
+# fp_fd_solve aborts when a slice's trapezoid mass is off 1 by more than this
 FD_MASS_TOL = 1e-8
-FD_BOUNDARY_TOL = 1e-12
 # the longest Crank-Nicolson step of fp_fd_solve as a fraction of the time it
-# starts at; a longer output step is split into geometrically growing substeps
-FD_SUBSTEP_RATIO = 0.2
+# starts at, where FD_MIN_STEP allows; a longer output step is split into substeps
+FD_SUBSTEP_RATIO = 0.05
+# the shortest substep, in units of dx^2 / D: on a shorter step the compact
+# flux's implicit matrix loses its sign pattern (kernels.fp_band)
+FD_MIN_STEP = 1.0 / 6.0
 
 
-def fd_substeps(t_start: float, t_end: float, dt: float) -> list:
+def fd_substeps(t_start: float, t_end: float, dt: float, dx: float, d_coeff: float) -> list:
     """The (mid time, length) of each Crank-Nicolson step that takes
-    fp_fd_solve from t_start to t_end, an output step of length dt.
+    fp_fd_solve from t_start to t_end, an output step of length dt, on a
+    grid of spacing dx at diffusion constant d_coeff.
 
-    A step no longer than ``FD_SUBSTEP_RATIO * t_start`` is one step,
-    ``[(t_start + 0.5 * dt, dt)]``.  A longer one is split into the fewest
-    substeps whose boundaries grow from t_start by one common ratio of at
-    most ``1 + FD_SUBSTEP_RATIO``, the last ending on t_end: about
-    ``ln(t_end / t_start) / ln(1 + FD_SUBSTEP_RATIO)`` of them.
+    A substep at time t aims at length ``max(FD_SUBSTEP_RATIO * t, h_min)``,
+    where ``h_min = FD_MIN_STEP * dx^2 / D``.  So substeps are ``h_min``
+    long below ``t = h_min / FD_SUBSTEP_RATIO`` and grow by a factor
+    ``1 + FD_SUBSTEP_RATIO`` above it.
+
+    An output step no longer than that aim at t_start is one step,
+    ``[(t_start + 0.5 * dt, dt)]``.  A longer one is split evenly in the
+    count of aims it spans, into its ceiling, but into no more substeps than
+    keep the first (the shortest) at least ``h_min`` long; the last ends on
+    t_end.
     """
-    if dt <= FD_SUBSTEP_RATIO * t_start:
+    h_min = FD_MIN_STEP * dx * dx / d_coeff
+    if dt <= max(FD_SUBSTEP_RATIO * t_start, h_min):
         return [(t_start + 0.5 * dt, dt)]
-    # in logarithms, since t_end / t_start may overflow
-    log_start = math.log(t_start)
-    span = math.log(t_end) - log_start
-    n = max(2, math.ceil(span / math.log1p(FD_SUBSTEP_RATIO)))
-    bounds = [t_start, *(math.exp(log_start + span * k / n) for k in range(1, n)), t_end]
+    # "clock" counts aims from t_start: uniform up to knee, then in
+    # logarithms, since t_end / t_start may overflow
+    log_step = math.log1p(FD_SUBSTEP_RATIO)
+    knee = max(t_start, h_min / FD_SUBSTEP_RATIO)
+    uniform, log_knee = (knee - t_start) / h_min if knee > t_start else 0.0, math.log(knee)
+
+    def clock(t):
+        return (t - t_start) / h_min if t <= knee else uniform + (math.log(t) - log_knee) / log_step
+
+    def time(c):
+        return t_start + c * h_min if c <= uniform else math.exp(log_knee + (c - uniform) * log_step)
+
+    span = clock(t_end)
+    first = clock(t_start + h_min) if h_min > 0 else 0.0  # the clock of the shortest allowed first substep
+    n = math.ceil(span)
+    if n * first > span:
+        n = max(1, math.floor(span / first))
+    if n == 1:
+        return [(t_start + 0.5 * dt, dt)]
+    bounds = [t_start, *(time(span * k / n) for k in range(1, n)), t_end]
     return [(a + 0.5 * (b - a), b - a) for a, b in zip(bounds, bounds[1:])]
 
 
 def fp_fd_solve(drift: DriftSpec, d_coeff: float, lam: float, grid: Grid, w_init: np.ndarray) -> DensityField:
-    """Crank-Nicolson flux-form integration of the density equation.
+    """Crank-Nicolson integration of the density equation with the
+    conservative fourth-order compact flux of ``kernels.fp_band``.
 
     Output step j runs through the CN steps ``fd_substeps`` gives for it, so
-    an early step longer than ``FD_SUBSTEP_RATIO`` times its start time is
-    taken in geometrically growing substeps.
+    an early step longer than ``FD_SUBSTEP_RATIO`` times its start time (and
+    longer than ``dx^2 / (6 D)``) is taken in substeps.
 
     The initial slice must be finite and non-negative with trapezoid mass 1
     within ``FD_MASS_TOL``.  Aborts if a slice's mass drifts from 1 beyond
-    ``FD_MASS_TOL`` or if the density next to the absorbing boundary ever
-    exceeds ``FD_BOUNDARY_TOL`` of the slice peak (the domain is then too
-    narrow for the run).  These checks run once per output slice, and every
-    abort names the output step.
+    ``FD_MASS_TOL``: the scheme conserves the trapezoid mass to rounding, so
+    a loss is mass carried out through the absorbing edges (the domain is
+    then too narrow for the run).  It also aborts on an undershoot below
+    ``NEGATIVITY_FLOOR`` and on non-finite values.  These checks run once
+    per output slice, and every abort names the output step.
     """
     w_init = np.asarray(w_init, dtype=float)
     if w_init.shape != (grid.nx,):
@@ -111,15 +137,12 @@ def fp_fd_solve(drift: DriftSpec, d_coeff: float, lam: float, grid: Grid, w_init
         w = vals[j]
         mass = float(trapezoid(w, dx))
         if abs(mass - 1.0) > FD_MASS_TOL:
+            how = "gained" if mass > 1.0 else "lost through the edges; widen the domain"
             raise SolverError(
-                f"FD mass drift |{mass:.12g} - 1| > {FD_MASS_TOL:g} first at step {j} (t={grid.t[j]:.6g})"
+                f"FD mass drift |{mass:.12g} - 1| > {FD_MASS_TOL:g} first at step {j} (t={grid.t[j]:.6g}): "
+                f"mass {how}"
             )
         peak, low = w.max(), w.min()
-        if max(w[1], w[-2]) > FD_BOUNDARY_TOL * peak:
-            raise SolverError(
-                f"FD boundary leak at step {j} (t={grid.t[j]:.6g}): density next to the edge "
-                f"exceeds {FD_BOUNDARY_TOL:g} of the peak; widen the domain"
-            )
         if low < NEGATIVITY_FLOOR:
             raise SolverError(
                 f"FD undershoot {low:.3e} below {NEGATIVITY_FLOOR:.0e} at step {j}; refine the grid"
@@ -132,15 +155,19 @@ def fp_fd_solve(drift: DriftSpec, d_coeff: float, lam: float, grid: Grid, w_init
     # the band is rebuilt only when the step length or the interface drift
     # changes in a bit: for a drift constant in time (the zero and quadratic
     # families) only where the early substeps begin, change or end
+    h_min = FD_MIN_STEP * dx * dx / d_coeff
     a_half, a_next = np.empty(grid.nx - 1), np.empty(grid.nx - 1)
     band, band_h = None, None
     for j in range(grid.nt - 1):
         w_in = vals[j]
-        for tm, h in fd_substeps(float(grid.t[j]), float(grid.t[j + 1]), dt):
+        for tm, h in fd_substeps(float(grid.t[j]), float(grid.t[j + 1]), dt, dx, d_coeff):
             np.multiply(drift.du_dx(x_half, tm), lam, out=a_next)
             np.negative(a_next, out=a_next)
             if h != band_h or not np.array_equal(a_next.view(np.uint64), a_half.view(np.uint64)):
-                band, band_h = kernels.fp_band(a_next, d_coeff, h, dx), h
+                # scaled mass weights on a step shorter than h_min, which
+                # only an output step that short is (fd_substeps)
+                weight = h / h_min if h < h_min else 1.0
+                band, band_h = kernels.fp_band(a_next, d_coeff, h, dx, weight), h
                 a_half, a_next = a_next, a_half
             try:
                 kernels.fp_cn_step(w_in, band, vals[j + 1])

@@ -121,12 +121,15 @@ class TestOu:
         assert proc.returncode == 0, proc.stderr
 
     def test_nonfinite_action_sum_is_a_solver_abort(self, tmp_path):
-        # S_2 overflows at t = 1e300 (its -D t^2 / 12 at D = 1e-289); run as the
-        # user does, so that stderr shows everything the user sees: the abort
-        # line and no numpy warning.  The small D keeps the cascade's padded
-        # width 20 D t_max under its cap (at D = 1 the run is a config error,
-        # test_nonfinite_or_invalid_value_rejected[cascade-pad-t-max-1e300])
-        argv = ["ou", "--x-min", "-16", "--x-max", "16", "--nx", "161", "--t0", "0.1",
+        # S_2 overflows at t = 1e300 (its -D t^2 / 12 at D = 1e-289), and
+        # lam^2 S_2 is then 0 * inf at lam = 0; run as the user does, so that
+        # stderr shows everything the user sees: the abort line and no numpy
+        # warning.  The small D keeps the cascade's padded width 20 D t_max
+        # under its cap (at D = 1 the run is a config error,
+        # test_nonfinite_or_invalid_value_rejected[cascade-pad-t-max-1e300]),
+        # and t0 = 1e288 gives the start density a width sqrt(2 D t0) of 0.45,
+        # past dx = 0.2, so the config is not rejected as unresolved
+        argv = ["ou", "--lambda", "0", "--x-min", "-16", "--x-max", "16", "--nx", "161", "--t0", "1e288",
                 "--t-max", "1e300", "--nt", "3", "--paths", "3000", "--mc-dt", "1e299",
                 "--d", "1e-289", "--out", str(tmp_path / "out")]
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
@@ -157,20 +160,22 @@ class TestOu:
         assert main(["ou", "--nt", "5", "--paths", "2000", "--mc-dt", "0.01", "--out", str(out)]) == EXIT_OK
         assert max(read_summary(out)["distances"]["w_exact_vs_w_fd"]["L1"]["value"]) <= 1e-3
 
-    @pytest.mark.parametrize("d", ["1e-300", "1e-308"])
-    def test_tiny_d_overflow_is_a_solver_abort(self, tmp_path, d):
-        # S/D overflows, and at D = 1e-308 so does U/2D: the cascade and exact
-        # densities are a spike at x = 0, and FD, started from that spike on
-        # this grid, undershoots; the abort comes with no numpy warning
+    @pytest.mark.parametrize("d, width", [("1e-300", "4.428e-151"), ("1e-308", "4.428e-155")])
+    def test_tiny_d_unresolved_start_is_rejected(self, tmp_path, monkeypatch, capsys, d, width):
+        # the start density's width sqrt(2 D t0) is far below dx = 125: its
+        # cascade and exact densities are a spike at x = 0 and FD undershoots
+        # from it, so the run is rejected before any solver runs
+        def must_not_run(cfg):
+            raise AssertionError("a solver ran on a rejected config")
+
+        monkeypatch.setattr(cli, "_run_solvers", must_not_run)
         argv = ["ou", "--x-min=-1e4", "--x-max", "1e4", "--nx", "161", "--t0", "0.1", "--t-max", "1.5",
                 "--nt", "29", "--paths", "1000", "--d", d, "--out", str(tmp_path / "out")]
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "fpcascade", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == EXIT_SOLVER
-        assert "solver abort: FD undershoot -2.010e-05 below -1e-12 at step 1; refine the grid" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "RuntimeWarning" not in proc.stderr
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config rejected: the initial density's width sqrt(2 D t) at t0 must be >= dx to be resolved, "
+            f"got {width} < dx = 1.250e+02\n")
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -246,7 +251,8 @@ class TestCustom:
 
 
 def test_narrow_domain_solver_abort(tmp_path):
-    # FD boundary-leak guard trips on a domain that cannot hold the density
+    # FD's mass check trips on a domain that cannot hold the density: mass
+    # leaves through the absorbing edges
     code = main(["example1", "--lambda", "0.2", "--t0", "0.1", "--t-max", "2",
                  "--x-min", "-4", "--x-max", "4", "--nx", "161", "--nt", "41",
                  "--paths", "200", "--out", str(tmp_path / "narrow")])
@@ -615,7 +621,8 @@ _EDGE_VALUES = [-0.0, -1e-13, 5e-324, 1e-5, 1e16, 1e17, 0.1, 1.0 / 3.0]
 def _writer_case(out_dir, checkpoints):
     """A 9 x 5 grid and five fields that cycle through the edge values, with
     w_fd unpopulated on slice 2 and w_mc populated on the checkpoints only."""
-    cfg = validate_config(replace(RunConfig(), x_min=-4.0, x_max=4.0, nx=9, t0=0.1, t_max=0.5,
+    # D = 10 makes the start width sqrt(2 D t0) = 1.4 resolvable on dx = 1
+    cfg = validate_config(replace(RunConfig(), d_coeff=10.0, x_min=-4.0, x_max=4.0, nx=9, t0=0.1, t_max=0.5,
                                   nt=5, checkpoints=checkpoints, out_dir=str(out_dir)))
     grid = cfg.grid
     fields = {}

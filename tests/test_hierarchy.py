@@ -261,7 +261,7 @@ def test_overflowing_closed_form_is_a_solver_abort():
 @pytest.mark.parametrize("expand", [analytic_expansion, solve_expansion])
 @pytest.mark.parametrize("d", [1e-300, 1e-308])
 def test_tiny_d_assembles_without_a_warning(expand, d):
-    # the grid of test_cli's TestOu::test_tiny_d_overflow_is_a_solver_abort:
+    # the grid of test_cli's TestOu::test_tiny_d_unresolved_start_is_rejected:
     # S/D overflows to -inf off x = 0, and at D = 1e-308 so does -U/2D, which
     # leaves a spike at x = 0; under this suite's error::RuntimeWarning
     # filter any divide's or exp()'s warning would surface here

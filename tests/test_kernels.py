@@ -53,29 +53,61 @@ def _cascade_step_loop(x, tm, d_coeff, dt, dx, s_in, qbar):
     return s_out
 
 
-def _fp_step_loop(a_half, d_coeff, dt, dx, w_in):
-    """The flux-form FP CN step with its band assembled one row at a time."""
+def _fp_step_loop(a_half, d_coeff, dt, dx, w_in, mass_weight=1.0):
+    """The compact-flux FP CN step with its band assembled one row at a time,
+    in the kernel's operation order."""
     n = w_in.shape[0]
     m = n - 2
-    alpha = d_coeff * dt / (2.0 * dx * dx)
-    g = dt / (4.0 * dx)
+    c = d_coeff * dt / (2.0 * dx * dx)
+
+    def interface(a):  # (pr, qr, rl, sl) of one interface; see kernels.fp_band
+        p = a * (dx / d_coeff)
+        pc = p if abs(p) < 2.0 else 0.0
+        q = 12.0 - pc * pc
+        k = mass_weight / (12.0 * q) if abs(p) < 2.0 else 0.0
+        mw, n6 = k * (2.0 * q - 12.0), (6.0 * k) * pc
+        diff, adv = c * (12.0 / q), (0.5 * c) * p
+        e, f = diff - adv, diff + adv
+        return (mw - n6) + e, (mw - n6) - e, -(mw + n6) - f, -(mw + n6) + f
+
     lower, diag, upper, rhs = np.empty(m - 1), np.empty(m), np.empty(m - 1), np.empty(m)
     for i in range(1, n - 1):
-        ar = a_half[i]
-        al = a_half[i - 1]
-        diag[i - 1] = 1.0 + 2.0 * alpha + g * (ar - al)
+        pr_l, qr_l, rl_l, sl_l = interface(a_half[i - 1])
+        pr_r, qr_r, rl_r, sl_r = interface(a_half[i])
+        diag[i - 1] = 1.0 + sl_r - qr_l
         if i < n - 2:
-            upper[i - 1] = -(alpha - g * ar)
+            upper[i - 1] = qr_r
         if i > 1:
-            lower[i - 2] = -(alpha + g * al)
-        rhs[i - 1] = (
-            (alpha + g * al) * w_in[i - 1]
-            + (1.0 - 2.0 * alpha - g * (ar - al)) * w_in[i]
-            + (alpha - g * ar) * w_in[i + 1]
-        )
+            lower[i - 2] = -sl_l
+        rhs[i - 1] = -rl_l * w_in[i - 1] + (1.0 + rl_r - pr_l) * w_in[i] + pr_r * w_in[i + 1]
     w_out = np.zeros(n)
     w_out[1:-1] = _lapack_solve(lower, diag, upper, rhs)
     return w_out
+
+
+def _compact_matrices(a_half, d_coeff, dx, mass_weight=1.0):
+    """The compact scheme's mass matrix M and flux operator L on the interior
+    nodes, dense, from the interface weights d, s and D_f of its derivation."""
+    n = len(a_half) + 1
+    mass, op = np.zeros((n, n)), np.zeros((n, n))
+    for k, a in enumerate(a_half):  # interface k + 1/2, between nodes k and k + 1
+        p = a * dx / d_coeff
+        alpha = beta = 0.0
+        d_f = d_coeff
+        if abs(p) < 2.0:
+            d = -p / (12.0 - p * p)
+            s = (12.0 - 2.0 * p * p) / (6.0 * (12.0 - p * p))
+            alpha, beta = mass_weight * (s + d) / 2.0, -mass_weight * (s - d) / 2.0
+            d_f = 12.0 * d_coeff / (12.0 - p * p)
+        # phi = alpha w_(k+1) + beta w_k enters row k with + and row k + 1 with -;
+        # so does the flux F = D_f (w_(k+1) - w_k) / dx - a (w_k + w_(k+1)) / 2
+        for row, sign in ((k, 1.0), (k + 1, -1.0)):
+            mass[row, k + 1] += sign * alpha
+            mass[row, k] += sign * beta
+            op[row, k + 1] += sign * (d_f / dx - a / 2.0) / dx
+            op[row, k] += sign * (-d_f / dx - a / 2.0) / dx
+    mass += np.eye(n)
+    return mass[1:-1, 1:-1], op[1:-1, 1:-1]
 
 
 def _bits(a):
@@ -149,10 +181,49 @@ class TestStepKernels:
         dx = x[1] - x[0]
         w = np.exp(-x * x)
         w[0] = w[-1] = 0.0
-        for lam in (0.0, -0.1, 0.3):
+        # lam = 2 puts the cell Peclet number |lam x| dx / D past 2 beyond |x| = 40
+        for lam in (0.0, -0.1, 0.3, 2.0):
             a_half = -lam * (x[:-1] + dx / 2)
-            out = K.fp_cn_step(w, K.fp_band(a_half, 1.0, 1e-3, dx), np.empty_like(x))
-            assert np.array_equal(_bits(out), _bits(_fp_step_loop(a_half, 1.0, 1e-3, dx, w)))
+            for dt, mass_weight in ((1e-3, 1.0), (1e-3, 0.4)):
+                out = K.fp_cn_step(w, K.fp_band(a_half, 1.0, dt, dx, mass_weight), np.empty_like(x))
+                expected = _fp_step_loop(a_half, 1.0, dt, dx, w, mass_weight)
+                assert np.array_equal(_bits(out), _bits(expected))
+
+    @pytest.mark.parametrize("lam", [0.0, -0.3, 0.7, 3.0])
+    @pytest.mark.parametrize("mass_weight", [1.0, 0.25])
+    def test_fp_band_is_the_compact_scheme(self, lam, mass_weight):
+        # the band's implicit and explicit matrices are M -+ dt/2 L, built
+        # densely from the d, s, D_f weights; at lam = 3 the cell Peclet
+        # number passes 2 beyond |x| = 1.33, where the plain flux takes over
+        x = np.linspace(-2.0, 2.0, 41)
+        dx, dt = x[1] - x[0], 0.01
+        a_half = -lam * (x[:-1] + dx / 2)
+        lower, diag, upper, left, center, right = K.fp_band(a_half, 0.5, dt, dx, mass_weight)
+        mass, op = _compact_matrices(a_half, 0.5, dx, mass_weight)
+        implicit = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        explicit = np.diag(center) + np.diag(left[1:], -1) + np.diag(right[:-1], 1)
+        np.testing.assert_allclose(implicit, mass - dt / 2.0 * op, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(explicit, mass + dt / 2.0 * op, rtol=0.0, atol=1e-13)
+        # interface weights: every column of M sums to 1 (but the two next to
+        # the edges, whose outer weights belong to the absorbed boundary nodes)
+        np.testing.assert_allclose(mass.sum(axis=0)[1:-1], 1.0, rtol=0.0, atol=1e-15)
+        if lam == 0.0:  # Douglas's (1, 10, 1) / 12 at P = 0
+            np.testing.assert_allclose(np.diag(mass), 1.0 - mass_weight / 6.0, rtol=1e-15)
+            np.testing.assert_allclose(np.diag(mass, 1), mass_weight / 12.0, rtol=1e-15)
+
+    def test_fp_band_is_fourth_order_for_constant_coefficients(self):
+        # M^-1 L applied to a Fourier mode exp(i k x) against the exact
+        # -D k^2 - i a k: the error falls 16x per halving of dx
+        errors = []
+        for n in (41, 81, 161):
+            x = np.linspace(0.0, 2.0 * np.pi, n)
+            dx = x[1] - x[0]
+            mass, op = _compact_matrices(np.full(n - 1, 0.8), 0.5, dx)
+            mode = np.exp(2j * x[1:-1])
+            row = n // 2 - 1  # far from the edges
+            rate = np.linalg.solve(mass, op @ mode)[row] / mode[row]
+            errors.append(abs(rate - (-0.5 * 4.0 - 0.8j * 2.0)))
+        assert errors[0] / errors[1] >= 15.0 and errors[1] / errors[2] >= 15.0, errors
 
     def test_fp_step_conserves_interior_flux_balance(self):
         # with zero drift and symmetric data the step keeps symmetry

@@ -22,7 +22,7 @@ from fpcascade.model import (
     zero_drift,
 )
 from fpcascade.oracles import ModulationV, s0_log_heat_kernel
-from fpcascade.reference import fd_substeps, fp_fd_solve, oracle_density
+from fpcascade.reference import FD_MIN_STEP, fd_substeps, fp_fd_solve, oracle_density
 from fpcascade.transform import effective_potential_order
 
 D = 0.7
@@ -155,6 +155,9 @@ def test_failure_at_a_higher_order_names_it():
         H.solve_expansion(drift, D, LAM, 3, _grid(NTS[-1]))
 
 
+_FP_BAND = K.fp_band  # before a test wraps it
+
+
 def _fp_loop(drift, d_coeff, lam, grid, w_init):
     """fp_fd_solve's march, through the substeps of ``fd_substeps``, with the
     band assembled at every step."""
@@ -165,19 +168,11 @@ def _fp_loop(drift, d_coeff, lam, grid, w_init):
     vals[0, 0] = vals[0, -1] = 0.0
     for j in range(grid.nt - 1):
         w_in = vals[j]
-        for tm, h in fd_substeps(float(grid.t[j]), float(grid.t[j + 1]), grid.dt):
-            alpha = d_coeff * h / (2.0 * dx * dx)
-            g = h / (4.0 * dx)
+        for tm, h in fd_substeps(float(grid.t[j]), float(grid.t[j + 1]), grid.dt, dx, d_coeff):
             a_half = -(lam * np.broadcast_to(drift.du_dx(x_half, tm), x_half.shape))
-            ar, al = a_half[1:], a_half[:-1]
-            diag = np.full(grid.nx - 2, 1.0 + 2.0 * alpha) + g * (ar - al)
-            upper = -(alpha - g * ar[:-1])
-            lower = -(alpha + g * al[1:])
-            rhs = (
-                (alpha + g * al) * w_in[:-2]
-                + (1.0 - 2.0 * alpha - g * (ar - al)) * w_in[1:-1]
-                + (alpha - g * ar) * w_in[2:]
-            )
+            h_min = FD_MIN_STEP * dx * dx / d_coeff
+            lower, diag, upper, left, center, right = _FP_BAND(a_half, d_coeff, h, dx, min(1.0, h / h_min))
+            rhs = left * w_in[:-2] + center * w_in[1:-1] + right * w_in[2:]
             vals[j + 1, 1:-1] = K.tridiag_solve(lower, diag, upper, rhs)
             vals[j + 1, 0] = vals[j + 1, -1] = 0.0
             w_in = vals[j + 1]
@@ -185,8 +180,10 @@ def _fp_loop(drift, d_coeff, lam, grid, w_init):
 
 
 # ``bands``: the bands built for the output steps taken in one CN step.  On
-# this grid output steps 0 and 1 are split into two substeps each, and each
-# of those four gets its own band, since its length differs from every other
+# this grid (t = 0.185 + 0.01 j) output steps 0 and 1 are longer than
+# FD_SUBSTEP_RATIO times their start, so they are split into two substeps
+# each, and each of those four gets its own band, since its length differs
+# from every other
 @pytest.mark.parametrize("name, lam, bands", [("zero", 0.0, 1), ("quadratic", 0.3, 1), ("quadratic", -0.2, 1),
                                                ("cos", 0.5, 58), ("const", 0.5, 1)])
 def test_fd_band_reuse_equals_per_step_assembly(monkeypatch, name, lam, bands):
@@ -198,8 +195,9 @@ def test_fd_band_reuse_equals_per_step_assembly(monkeypatch, name, lam, bands):
 
     fp_band = K.fp_band
     monkeypatch.setattr(K, "fp_band", counting)
-    drift, grid = DRIFTS[name], Grid(-12.0, 12.0, 241, 0.05, 1.0, 61)
-    schedule = [fd_substeps(float(grid.t[j]), float(grid.t[j + 1]), grid.dt) for j in range(grid.nt - 1)]
+    drift, grid = DRIFTS[name], Grid(-12.0, 12.0, 241, 0.185, 0.785, 61)
+    schedule = [fd_substeps(float(grid.t[j]), float(grid.t[j + 1]), grid.dt, grid.dx, 1.0)
+                for j in range(grid.nt - 1)]
     assert [len(steps) for steps in schedule] == [2, 2] + [1] * 58
     w_init = oracle_density(drift, 1.0, lam, grid.x, grid.t0)
     w_init = w_init / float(trapezoid(w_init, grid.dx))

@@ -60,6 +60,27 @@ class TestValidateConfig:
             validate_config(default_example1_config(order=9))
         validate_config(default_example1_config(order=8))
 
+    @pytest.mark.parametrize("family, lam, d_coeff, t0, accepted", [
+        # dx = 0.2 on [-16, 16] x 161: the width sqrt(2 D time) against it
+        ("zero", 0.0, 0.2, 0.1, True),  # 0.2 exactly
+        ("zero", 0.0, 0.19, 0.1, False),  # 0.195
+        ("linear_time_modulated", 0.2, 1e-300, 0.1, False),
+        # the quadratic family's time -expm1(-2 lam t) / (2 lam) is 5e-5 at
+        # lam = 1e4, t0 = 0.1: a width of 0.01 where t0 alone gives 0.45
+        ("quadratic_ou", 1e4, 1.0, 0.1, False),
+        ("quadratic_ou", 1e4, 1000.0, 0.1, True),  # 0.32
+        # at lam = 0 the law is the heat kernel itself, at t0
+        ("quadratic_ou", 0.0, 0.2, 0.1, True),
+    ])
+    def test_unresolved_start_width_rejected(self, family, lam, d_coeff, t0, accepted):
+        cfg = RunConfig(family=family, lam=lam, d_coeff=d_coeff, t0=t0, t_max=1.5, x_min=-16.0, x_max=16.0,
+                        nx=161, nt=29, n_paths=100)
+        if accepted:
+            validate_config(cfg)
+        else:
+            with pytest.raises(ConfigError, match=r"^the initial density's width sqrt\(2 D t\) at t0 must be >= dx"):
+                validate_config(cfg)
+
     def test_path_count(self):
         with pytest.raises(ConfigError, match="path count"):
             validate_config(default_example1_config(n_paths=0))

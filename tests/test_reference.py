@@ -22,7 +22,7 @@ from conftest import (
 from fpcascade import forked, kernels, reference
 from fpcascade.analysis import trapezoid
 from fpcascade.errors import SolverError
-from fpcascade.model import DriftSpec, Grid, linear_time_modulated, quadratic_ou, zero_drift
+from fpcascade.model import NEGATIVITY_FLOOR, DriftSpec, Grid, linear_time_modulated, quadratic_ou, zero_drift
 from fpcascade.oracles import ModulationV, example1_density_exact, ou_density_exact, w0_diffusion
 from fpcascade.reference import (
     FD_SUBSTEP_RATIO,
@@ -142,10 +142,10 @@ class TestFdSolver:
             fp_fd_solve(zero_drift(), 1.0, 0.0, grid, normalized_init(zero_drift(), 0.0, grid))
 
     def test_non_finite_slice_aborts_at_its_step(self):
-        # dU/dx turns NaN after t = 0.5: the band of step 13 (half-step time
-        # 0.505) is NaN, so slice 14 (t = 0.52) is the first NaN slice; a NaN
-        # passes the mass, leak and undershoot checks, so only the finiteness
-        # check can name it
+        # dU/dx turns NaN after t = 0.5: output step 13 (t = 0.49 to 0.52)
+        # takes two substeps, the second at mid time 0.512 with a NaN band, so
+        # slice 14 (t = 0.52) is the first NaN slice; a NaN passes the mass
+        # and undershoot checks, so only the finiteness check can name it
         ou = quadratic_ou()
 
         def du_dx(x, t):
@@ -157,14 +157,61 @@ class TestFdSolver:
             fp_fd_solve(drift, 1.0, 0.3, grid, normalized_init(ou, 0.3, grid))
 
 
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    drift=builtin_drifts(),
+    d_coeff=st.floats(0.1, 10.0),
+    nx=st.integers(81, 161),
+    dx=st.floats(0.02, 0.5),
+    edge_peclet=st.floats(2.0, 8.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    step=st.floats(0.02, 0.99),
+    nt=st.integers(2, 6),
+    width=st.floats(1.0, 4.0),
+)
+def test_fd_gives_a_density_or_a_solver_abort(drift, d_coeff, nx, dx, edge_peclet, sign, step, nt, width):
+    # lam puts the quadratic family's cell Peclet number |lam x| dx / D at
+    # edge_peclet >= 2 on the edges, so both sides of the |P| < 2 guard run;
+    # every output step is shorter than dx^2 / (6 D), so the scaled mass
+    # weights run; the start density is ``width`` nodes wide, and the domain
+    # 80-160 nodes
+    half = 0.5 * dx * (nx - 1)
+    lam = sign * edge_peclet * d_coeff / (dx * half)
+    t0 = (width * dx) ** 2 / (2.0 * d_coeff)
+    dt = step * dx * dx / (6.0 * d_coeff)
+    grid = Grid(-half, half, nx, t0, t0 + (nt - 1) * dt, nt)
+    # past |P| = 2 the plain central flux is not positive either, so an
+    # undershoot there is an abort, not a fault
+    try:
+        sol = fp_fd_solve(drift, d_coeff, lam, grid, normalized_init(drift, lam, grid, d=d_coeff))
+    except SolverError:
+        return
+    assert np.abs(trapezoid(sol.values, grid.dx) - 1.0).max() <= reference.FD_MASS_TOL
+    assert sol.values.min() >= NEGATIVITY_FLOOR
+
+
+@pytest.mark.parametrize("step", [0.1, 0.5, 0.9])
+def test_short_output_steps_keep_the_density_non_negative(step):
+    # output steps of `step` times dx^2 / (6 D) from a start one node wide:
+    # with the mass weights scaled by the same factor (kernels.fp_band's
+    # mass_weight) the implicit matrix keeps its sign pattern and the explicit
+    # one is non-negative, so no value goes below 0; at the full weights this
+    # run undershoots to -1.2e-8..-1.4e-8 and aborts
+    dx, t0 = 0.1, 0.005
+    dt = step * dx * dx / 6.0
+    grid = Grid(-8.0, 8.0, 161, t0, t0 + 5 * dt, 6)
+    sol = fp_fd_solve(zero_drift(), 1.0, 0.0, grid, normalized_init(zero_drift(), 0.0, grid))
+    assert sol.values.min() >= 0.0
+
+
 class TestFdAborts:
     """The per-step aborts of fp_fd_solve, each forced at one step of a zero
-    drift run that passes every check by itself (t = 0.1 + 0.03 j).  Output
+    drift run that passes every check by itself (t = 0.555 + 0.03 j).  Output
     steps 0 and 1 are longer than ``FD_SUBSTEP_RATIO`` times their start
     time, so each takes two CN steps: CN calls 0-1 make output step 0, calls
     2-3 step 1, and call k >= 4 makes step k - 2."""
 
-    GRID = Grid(-12.0, 12.0, 241, 0.1, 1.0, 31)
+    GRID = Grid(-12.0, 12.0, 241, 0.555, 1.455, 31)
 
     def solve(self):
         return fp_fd_solve(zero_drift(), 1.0, 0.0, self.GRID, normalized_init(zero_drift(), 0.0, self.GRID))
@@ -174,7 +221,7 @@ class TestFdAborts:
             w_out *= 1.0 + 1e-6
 
         after_call(monkeypatch, kernels, "fp_cn_step", 7, scale)
-        with pytest.raises(SolverError, match=r"^FD mass drift \|1\.000001\d* - 1\| > 1e-08 first at step 6 \(t=0\.28\)$"):
+        with pytest.raises(SolverError, match=r"^FD mass drift \|1\.000001\d* - 1\| > 1e-08 first at step 6 \(t=0\.735\): mass gained$"):
             self.solve()
 
     def test_undershoot(self, monkeypatch):
@@ -198,7 +245,7 @@ class TestFdAborts:
             w_out *= 1.0 + 1e-6
 
         after_call(monkeypatch, kernels, "fp_cn_step", 2, scale)
-        with pytest.raises(SolverError, match=r"^FD mass drift \|1\.000001\d* - 1\| > 1e-08 first at step 2 \(t=0\.16\)$"):
+        with pytest.raises(SolverError, match=r"^FD mass drift \|1\.000001\d* - 1\| > 1e-08 first at step 2 \(t=0\.615\): mass gained$"):
             self.solve()
         monkeypatch.undo()
         after_call(monkeypatch, kernels, "tridiag_solve", 1, singular)
@@ -221,37 +268,68 @@ class TestFdSubsteps:
     """The early-time substeps of fp_fd_solve (``reference.fd_substeps``)."""
 
     def test_short_step_is_one_step_at_its_mid_time(self):
-        assert fd_substeps(0.25, 0.3, 0.05) == [(0.25 + 0.5 * 0.05, 0.05)]
-        # 0.2 * 0.5 is 0.1 exactly: a step of FD_SUBSTEP_RATIO times its start stays whole
-        assert FD_SUBSTEP_RATIO * 0.5 == 0.1
-        assert fd_substeps(0.5, 0.6, 0.1) == [(0.55, 0.1)]
+        assert fd_substeps(2.5, 2.55, 0.05, 0.1, 1.0) == [(2.5 + 0.5 * 0.05, 0.05)]
+        # 0.05 * 2 is 0.1 exactly: a step of FD_SUBSTEP_RATIO times its start stays whole
+        assert FD_SUBSTEP_RATIO * 2.0 == 0.1
+        assert fd_substeps(2.0, 2.1, 0.1, 0.1, 1.0) == [(2.05, 0.1)]
+        # so does a step no longer than the floor dx^2 / (6 D), whatever its start
+        assert fd_substeps(0.01, 0.0115, 0.0015, 0.1, 1.0) == [(0.01 + 0.5 * 0.0015, 0.0015)]
 
+    # dx = 1 at D = 1e305 puts the floor dx^2 / (6 D) at 1.7e-306, below
+    # every aim, so these splits are purely geometric
     @pytest.mark.parametrize("t_start, t_end", [(0.05, 0.0975), (0.1, 0.8), (1e-6, 0.05), (1e-300, 1e300)])
     def test_long_step_splits_geometrically(self, t_start, t_end):
-        steps = fd_substeps(t_start, t_end, t_end - t_start)
+        steps = fd_substeps(t_start, t_end, t_end - t_start, 1.0, 1e305)
         mids, lengths = np.array(steps).T
         starts = mids - 0.5 * lengths
         assert len(steps) == math.ceil((math.log(t_end) - math.log(t_start)) / math.log(1.0 + FD_SUBSTEP_RATIO))
-        assert starts[0] == t_start and starts[-1] + lengths[-1] == pytest.approx(t_end, rel=1e-15)
+        assert mids[0] == t_start + 0.5 * lengths[0] and starts[-1] + lengths[-1] == pytest.approx(t_end, rel=1e-15)
         np.testing.assert_allclose(starts[1:], starts[:-1] + lengths[:-1], rtol=1e-15)
         # exp() of an argument near 700 (at 1e300) has a relative error near 1e-13
         assert (lengths <= FD_SUBSTEP_RATIO * starts * (1.0 + 1e-10)).all()
         # one common ratio
         np.testing.assert_allclose(lengths[1:-1] / lengths[:-2], lengths[1] / lengths[0], rtol=1e-10)
 
-    def test_acceptance_grid_takes_one_step_per_output_step(self, monkeypatch):
+    @pytest.mark.parametrize("t_start, t_end, dx, count", [
+        # below the knee h_min / FD_SUBSTEP_RATIO = 0.0333 only (dx 0.1, D 1)
+        (1e-3, 0.02, 0.1, 11),
+        # 20.0 aims of h_min up to the knee, then 8.3 growing ones: 28.3
+        # aims, but 29 substeps would make the first shorter than h_min
+        (1e-6, 0.05, 0.1, 28),
+        # ou-wide-domain's first output step (dx 0.2): h_min = 0.0067 > 0.05 t
+        (0.05, 0.0975, 0.2, 7),
+        (1e-300, 1e300, 0.1, 14247),
+    ])
+    def test_substeps_are_never_shorter_than_the_floor(self, t_start, t_end, dx, count):
+        h_min = dx * dx / 6.0
+        steps = fd_substeps(t_start, t_end, t_end - t_start, dx, 1.0)
+        mids, lengths = np.array(steps).T
+        starts = mids - 0.5 * lengths
+        assert len(steps) == count
+        assert mids[0] == t_start + 0.5 * lengths[0] and starts[-1] + lengths[-1] == pytest.approx(t_end, rel=1e-15)
+        assert (lengths >= h_min * (1.0 - 1e-12)).all()
+        # within a rounding of the aim max(FD_SUBSTEP_RATIO t, h_min)
+        aims = np.maximum(FD_SUBSTEP_RATIO * starts, h_min)
+        assert (lengths <= aims * (1.0 + 1.0 / (count - 1))).all()
+
+    def test_acceptance_grid_splits_only_its_early_output_steps(self, monkeypatch):
+        # t0 = 0.01, dt = 9e-4: output steps starting before t = dt / 0.05 =
+        # 0.018 (j = 0..8) take two CN steps each, every later one a single step
         calls = _count_cn_steps(monkeypatch)
         grid = Grid(-12.0, 12.0, 1601, 0.01, 1.0, 1101)  # criterion 6
         fp_fd_solve(zero_drift(), 1.0, 0.0, grid, normalized_init(zero_drift(), 0.0, grid))
-        assert len(calls) == grid.nt - 1
+        assert len(calls) == grid.nt - 1 + 9
 
     def test_tiny_t0_takes_few_steps(self, monkeypatch):
         # the first output step spans t = 1e-6 to 0.05; equal substeps of at
-        # most 0.2 t0 would take 250,000
+        # most 0.05 t0 would take a million.  The run counts 20.0 aims of
+        # h_min = dx^2 / 6 up to t = 0.0333, then ln(1 / 0.0333) / ln 1.05 =
+        # 69.7 growing ones, and each of the 20 output steps rounds its own
+        # count up by less than one: at most 109 CN steps
         calls = _count_cn_steps(monkeypatch)
         grid = Grid(-12.0, 12.0, 241, 1e-6, 1.0, 21)
         fp_fd_solve(zero_drift(), 1.0, 0.0, grid, normalized_init(zero_drift(), 0.0, grid))
-        assert len(calls) < 100
+        assert len(calls) <= 109
 
     @pytest.mark.parametrize("family, lam, grid, bound", [
         # the two CLI benchmark grids: example1 with the RunConfig defaults,
@@ -260,12 +338,79 @@ class TestFdSubsteps:
         ("ou", 0.1, Grid(-12.0, 12.0, 241, 0.05, 1.0, 21), 3e-3),
     ])
     def test_cli_benchmark_grids_match_exact(self, family, lam, grid, bound):
-        drift = linear_time_modulated(COS) if family == "example1" else quadratic_ou()
-        sol = fp_fd_solve(drift, 1.0, lam, grid, normalized_init(drift, lam, grid))
-        exact = np.array([example1_density_exact(grid.x, t, 1.0, lam, COS) if family == "example1"
-                          else ou_density_exact(grid.x, t, 1.0, lam) for t in grid.t])
-        exact /= trapezoid(exact, grid.dx)[:, None]
-        assert float(trapezoid(np.abs(sol.values - exact), grid.dx).max()) <= bound
+        assert _fd_error(family, lam, grid) <= bound
+
+    @pytest.mark.parametrize("family, lam, grid", [
+        ("example1", 0.2, Grid(-24.0, 24.0, 961, 0.05, 5.0, 199)),
+        ("ou", 0.1, Grid(-12.0, 12.0, 241, 0.05, 1.0, 21)),
+    ], ids=["example1-defaults", "ou-w2"])
+    def test_cli_benchmark_grids_within_3e_4(self, family, lam, grid):
+        # the compact flux's bound on both benchmark grids (9.5e-5 and 7.9e-5)
+        assert _fd_error(family, lam, grid) <= 3e-4
+
+
+_W2_GRID = dict(x_min=-12.0, x_max=12.0, t0=0.05, t_max=1.0, nt=21)  # cli_ou_mc_heavy's grid, but nx
+
+
+def _fd_solve(family, lam, grid):
+    drift = linear_time_modulated(COS) if family == "example1" else zero_drift() if family == "zero" \
+        else quadratic_ou()
+    return fp_fd_solve(drift, 1.0, lam, grid, normalized_init(drift, lam, grid)).values
+
+
+def _fd_error(family, lam, grid, values=None):
+    """Max-slice L1 distance of FD from the normalized exact density."""
+    values = _fd_solve(family, lam, grid) if values is None else values
+    exact = np.array([example1_density_exact(grid.x, t, 1.0, lam, COS) if family == "example1"
+                      else w0_diffusion(grid.x, t, 1.0) if family == "zero"
+                      else ou_density_exact(grid.x, t, 1.0, lam) for t in grid.t])
+    exact /= trapezoid(exact, grid.dx)[:, None]
+    return float(trapezoid(np.abs(values - exact), grid.dx).max())
+
+
+def _max_l1(a, b, grid):
+    return float(trapezoid(np.abs(a - b), grid.dx).max())
+
+
+class TestFdOrder:
+    """FD's error split into its space and time parts.  The space part is the
+    error of a solve whose substep ratio is so small, and whose dx^2 / (6 D)
+    floor is lifted, that its time part is under a tenth of it; the time part
+    is a solve's distance from such a solve."""
+
+    @pytest.mark.parametrize("family, lam, ratio, most, fall", [
+        # fourth order: 3.75e-5 -> 2.25e-6 (16.7x)
+        ("zero", 0.0, 0.00125, 1e-4, 10.0),
+        ("example1", 0.5, 0.00125, 1e-4, 10.0),
+        # a drift varying in x leaves an O(dx^2 a') remainder: 4.6e-5 -> 8.6e-6 (5.3x)
+        ("ou", 0.1, 0.0025, 1e-4, 3.0),
+    ])
+    def test_space_part_refines(self, monkeypatch, family, lam, ratio, most, fall):
+        monkeypatch.setattr(reference, "FD_MIN_STEP", 0.0)
+        monkeypatch.setattr(reference, "FD_SUBSTEP_RATIO", ratio)
+        coarse, fine = Grid(nx=241, **_W2_GRID), Grid(nx=481, **_W2_GRID)
+        values = _fd_solve(family, lam, fine)
+        space = [_fd_error(family, lam, coarse), _fd_error(family, lam, fine, values)]
+        monkeypatch.setattr(reference, "FD_SUBSTEP_RATIO", ratio / 2)
+        # the time part at ``ratio`` is 4/3 of its distance from a solve at half of it
+        time_part = 4.0 / 3.0 * _max_l1(values, _fd_solve(family, lam, fine), fine)
+        assert time_part <= 0.1 * space[1], (time_part, space)
+        assert space[0] <= most and space[0] / space[1] >= fall, space
+
+    @pytest.mark.parametrize("family, lam", [("ou", 0.1), ("example1", 0.5)])
+    def test_time_part_falls_with_the_substep_ratio(self, monkeypatch, family, lam):
+        # on W2's grid, with the floor in place: 3.7e-4, 9.9e-5, 2.8e-5 at
+        # ratios 0.1, 0.05 and 0.025 for OU
+        grid = Grid(nx=241, **_W2_GRID)
+        monkeypatch.setattr(reference, "FD_MIN_STEP", 0.0)
+        monkeypatch.setattr(reference, "FD_SUBSTEP_RATIO", 0.000625)
+        reference_solve = _fd_solve(family, lam, grid)
+        monkeypatch.undo()
+        parts = []
+        for ratio in (0.1, 0.05, 0.025):
+            monkeypatch.setattr(reference, "FD_SUBSTEP_RATIO", ratio)
+            parts.append(_max_l1(_fd_solve(family, lam, grid), reference_solve, grid))
+        assert parts[0] / parts[1] >= 3.0 and parts[1] / parts[2] >= 3.0, parts
 
 
 def test_cascade_and_fd_do_not_import_numpy_random():
