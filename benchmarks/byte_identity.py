@@ -115,13 +115,15 @@ TINY_D = ("--x-min=-1e4", "--x-max", "1e4", "--nx", "161", "--t0", "0.1", "--t-m
 # overflows (tests/test_cli.py's
 # TestOu::test_nonfinite_action_sum_is_a_solver_abort) and an OU lam of 1e4
 # whose exp(S/D - U/2D) underflows to a zero slice mass (D = 1000 keeps its
-# width sqrt(D / lam) above dx), both exit 3; two tiny D and a tiny D at a
-# negative lam, whose start density is far narrower than dx, exit 2
+# width sqrt(D / lam) above dx), both exit 3, as does a modulation so fast
+# that the numeric cascade's order-2 source overflows; two tiny D and a tiny D
+# at a negative lam, whose start density is far narrower than dx, exit 2
 ABORT_CASES = (
     ("abort-action-sum", ("ou", "--lambda", "0", "--x-min", "-16", "--x-max", "16", "--nx", "161",
                           "--t0", "1e288", "--t-max", "1e300", "--nt", "3", "--paths", "3000",
                           "--mc-dt", "1e299", "--d", "1e-289"), None),
     ("abort-zero-slice-mass", ("ou", "--lambda", "1e4", *FAST, "--d", "1000"), None),
+    ("abort-cascade-source-overflow", ("example1", "--omega", "1e200", *FAST), None),
     *((f"abort-tiny-d-{d}", ("ou", *TINY_D, "--d", d), None) for d in ("1e-300", "1e-308")),
     ("abort-tiny-d-negative-lambda", ("ou", "--lambda=-0.2", *TINY_D, "--d", "1e-308"), None),
 )

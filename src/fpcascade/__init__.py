@@ -5,14 +5,9 @@ action expansion solved order by order, cross-validated against closed forms,
 a direct finite-difference integration and Euler-Maruyama sampling.
 """
 
-from .analysis import field_distance, scaling_order_fit, slice_mass, slice_moments
+from .analysis import field_distance, slice_mass, slice_moments
 from .errors import ConfigError, InvariantViolation, SolverError
-from .hierarchy import (
-    analytic_expansion,
-    assemble_density,
-    cascade_residual,
-    solve_expansion,
-)
+from .hierarchy import analytic_expansion, assemble_density, solve_expansion
 from .model import (
     ActionExpansion,
     DensityField,
@@ -24,18 +19,7 @@ from .model import (
     validate_config,
     zero_drift,
 )
-from .oracles import (
-    ModulationV,
-    example1_density_exact,
-    example1_s1,
-    example1_s2,
-    log_resummation_gap,
-    ou_density_exact,
-    ou_density_pert,
-    ou_s1,
-    ou_s2,
-    w0_diffusion,
-)
+from .oracles import ModulationV, w0_diffusion
 from .reference import density_from_samples, em_simulate, fp_fd_solve
 from .transform import effective_potential_order
 

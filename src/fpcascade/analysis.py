@@ -1,4 +1,4 @@
-"""Masses, moments, field distances and the scaling-order estimator.
+"""Masses, moments and field distances of densities on a grid.
 
 Trapezoid quadrature is used everywhere, matching the second-order accuracy
 of the grid-based solvers.
@@ -6,7 +6,7 @@ of the grid-based solvers.
 
 import numpy as np
 
-from .model import DensityField, Grid
+from .model import DensityField
 
 L1 = "L1"
 LINF = "Linf"
@@ -63,30 +63,3 @@ def field_distance(a: DensityField, b: DensityField, metric: str, rows=slice(Non
         return diff.max(axis=1)
     peak = np.maximum(va.max(axis=1), vb.max(axis=1))
     return diff.max(axis=1) / peak
-
-
-def scaling_order_fit(errors) -> float:
-    """Least-squares slope of log(error) against log(lambda).
-
-    ``errors`` is an iterable of (lambda, error) pairs, all entries positive,
-    with at least 3 distinct lambdas.
-    """
-    pairs = list(errors)
-    lams = np.array([p[0] for p in pairs], dtype=float)
-    errs = np.array([p[1] for p in pairs], dtype=float)
-    if not np.all(lams > 0) or np.any(errs <= 0):  # NaN lambdas too, each of which counts as distinct below
-        raise ValueError("scaling fit requires positive lambdas and errors")
-    if len(set(lams.tolist())) < 3:  # np.unique imports numpy.ma: 0.9 MB of RSS
-        raise ValueError(f"need at least 3 distinct lambdas for a slope fit, got {lams.tolist()}")
-    slope, _ = np.polyfit(np.log(lams), np.log(errs), 1)
-    return float(slope)
-
-
-def normalized_reference(grid: Grid, sampler) -> DensityField:
-    """Sample ``sampler(x, t[:, None])``, the (nt, nx) lattice in one call, and
-    renormalize each time slice: comparisons against closed-form densities
-    happen on the truncated domain, so the reference is given the per-slice
-    trapezoid normalization the solvers apply to their own output."""
-    vals = sampler(grid.x, grid.t[:, None])
-    return DensityField(grid=grid, values=vals / trapezoid(vals, grid.dx)[:, None])
-

@@ -92,25 +92,29 @@ def _march(drift, orders, x, t_nodes, dx, dt, d_coeff, inits):
         bands = kernels.cascade_bands(x, t_nodes[lo:hi] + 0.5 * dt, d_coeff, dt, dx)
         solved, grads = [], []
         for i, n in enumerate(orders):
-            q = _source_arrays(n, drift, d_coeff, x, t_nodes[lo : hi + 1], grads)
-            dq = q[:-1] + q[1:]
-            dq *= 0.5
-            dq *= dt
             vals = np.empty((hi - lo + 1, len(x)))
             vals[0] = last[i]
-            for j, band in enumerate(bands):
-                try:
-                    kernels.cascade_cn_step(vals[j], band, dq[j], vals[j + 1])
-                except ZeroDivisionError as exc:
-                    raise SolverError(
-                        f"cascade failed at order {n}: tridiagonal solve failed at step {lo + j}"
-                    ) from exc
-            if not np.all(np.isfinite(vals)):
-                raise SolverError(f"cascade failed at order {n}: non-finite values by step {hi}")
-            last[i] = vals[-1].copy()
-            solved.append(vals[1:])
-            if i < len(orders) - 1:
-                grads.append(_gradient(vals, dx))
+            # a value past the float range (a fast modulation's source) is
+            # inf, or NaN from inf - inf, which the check below turns into a
+            # SolverError; an inf gradient ends as the next order's
+            with np.errstate(over="ignore", invalid="ignore"):
+                q = _source_arrays(n, drift, d_coeff, x, t_nodes[lo : hi + 1], grads)
+                dq = q[:-1] + q[1:]
+                dq *= 0.5
+                dq *= dt
+                for j, band in enumerate(bands):
+                    try:
+                        kernels.cascade_cn_step(vals[j], band, dq[j], vals[j + 1])
+                    except ZeroDivisionError as exc:
+                        raise SolverError(
+                            f"cascade failed at order {n}: tridiagonal solve failed at step {lo + j}"
+                        ) from exc
+                if not np.all(np.isfinite(vals)):
+                    raise SolverError(f"cascade failed at order {n}: non-finite values by step {hi}")
+                last[i] = vals[-1].copy()
+                solved.append(vals[1:])
+                if i < len(orders) - 1:
+                    grads.append(_gradient(vals, dx))
         yield slice(lo + 1, hi + 1), solved
         lo = hi
 
@@ -179,24 +183,3 @@ def assemble_density(expansion: ActionExpansion, drift: DriftSpec) -> DensityFie
         raise SolverError("assembled density has a non-positive slice mass")
     w /= masses[:, None]
     return DensityField(grid=grid, values=w)
-
-
-def cascade_residual(n: int, expansion: ActionExpansion, drift: DriftSpec) -> float:
-    """Max-abs defect of the order-n equation on the solved fields.
-
-    Time derivative by central differences on interior slices, spatial terms
-    by central differences on interior columns; a self-consistency diagnostic.
-    """
-    if not 1 <= n <= expansion.order:
-        raise ValueError(f"residual needs 1 <= n <= {expansion.order}, got {n}")
-    grid = expansion.grid
-    term = expansion.terms[n - 1]
-    grads = [_gradient(s, grid.dx) for s in expansion.terms[: n - 1]]
-    source = _source_arrays(n, drift, expansion.d_coeff, grid.x, grid.t, grads)
-    dx, dt = grid.dx, grid.dt
-    mid = term[1:-1]
-    dsdt = (term[2:, 1:-1] - term[:-2, 1:-1]) / (2.0 * dt)
-    d2 = (mid[:, 2:] - 2.0 * mid[:, 1:-1] + mid[:, :-2]) / (dx * dx)
-    d1 = (mid[:, 2:] - mid[:, :-2]) / (2.0 * dx)
-    rhs = expansion.d_coeff * d2 - (grid.x[1:-1] / grid.t[1:-1, None]) * d1 + source[1:-1, 1:-1]
-    return float(np.abs(dsdt - rhs).max(initial=0.0))

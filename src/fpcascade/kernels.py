@@ -126,14 +126,21 @@ def cascade_cn_step(s_in, band, dq, s_out):
 # ---------------------------------------------------------------------------
 
 
-def fp_band(a_half, d_coeff, dt, dx, mass_weight=1.0):
+# the shortest step, in units of dx^2 / D, on which fp_band keeps the full mass
+# weights (on a shorter one their implicit matrix loses its sign pattern), and
+# so the shortest substep of reference.fd_substeps
+FD_MIN_STEP = 1.0 / 6.0
+
+
+def fp_band(a_half, d_coeff, dt, dx):
     """Band of one compact-flux step whose interface drift is ``a_half``.
 
-    ``mass_weight`` scales the mass weights alpha and beta: 1 gives the
-    fourth-order scheme, 0 the lumped mass of the second-order one.  The
-    implicit matrix keeps non-positive off-diagonals when ``mass_weight`` is
-    at most ``6 D dt / dx^2``, which fp_fd_solve passes on a step shorter
-    than ``dx^2 / (6 D)``."""
+    On a step shorter than ``h_min = FD_MIN_STEP * dx^2 / D`` the mass
+    weights alpha and beta are scaled by ``dt / h_min`` (1 gives the
+    fourth-order scheme, 0 the lumped mass of the second-order one), which
+    keeps the implicit matrix's off-diagonals non-positive."""
+    h_min = FD_MIN_STEP * dx * dx / d_coeff
+    weight = dt / h_min if dt < h_min else 1.0
     c = d_coeff * dt / (2.0 * dx * dx)
     # an overflowing Peclet number is past the |P| < 2 guard; an inf or NaN
     # drift gives a non-finite band, which fp_fd_solve's slice check names
@@ -142,7 +149,7 @@ def fp_band(a_half, d_coeff, dt, dx, mass_weight=1.0):
         inside = np.abs(p) < 2.0
         pc = np.where(inside, p, 0.0)
         q = 12.0 - pc * pc
-        k = np.where(inside, mass_weight / (12.0 * q), 0.0)
+        k = np.where(inside, weight / (12.0 * q), 0.0)
         m = k * (2.0 * q - 12.0)  # mass weights: alpha = m - n6, beta = -(m + n6)
         n6 = (6.0 * k) * pc
         diff = c * (12.0 / q)  # h/2 times D_f / dx^2

@@ -187,6 +187,16 @@ class DriftSpec:
     law: Optional[Callable] = None
 
 
+def oracle_law(drift: DriftSpec, lam: float, t):
+    """The (centre, time) of the heat kernel that is the drift's closed-form
+    density at time t; lam = 0 gives the heat kernel itself, (0.0, t)."""
+    if lam == 0.0:
+        return 0.0, t
+    if drift.law is None:
+        raise ValueError(f"no closed-form density for drift family {drift.family!r}")
+    return drift.law(t, lam)
+
+
 def zero_drift() -> DriftSpec:
     """Free diffusion: U identically zero."""
     return DriftSpec(
@@ -403,7 +413,7 @@ def validate_config(cfg: RunConfig) -> ValidatedConfig:
     # the start density is the heat kernel at the law's time; narrower than
     # dx, its sampled trapezoid mass is off 1 by about 2 exp(-2 pi^2 (width/dx)^2),
     # past 1e-8, so the run would die at emission after every solver had run
-    time0 = cfg.t0 if cfg.lam == 0 or drift.law is None else drift.law(cfg.t0, cfg.lam)[1]
+    time0 = oracle_law(drift, cfg.lam, cfg.t0)[1]
     width = math.sqrt(2.0 * cfg.d_coeff * float(time0))  # Python floats: an overflow is inf, not a warning
     if width < grid.dx:
         raise ConfigError(

@@ -26,18 +26,8 @@ import numpy as np
 from . import forked, kernels
 from .analysis import trapezoid
 from .errors import SolverError
-from .model import NEGATIVITY_FLOOR, DensityField, DriftSpec, Grid, em_steps
+from .model import NEGATIVITY_FLOOR, DensityField, DriftSpec, Grid, em_steps, oracle_law
 from .oracles import w0_diffusion
-
-
-def oracle_law(drift: DriftSpec, lam: float, t):
-    """The (centre, time) of the heat kernel that is the drift's closed-form
-    density at time t; lam = 0 gives the heat kernel itself, (0.0, t)."""
-    if lam == 0.0:
-        return 0.0, t
-    if drift.law is None:
-        raise ValueError(f"no closed-form density for drift family {drift.family!r}")
-    return drift.law(t, lam)
 
 
 def oracle_density(drift: DriftSpec, d_coeff: float, lam: float, x, t):
@@ -50,11 +40,9 @@ def oracle_density(drift: DriftSpec, d_coeff: float, lam: float, x, t):
 # fp_fd_solve aborts when a slice's trapezoid mass is off 1 by more than this
 FD_MASS_TOL = 1e-8
 # the longest Crank-Nicolson step of fp_fd_solve as a fraction of the time it
-# starts at, where FD_MIN_STEP allows; a longer output step is split into substeps
+# starts at, where kernels.FD_MIN_STEP allows; a longer output step is split
+# into substeps
 FD_SUBSTEP_RATIO = 0.05
-# the shortest substep, in units of dx^2 / D: on a shorter step the compact
-# flux's implicit matrix loses its sign pattern (kernels.fp_band)
-FD_MIN_STEP = 1.0 / 6.0
 
 
 def fd_substeps(t_start: float, t_end: float, dt: float, dx: float, d_coeff: float) -> list:
@@ -63,7 +51,7 @@ def fd_substeps(t_start: float, t_end: float, dt: float, dx: float, d_coeff: flo
     grid of spacing dx at diffusion constant d_coeff.
 
     A substep at time t aims at length ``max(FD_SUBSTEP_RATIO * t, h_min)``,
-    where ``h_min = FD_MIN_STEP * dx^2 / D``.  So substeps are ``h_min``
+    where ``h_min = kernels.FD_MIN_STEP * dx^2 / D``.  So substeps are ``h_min``
     long below ``t = h_min / FD_SUBSTEP_RATIO`` and grow by a factor
     ``1 + FD_SUBSTEP_RATIO`` above it.
 
@@ -73,7 +61,7 @@ def fd_substeps(t_start: float, t_end: float, dt: float, dx: float, d_coeff: flo
     keep the first (the shortest) at least ``h_min`` long; the last ends on
     t_end.
     """
-    h_min = FD_MIN_STEP * dx * dx / d_coeff
+    h_min = kernels.FD_MIN_STEP * dx * dx / d_coeff
     if dt <= max(FD_SUBSTEP_RATIO * t_start, h_min):
         return [(t_start + 0.5 * dt, dt)]
     # "clock" counts aims from t_start: uniform up to knee, then in
@@ -155,7 +143,6 @@ def fp_fd_solve(drift: DriftSpec, d_coeff: float, lam: float, grid: Grid, w_init
     # the band is rebuilt only when the step length or the interface drift
     # changes in a bit: for a drift constant in time (the zero and quadratic
     # families) only where the early substeps begin, change or end
-    h_min = FD_MIN_STEP * dx * dx / d_coeff
     a_half, a_next = np.empty(grid.nx - 1), np.empty(grid.nx - 1)
     band, band_h = None, None
     for j in range(grid.nt - 1):
@@ -164,10 +151,7 @@ def fp_fd_solve(drift: DriftSpec, d_coeff: float, lam: float, grid: Grid, w_init
             np.multiply(drift.du_dx(x_half, tm), lam, out=a_next)
             np.negative(a_next, out=a_next)
             if h != band_h or not np.array_equal(a_next.view(np.uint64), a_half.view(np.uint64)):
-                # scaled mass weights on a step shorter than h_min, which
-                # only an output step that short is (fd_substeps)
-                weight = h / h_min if h < h_min else 1.0
-                band, band_h = kernels.fp_band(a_next, d_coeff, h, dx, weight), h
+                band, band_h = kernels.fp_band(a_next, d_coeff, h, dx), h
                 a_half, a_next = a_next, a_half
             try:
                 kernels.fp_cn_step(w_in, band, vals[j + 1])

@@ -11,28 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from fpcascade.analysis import (
-    PEAK_RELATIVE_LINF,
-    field_distance,
-    normalized_reference,
-    scaling_order_fit,
-    slice_mass,
-    trapezoid,
-)
+from conftest import (example1_density_exact, log_resummation_gap, ou_density_exact, ou_density_pert, ou_s2,
+                      sample_density, scaling_order_fit)
+from fpcascade.analysis import PEAK_RELATIVE_LINF, field_distance, slice_mass, trapezoid
 from fpcascade.hierarchy import analytic_expansion, assemble_density, solve_expansion
 from fpcascade.model import Grid, linear_time_modulated, quadratic_ou, zero_drift
-from fpcascade.oracles import (
-    ModulationV,
-    example1_density_exact,
-    example1_s1,
-    example1_s2,
-    log_resummation_gap,
-    ou_density_exact,
-    ou_density_pert,
-    ou_s1,
-    ou_s2,
-    w0_diffusion,
-)
+from fpcascade.oracles import ModulationV, example1_action, ou_action, w0_diffusion
 from fpcascade.reference import density_from_samples, em_simulate, fp_fd_solve, oracle_density
 
 COS = ModulationV("cos", 1.0)
@@ -56,9 +40,7 @@ def test_criterion_1_example1_analytic_exactness():
     start = time.perf_counter()
     drift = linear_time_modulated(COS)
     w = assemble_density(analytic_expansion(drift, 1.0, 0.5, 2, CASCADE_GRID), drift)
-    ref = normalized_reference(
-        CASCADE_GRID, lambda x, t: w0_diffusion(x + 0.5 * COS.antiderivative(t), t, 1.0)
-    )
+    ref = sample_density(CASCADE_GRID, lambda x, t: w0_diffusion(x + 0.5 * COS.antiderivative(t), t, 1.0))
     residual = float(field_distance(w, ref, PEAK_RELATIVE_LINF).max())
     elapsed = time.perf_counter() - start
     print(f"criterion 1: translation residual {residual:.3e} (<= 1e-12), {elapsed:.2f}s")
@@ -70,11 +52,11 @@ def _numeric_errors(grid):
     drift1 = linear_time_modulated(COS)
     exp1 = solve_expansion(drift1, 1.0, 0.5, 2, grid)
     x, t = grid.x, grid.t
-    e_s1 = np.abs(exp1.terms[0] - np.array([example1_s1(x, tj, COS) for tj in t])).max()
-    e_s2 = np.abs(exp1.terms[1] - np.array([example1_s2(x, tj, COS) for tj in t])).max()
+    e_s1 = np.abs(exp1.terms[0] - np.array([example1_action(1, x, tj, COS) for tj in t])).max()
+    e_s2 = np.abs(exp1.terms[1] - np.array([example1_action(2, x, tj, COS) for tj in t])).max()
     driftq = quadratic_ou()
     expq = solve_expansion(driftq, 1.0, 0.1, 2, grid)
-    e_q1 = np.abs(expq.terms[0] - ou_s1(t, 1.0)[:, None]).max()
+    e_q1 = np.abs(expq.terms[0] - ou_action(1, x, t[:, None], 1.0)).max()
     e_q2 = np.abs(expq.terms[1] - np.array([ou_s2(x, tj, 1.0) for tj in t])).max()
     return e_s1, e_s2, e_q1, e_q2
 
@@ -295,7 +277,7 @@ def test_criterion_9_lambda_zero_degeneracy():
     w_lin = assemble_density(analytic_expansion(drift1, 1.0, 0.0, 2, grid), drift1)
     w_zero = assemble_density(analytic_expansion(zero_drift(), 1.0, 0.0, 0, grid), zero_drift())
     assert np.array_equal(w_lin.values, w_zero.values)
-    ref = normalized_reference(grid, lambda xx, tt: w0_diffusion(xx, tt, 1.0))
+    ref = sample_density(grid, lambda xx, tt: w0_diffusion(xx, tt, 1.0))
     assert float(field_distance(w_lin, ref, PEAK_RELATIVE_LINF).max()) <= 1e-13
     # numeric cascade at lam = 0
     w_num = assemble_density(solve_expansion(drift1, 1.0, 0.0, 2, grid), drift1)

@@ -1,26 +1,10 @@
 import numpy as np
 import pytest
 
-from fpcascade.analysis import (
-    L1,
-    LINF,
-    PEAK_RELATIVE_LINF,
-    field_distance,
-    normalized_reference,
-    scaling_order_fit,
-    slice_mass,
-    slice_moments,
-    trapezoid,
-)
+from conftest import example1_density_exact, ou_density_exact, ou_density_pert, sample_density, scaling_order_fit
+from fpcascade.analysis import L1, LINF, PEAK_RELATIVE_LINF, field_distance, slice_mass, slice_moments
 from fpcascade.model import DensityField, Grid
-from fpcascade.oracles import (
-    ModulationV,
-    example1_density_exact,
-    ou_density_exact,
-    ou_density_pert,
-    w0_diffusion,
-)
-from conftest import sample_density
+from fpcascade.oracles import ModulationV, w0_diffusion
 
 
 class TestSliceMass:
@@ -143,9 +127,3 @@ class TestScalingFit:
         for lams in ((0.1, 0.1, 0.1), (0.1, 0.2, 0.1, 0.2)):
             with pytest.raises(ValueError, match="distinct"):
                 scaling_order_fit([(lam, 1e-3) for lam in lams])
-
-
-def test_normalized_reference_unit_mass(small_grid):
-    ref = normalized_reference(small_grid, lambda x, t: w0_diffusion(x, t, 1.0))
-    masses = trapezoid(ref.values, small_grid.dx)
-    assert np.abs(masses - 1.0).max() <= 1e-12

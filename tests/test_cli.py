@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fpcascade.forked
 from conftest import assert_no_child_process, counted_forks, in_children, kill_self
@@ -610,6 +611,44 @@ def test_every_flag_dest_is_a_run_config_field():
     for command in ("example1", "ou", "custom"):
         dests = set(vars(parser.parse_args([command]))) - {"config", "command"}
         assert dests and dests <= fields, (command, sorted(dests - fields))
+
+
+@st.composite
+def _config_files(draw):
+    """RunConfig values that validate, as a JSON config file holds them: a
+    grid whose dx stays below the start's width sqrt(2 D t0) for any lam
+    drawn, and checkpoints within [t0, t_max]."""
+    x_min, x_max = draw(st.floats(-10.0, -1.0)), draw(st.floats(1.0, 10.0))
+    t0 = draw(st.floats(0.05, 1.0))
+    t_max = t0 + draw(st.floats(0.1, 10.0))
+    fractions = sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=4)))
+    return {
+        "family": draw(st.sampled_from(["zero", "linear_time_modulated", "quadratic_ou"])),
+        "v_kind": draw(st.sampled_from(["cos", "sin", "const"])),
+        "omega": draw(st.floats(0.1, 10.0)), "v0": draw(st.floats(-3.0, 3.0)),
+        "d_coeff": draw(st.floats(0.5, 5.0)), "lam": draw(st.floats(-1.0, 1.0)), "order": draw(st.integers(0, 8)),
+        "x_min": x_min, "x_max": x_max, "nx": int(np.ceil((x_max - x_min) / 0.2)) + 1 + draw(st.integers(0, 100)),
+        "t0": t0, "t_max": t_max, "nt": draw(st.integers(2, 200)),
+        "n_paths": draw(st.integers(1, 100000)), "seed": draw(st.integers(0, 2**64 - 1)),
+        "mc_dt": draw(st.floats(1e-4, 0.1)),
+        "checkpoints": [min(t_max, t0 + f * (t_max - t0)) for f in fractions],
+        "out_dir": draw(st.text("abc-_/", min_size=1, max_size=12)),
+    }
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(config=_config_files())
+def test_config_file_round_trips_into_the_summary_echo(tmp_path_factory, config):
+    # every value a JSON config sets comes back in the summary.json echo,
+    # the checkpoints as the grid nodes nearest to them
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(json.dumps(config))
+    cfg = validate_config(cli._config_from_args(cli.build_parser().parse_args(["custom", "--config", str(path)])))
+    echo, t = cli._config_dict(cfg), cfg.grid.t
+    nearest = sorted({int(np.abs(t - c).argmin()) for c in config["checkpoints"]}) or [(len(t) - 1) // 2, len(t) - 1]
+    expected = dict(config, checkpoints=t[nearest].tolist())
+    del expected["out_dir"]  # the echo leaves it out
+    assert {key: echo[key] for key in expected} == expected
 
 
 # values at the edges of %.17g: signed zero, a tiny undershoot, the smallest

@@ -5,6 +5,7 @@ as written."""
 
 import dataclasses
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -71,6 +72,18 @@ def test_every_cited_module_name_exists():
          if not hasattr(importlib.import_module(f"fpcascade.{module}"), name)}
     )
     assert not missing, f"the docs cite names that no module defines: {missing}"
+
+
+def test_every_export_is_named_in_the_readme_library_section():
+    """Every name ``fpcascade`` exports appears in README.md's Library
+    section, so the package exports only what that section documents."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    exports = [name for name, value in vars(fpcascade).items()
+               if not name.startswith("_") and not inspect.ismodule(value)]
+    assert len(exports) >= 20
+    missing = [name for name in exports if not re.search(rf"\b{name}\b", library)]
+    assert not missing, f"README.md's Library section does not name these exports: {missing}"
 
 
 def test_every_cited_class_attribute_exists():

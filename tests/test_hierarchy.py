@@ -1,37 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import after_call, singular
+from conftest import (after_call, cascade_residual, example1_density_exact, ou_density_exact, ou_density_pert,
+                      ou_s2, sample_density, singular)
 from fpcascade import kernels
-from fpcascade.analysis import field_distance, normalized_reference
+from fpcascade.analysis import field_distance, trapezoid
 from fpcascade.errors import SolverError
-from fpcascade.hierarchy import (
-    _gradient,
-    _source_arrays,
-    analytic_expansion,
-    assemble_density,
-    cascade_residual,
-    solve_expansion,
-)
-from fpcascade.model import (
-    ActionExpansion,
-    DriftSpec,
-    Grid,
-    linear_time_modulated,
-    quadratic_ou,
-    zero_drift,
-)
-from fpcascade.oracles import (
-    ModulationV,
-    example1_density_exact,
-    example1_s1,
-    ou_density_exact,
-    ou_s1,
-    ou_s2,
-    s0_log_heat_kernel,
-    w0_diffusion,
-)
-from fpcascade.analysis import trapezoid
+from fpcascade.hierarchy import _gradient, _source_arrays, analytic_expansion, assemble_density, solve_expansion
+from fpcascade.model import ActionExpansion, DriftSpec, Grid, linear_time_modulated, quadratic_ou, zero_drift
+from fpcascade.oracles import ModulationV, example1_action, ou_action, s0_log_heat_kernel, w0_diffusion
 
 COS = ModulationV("cos", 1.0)
 
@@ -72,7 +49,7 @@ class TestCascadeSource:
         assert np.allclose(src, 0.5)
 
     def test_ou_order2_with_injected_s1(self, small_grid):
-        s1 = lattice(small_grid, lambda x, t: ou_s1(t, 1.0) * np.ones_like(x))
+        s1 = lattice(small_grid, lambda x, t: ou_action(1, x, t, 1.0))
         grads = [_gradient(s1, small_grid.dx)]
         src = _source_arrays(2, quadratic_ou(), 1.0, small_grid.x, small_grid.t, grads)
         expected = -small_grid.x**2 / 4.0
@@ -81,7 +58,7 @@ class TestCascadeSource:
     def test_example1_order2_matches_closed_source(self, small_grid):
         # source = (S1')^2 - V^2/4 with S1' = (V - Vbar/t)/2
         drift = linear_time_modulated(COS)
-        s1 = lattice(small_grid, lambda x, t: example1_s1(x, t, COS))
+        s1 = lattice(small_grid, lambda x, t: example1_action(1, x, t, COS))
         grads = [_gradient(s1, small_grid.dx)]
         src = _source_arrays(2, drift, 1.0, small_grid.x, small_grid.t, grads)
         t = small_grid.t[:, None]
@@ -115,7 +92,7 @@ class TestAdvanceTerm:
         grid = Grid(-10.0, 10.0, 401, 0.01, 5.0, 250)
         drift = linear_time_modulated(COS)
         exp = solve_expansion(drift, 1.0, 0.5, 1, grid)
-        oracle = np.array([example1_s1(grid.x, tj, COS) for tj in grid.t])
+        oracle = np.array([example1_action(1, grid.x, tj, COS) for tj in grid.t])
         assert np.abs(exp.terms[0] - oracle).max() <= 1e-3
 
 
@@ -212,7 +189,7 @@ class TestAssembleDensity:
     def test_order_zero_zero_drift_is_heat_kernel(self, small_grid):
         exp = analytic_expansion(zero_drift(), 1.0, 0.0, 0, small_grid)
         w = assemble_density(exp, zero_drift())
-        ref = normalized_reference(small_grid, lambda x, t: w0_diffusion(x, t, 1.0))
+        ref = sample_density(small_grid, lambda x, t: w0_diffusion(x, t, 1.0))
         assert field_distance(w, ref, "peak-relative-Linf").max() <= 1e-13
 
     def test_mass_exactly_one_and_positive(self, small_grid):
@@ -225,15 +202,13 @@ class TestAssembleDensity:
     def test_translation_identity_analytic_path(self, small_grid):
         drift = linear_time_modulated(COS)
         w = assemble_density(analytic_expansion(drift, 1.0, 0.5, 2, small_grid), drift)
-        ref = normalized_reference(small_grid, lambda x, t: example1_density_exact(x, t, 1.0, 0.5, COS))
+        ref = sample_density(small_grid, lambda x, t: example1_density_exact(x, t, 1.0, 0.5, COS))
         assert field_distance(w, ref, "peak-relative-Linf").max() <= 1e-12
 
     def test_ou_order2_equals_resummed_closed_form(self, small_grid):
-        from fpcascade.oracles import ou_density_pert
-
         drift = quadratic_ou()
         w = assemble_density(analytic_expansion(drift, 1.0, 0.1, 2, small_grid), drift)
-        ref = normalized_reference(small_grid, lambda x, t: ou_density_pert(x, t, 1.0, 0.1))
+        ref = sample_density(small_grid, lambda x, t: ou_density_pert(x, t, 1.0, 0.1))
         assert field_distance(w, ref, "peak-relative-Linf").max() <= 1e-12
 
     def test_lambda_zero_bitwise_degeneracy(self, small_grid):
@@ -292,7 +267,7 @@ class TestCascadeResidual:
         drift = linear_time_modulated(COS)
         prev = None
         for grid in (Grid(-8.0, 8.0, 201, 0.1, 2.0, 96), Grid(-8.0, 8.0, 401, 0.1, 2.0, 191)):
-            s1 = lattice(grid, lambda x, t: example1_s1(x, t, COS))
+            s1 = lattice(grid, lambda x, t: example1_action(1, x, t, COS))
             exp = ActionExpansion(grid=grid, d_coeff=1.0, lam=0.5, terms=(s1,))
             res = cascade_residual(1, exp, drift)
             if prev is not None:
@@ -313,6 +288,6 @@ def test_refinement_second_order_small_grid():
     errs = []
     for g in (grid, grid.refined()):
         exp = solve_expansion(drift, 1.0, 0.5, 1, g)
-        oracle = np.array([example1_s1(g.x, tj, COS) for tj in g.t])
+        oracle = np.array([example1_action(1, g.x, tj, COS) for tj in g.t])
         errs.append(np.abs(exp.terms[0] - oracle).max())
     assert 3.5 <= errs[0] / errs[1] <= 4.5

@@ -184,9 +184,11 @@ class TestStepKernels:
         # lam = 2 puts the cell Peclet number |lam x| dx / D past 2 beyond |x| = 40
         for lam in (0.0, -0.1, 0.3, 2.0):
             a_half = -lam * (x[:-1] + dx / 2)
-            for dt, mass_weight in ((1e-3, 1.0), (1e-3, 0.4)):
-                out = K.fp_cn_step(w, K.fp_band(a_half, 1.0, dt, dx, mass_weight), np.empty_like(x))
-                expected = _fp_step_loop(a_half, 1.0, dt, dx, w, mass_weight)
+            # a step shorter than h_min = dx^2 / (6 D) scales the mass weights by dt / h_min
+            h_min = K.FD_MIN_STEP * dx * dx  # at D = 1
+            for dt in (1e-3, 0.4 * h_min):
+                out = K.fp_cn_step(w, K.fp_band(a_half, 1.0, dt, dx), np.empty_like(x))
+                expected = _fp_step_loop(a_half, 1.0, dt, dx, w, min(1.0, dt / h_min))
                 assert np.array_equal(_bits(out), _bits(expected))
 
     @pytest.mark.parametrize("lam", [0.0, -0.3, 0.7, 3.0])
@@ -194,11 +196,13 @@ class TestStepKernels:
     def test_fp_band_is_the_compact_scheme(self, lam, mass_weight):
         # the band's implicit and explicit matrices are M -+ dt/2 L, built
         # densely from the d, s, D_f weights; at lam = 3 the cell Peclet
-        # number passes 2 beyond |x| = 1.33, where the plain flux takes over
+        # number passes 2 beyond |x| = 1.33, where the plain flux takes over;
+        # a step mass_weight times dx^2 / (6 D) long scales the mass weights by it
         x = np.linspace(-2.0, 2.0, 41)
-        dx, dt = x[1] - x[0], 0.01
+        dx = x[1] - x[0]
+        dt = 0.01 if mass_weight == 1.0 else mass_weight * (K.FD_MIN_STEP * dx * dx / 0.5)
         a_half = -lam * (x[:-1] + dx / 2)
-        lower, diag, upper, left, center, right = K.fp_band(a_half, 0.5, dt, dx, mass_weight)
+        lower, diag, upper, left, center, right = K.fp_band(a_half, 0.5, dt, dx)
         mass, op = _compact_matrices(a_half, 0.5, dx, mass_weight)
         implicit = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
         explicit = np.diag(center) + np.diag(left[1:], -1) + np.diag(right[:-1], 1)

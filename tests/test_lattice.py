@@ -5,9 +5,10 @@ calls at each t.  Byte comparison (``tobytes``) makes signed zeros count."""
 import numpy as np
 import pytest
 
-from fpcascade.hierarchy import _gradient, _source_arrays, cascade_residual, solve_expansion
+from conftest import cascade_residual, log_resummation_gap
+from fpcascade.hierarchy import _gradient, _source_arrays, solve_expansion
 from fpcascade.model import Grid, linear_time_modulated, quadratic_ou, zero_drift
-from fpcascade.oracles import ModulationV, log_resummation_gap, s0_log_heat_kernel
+from fpcascade.oracles import ModulationV, s0_log_heat_kernel
 from fpcascade.reference import oracle_density
 from fpcascade.transform import effective_potential_order, potential_exponent
 

@@ -22,7 +22,7 @@ from fpcascade.model import (
     zero_drift,
 )
 from fpcascade.oracles import ModulationV, s0_log_heat_kernel
-from fpcascade.reference import FD_MIN_STEP, fd_substeps, fp_fd_solve, oracle_density
+from fpcascade.reference import fd_substeps, fp_fd_solve, oracle_density
 from fpcascade.transform import effective_potential_order
 
 D = 0.7
@@ -170,8 +170,7 @@ def _fp_loop(drift, d_coeff, lam, grid, w_init):
         w_in = vals[j]
         for tm, h in fd_substeps(float(grid.t[j]), float(grid.t[j + 1]), grid.dt, dx, d_coeff):
             a_half = -(lam * np.broadcast_to(drift.du_dx(x_half, tm), x_half.shape))
-            h_min = FD_MIN_STEP * dx * dx / d_coeff
-            lower, diag, upper, left, center, right = _FP_BAND(a_half, d_coeff, h, dx, min(1.0, h / h_min))
+            lower, diag, upper, left, center, right = _FP_BAND(a_half, d_coeff, h, dx)
             rhs = left * w_in[:-2] + center * w_in[1:-1] + right * w_in[2:]
             vals[j + 1, 1:-1] = K.tridiag_solve(lower, diag, upper, rhs)
             vals[j + 1, 0] = vals[j + 1, -1] = 0.0

@@ -1,20 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import example1_density_exact, log_resummation_gap, ou_density_exact, ou_density_pert, ou_s2
 from fpcascade.analysis import trapezoid
-from fpcascade.oracles import (
-    ModulationV,
-    example1_density_exact,
-    example1_s1,
-    example1_s2,
-    log_resummation_gap,
-    ou_density_exact,
-    ou_density_pert,
-    ou_s1,
-    ou_s2,
-    s0_log_heat_kernel,
-    w0_diffusion,
-)
+from fpcascade.oracles import ModulationV, example1_action, ou_action, s0_log_heat_kernel, w0_diffusion
 
 # frozen reference values, computed independently with 40-digit arithmetic
 S0_AT_0_1_1 = -1.2655121234846454
@@ -89,21 +78,21 @@ class TestExample1Actions:
     def test_finite_at_small_t(self):
         v = ModulationV("cos", 1.0)
         for x in (-3.0, 1.0, 7.0):
-            assert abs(example1_s1(x, 1e-8, v)) <= 1e-7 * abs(x)
+            assert abs(example1_action(1, x, 1e-8, v)) <= 1e-7 * abs(x)
 
     def test_constant_modulation_cancels(self):
         v = ModulationV("const", v0=0.9)
         x = np.linspace(-5, 5, 11)
-        assert np.abs(example1_s1(x, 0.7, v)).max() <= 1e-15
+        assert np.abs(example1_action(1, x, 0.7, v)).max() <= 1e-15
 
     def test_s2_sin_frozen_value(self):
         v = ModulationV("sin", 2.0)
-        assert example1_s2(0.0, np.pi / 2, v) == pytest.approx(-1 / (2 * np.pi), rel=1e-12)
+        assert example1_action(2, 0.0, np.pi / 2, v) == pytest.approx(-1 / (2 * np.pi), rel=1e-12)
 
     def test_s2_constant_in_x(self):
         v = ModulationV("cos", 1.0)
         x = np.linspace(-4, 4, 9)
-        vals = example1_s2(x, 1.3, v)
+        vals = example1_action(2, x, 1.3, v)
         assert np.ptp(vals) == 0.0
 
 
@@ -162,10 +151,11 @@ class TestOU:
             ou_density_exact(0.0, 1.0, 1.0, 0.0)
 
     def test_action_terms(self):
-        assert ou_s1(2.0, 1.0) == pytest.approx(1.0, rel=1e-15)
+        assert ou_action(1, 0.0, 2.0, 1.0) == pytest.approx(1.0, rel=1e-15)
         assert ou_s2(0.0, 2.0, 1.0) == pytest.approx(-1.0 / 3.0, rel=1e-15)
         x = np.linspace(-4, 4, 9)
         assert np.array_equal(ou_s2(x, 1.2, 0.7), ou_s2(-x, 1.2, 0.7))
+        np.testing.assert_allclose(ou_action(2, x, 1.2, 0.7), ou_s2(x, 1.2, 0.7), rtol=1e-15)
 
     def test_pert_lambda_zero_dispatches_bitwise(self):
         x = np.linspace(-7, 7, 301)

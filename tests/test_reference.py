@@ -15,15 +15,17 @@ from conftest import (
     assert_no_child_process,
     builtin_drifts,
     counted_forks,
+    example1_density_exact,
     in_children,
     kill_self,
+    ou_density_exact,
     singular,
 )
 from fpcascade import forked, kernels, reference
 from fpcascade.analysis import trapezoid
 from fpcascade.errors import SolverError
 from fpcascade.model import NEGATIVITY_FLOOR, DriftSpec, Grid, linear_time_modulated, quadratic_ou, zero_drift
-from fpcascade.oracles import ModulationV, example1_density_exact, ou_density_exact, w0_diffusion
+from fpcascade.oracles import ModulationV, w0_diffusion
 from fpcascade.reference import (
     FD_SUBSTEP_RATIO,
     density_from_samples,
@@ -193,8 +195,8 @@ def test_fd_gives_a_density_or_a_solver_abort(drift, d_coeff, nx, dx, edge_pecle
 @pytest.mark.parametrize("step", [0.1, 0.5, 0.9])
 def test_short_output_steps_keep_the_density_non_negative(step):
     # output steps of `step` times dx^2 / (6 D) from a start one node wide:
-    # with the mass weights scaled by the same factor (kernels.fp_band's
-    # mass_weight) the implicit matrix keeps its sign pattern and the explicit
+    # with the mass weights scaled by the same factor (kernels.fp_band) the
+    # implicit matrix keeps its sign pattern and the explicit
     # one is non-negative, so no value goes below 0; at the full weights this
     # run undershoots to -1.2e-8..-1.4e-8 and aborts
     dx, t0 = 0.1, 0.005
@@ -386,7 +388,7 @@ class TestFdOrder:
         ("ou", 0.1, 0.0025, 1e-4, 3.0),
     ])
     def test_space_part_refines(self, monkeypatch, family, lam, ratio, most, fall):
-        monkeypatch.setattr(reference, "FD_MIN_STEP", 0.0)
+        monkeypatch.setattr(kernels, "FD_MIN_STEP", 0.0)
         monkeypatch.setattr(reference, "FD_SUBSTEP_RATIO", ratio)
         coarse, fine = Grid(nx=241, **_W2_GRID), Grid(nx=481, **_W2_GRID)
         values = _fd_solve(family, lam, fine)
@@ -402,7 +404,7 @@ class TestFdOrder:
         # on W2's grid, with the floor in place: 3.7e-4, 9.9e-5, 2.8e-5 at
         # ratios 0.1, 0.05 and 0.025 for OU
         grid = Grid(nx=241, **_W2_GRID)
-        monkeypatch.setattr(reference, "FD_MIN_STEP", 0.0)
+        monkeypatch.setattr(kernels, "FD_MIN_STEP", 0.0)
         monkeypatch.setattr(reference, "FD_SUBSTEP_RATIO", 0.000625)
         reference_solve = _fd_solve(family, lam, grid)
         monkeypatch.undo()
@@ -422,7 +424,7 @@ def test_cascade_and_fd_do_not_import_numpy_random():
         "from fpcascade.analysis import trapezoid\n"
         "drift, grid = F.quadratic_ou(), F.Grid(-12.0, 12.0, 241, 0.1, 1.0, 31)\n"
         "F.assemble_density(F.solve_expansion(drift, 1.0, 0.3, 2, grid), drift)\n"
-        "w = F.ou_density_exact(grid.x, grid.t0, 1.0, 0.3)\n"
+        "w = F.reference.oracle_density(drift, 1.0, 0.3, grid.x, grid.t0)\n"
         "F.fp_fd_solve(drift, 1.0, 0.3, grid, w / float(trapezoid(w, grid.dx)))\n"
         "assert 'numpy.random' not in sys.modules, sorted(m for m in sys.modules if m.startswith('numpy.random'))\n"
     )
@@ -699,6 +701,32 @@ class TestDensityFromSamples:
         grid = Grid(-2.0, 2.0, 9, 0.5, 1.0, 2)
         with pytest.raises(ValueError, match="slice 1 holds no samples"):
             density_from_samples(np.zeros((1, 0)), [1], grid)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    grid=st.builds(lambda lo, width, nx, nt: Grid(lo, lo + width, nx, 0.1, 1.0, nt),
+                   st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.integers(5, 60), st.integers(2, 8)),
+    data=st.data(),
+)
+def test_histogram_gives_unit_mass_slices_or_a_value_error(grid, data):
+    # samples on and off the grid, +-inf and NaN among them: every populated
+    # slice is a density of unit trapezoid mass, every other one NaN, and a
+    # ValueError is the only other outcome (this suite turns a warning into
+    # an error)
+    slices = sorted(data.draw(st.sets(st.integers(0, grid.nt - 1), min_size=1)))
+    width = grid.x_max - grid.x_min
+    sample = st.one_of(st.floats(grid.x_min - width, grid.x_max + width), st.sampled_from([np.inf, -np.inf, np.nan]))
+    size = len(slices) * data.draw(st.integers(0, 30))
+    positions = np.array(data.draw(st.lists(sample, min_size=size, max_size=size))).reshape(len(slices), -1)
+    try:
+        w = density_from_samples(positions, slices, grid)
+    except ValueError:
+        return
+    assert np.array_equal(np.flatnonzero(w.populated), slices)
+    assert w.values[slices].min() >= 0.0
+    np.testing.assert_allclose(trapezoid(w.values[slices], grid.dx), 1.0, rtol=0.0, atol=1e-12)
+    assert np.isnan(np.delete(w.values, slices, axis=0)).all()
 
 
 @pytest.mark.parametrize(

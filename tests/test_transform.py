@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import builtin_drifts
 from fpcascade.analysis import trapezoid
@@ -96,25 +96,32 @@ def test_orders_and_drift_buffer_agree_with_full_potential(drift, lam, d_coeff, 
     assert x_new.tobytes() == (x + a + np.zeros_like(x)).tobytes()
 
 
-# the five built-in drifts, the const modulation at v0 = 0
-MAP_DRIFTS = (zero_drift(), linear_time_modulated(ModulationV("cos", 1.0)),
-              linear_time_modulated(ModulationV("sin", 1.0)), linear_time_modulated(ModulationV("const", v0=0.0)),
-              quadratic_ou())
-
-
 def _log_uniform(lo, hi):
     return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0**e)
 
 
+# the five built-in drifts, the const modulation at v0 = 0, and the cos and
+# sin ones at omega up to 1e308, where the numeric cascade's source overflows
+MAP_DRIFTS = st.one_of(
+    st.sampled_from([zero_drift(), linear_time_modulated(ModulationV("const", v0=0.0)), quadratic_ou()]),
+    st.builds(lambda kind, omega: linear_time_modulated(ModulationV(kind, omega)),
+              st.sampled_from(["cos", "sin"]), _log_uniform(1.0, 1e308)),
+)
+
+
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(
-    drift=st.sampled_from(MAP_DRIFTS),
+    drift=MAP_DRIFTS,
     expand=st.sampled_from([analytic_expansion, solve_expansion]),
     order=st.integers(0, 3),
     d_coeff=_log_uniform(1e-308, 1e3),
     lam=st.tuples(st.sampled_from([1.0, -1.0]), _log_uniform(1e-3, 1e300)).map(lambda p: p[0] * p[1]),
     half=st.floats(1.0, 1e4),
 )
+# the drift and domain of the run `example1 --omega 1e200 --x-min -16 --x-max 16`,
+# whose numeric S_1 reaches about 1e200 x, so that S_2's source overflows
+@example(drift=linear_time_modulated(ModulationV("cos", 1e200)), expand=solve_expansion, order=2, d_coeff=1.0,
+         lam=0.2, half=16.0)
 def test_wavefunction_map_gives_a_density_or_a_solver_abort(drift, expand, order, d_coeff, lam, half):
     # W = exp(-U/2D) exp(S/D) on domains and lam where U/2D leaves the exp()
     # range: a unit-mass density where exp() stays finite, a SolverError
