@@ -65,8 +65,8 @@ def bench_cascade(nx=801, nt=500):
     def run():
         cur = s.copy()
         nxt = np.empty_like(cur)
-        for band in K.cascade_bands(x, t[:-1] + 0.5 * dt, 1.0, dt, dx):
-            K.cascade_cn_step(cur, band, dq, nxt)
+        for tm in t[:-1] + 0.5 * dt:
+            K.cascade_cn_step(cur, K.cascade_band(x, tm, 1.0, dt, dx), dq, nxt)
             cur, nxt = nxt, cur
 
     return run

@@ -36,10 +36,8 @@ FAST_T = [round(0.1 + 0.05 * k, 10) for k in range(29)]
 
 # (name, argv, JSON config or None): every subcommand and family, the three
 # modulations, orders 0, 3 and 8, lam = 0, negative and 1e-17 (where the
-# quadratic family's 1 - exp(-2 lam t) cancels to 0), two cascades that
-# march through several time blocks with a partial last one (99 and 66 steps
-# against hierarchy._BLOCK = 32) and one that fills exactly two blocks (64
-# steps, the second ending on the last step), density.csv's checkpoint
+# quadratic family's 1 - exp(-2 lam t) cancels to 0), three long cascade
+# marches (99, 66 and 64 steps, at orders 8, 3 and 3), density.csv's checkpoint
 # slices (which the run formats itself, splicing in the writer process's part
 # file around them) on the first slice, on two adjacent slices, on the last slice only, on
 # every slice, off the nodes and on one node twice (0.51 and 0.52 both snap

@@ -51,9 +51,15 @@ MUTANTS = (
     ("ou-s2-coefficient", "src/fpcascade/oracles.py",
      "_OU_EVEN_COEFFS = {2: -1.0 / 12.0,", "_OU_EVEN_COEFFS = {2: -0.08334,", KILLED),
     ("cascade-advection-sign", "src/fpcascade/kernels.py",
-     "a = -x / tm[:, None]", "a = x / tm[:, None]", KILLED),
+     "a = -x / tm", "a = x / tm", KILLED),
     ("cascade-source-average-0.49", "src/fpcascade/hierarchy.py",
      "dq *= 0.5", "dq *= 0.49", KILLED),
+    # every step averages its new source against the one at t0
+    ("cascade-source-not-carried", "src/fpcascade/hierarchy.py",
+     "rows[i], sources[i] = row, q", "rows[i] = row", KILLED),
+    # a higher order's source takes the lower orders' rows of the step before
+    ("cascade-gradient-of-old-row", "src/fpcascade/hierarchy.py",
+     "grads.append(_gradient(row, dx))", "grads.append(_gradient(rows[i], dx))", KILLED),
     # a shift of 0.05 dx is below the Monte Carlo checks' noise; the check of
     # samples just off the grid's edges sees it
     ("histogram-edges-0.05dx", "src/fpcascade/reference.py",

@@ -50,73 +50,69 @@ def analytic_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int,
     return ActionExpansion(grid=grid, d_coeff=d_coeff, lam=lam, terms=terms)
 
 
-def _source_arrays(n: int, drift: DriftSpec, d_coeff: float, x, t_nodes, grads):
+def _source_arrays(n: int, drift: DriftSpec, d_coeff: float, x, t, grads):
     """Source of the order-n equation, sum_{k=1}^{n-1} S_k' S_{n-k}' + Ubar_n,
-    on the (t_nodes, x) lattice; grads[k - 1] holds the x gradient of order k
-    on that lattice, for k = 1..n-1.  The k = 0 and k = n convolution terms
-    form the advection of the linear operator, which the march handles."""
-    vals = np.empty((len(t_nodes), len(x)))
-    vals[...] = effective_potential_order(drift, d_coeff, n, x, t_nodes[:, None])
+    at the times ``t``, which broadcast against x (a scalar gives one row, a
+    column a lattice); grads[k - 1] holds the x gradient of order k there,
+    for k = 1..n-1.  The k = 0 and k = n convolution terms form the advection
+    of the linear operator, which the march handles."""
+    vals = np.empty(np.broadcast(t, x).shape)
+    vals[...] = effective_potential_order(drift, d_coeff, n, x, t)
     for k in range(1, n):
         vals += grads[k - 1] * grads[n - k - 1]
     return vals
 
 
 def _gradient(values, dx):
-    """x derivative row by row: central differences, second-order one-sided
-    at the boundary columns."""
-    return np.gradient(values, dx, axis=1, edge_order=2)
+    """x derivative of a row, or of a lattice row by row: central
+    differences, second-order one-sided at the boundary columns."""
+    return np.gradient(values, dx, axis=-1, edge_order=2)
 
 
-# time steps per block of the cascade march; a block's bands, sources and
-# gradients take a few MB on the padded acceptance grids (docs/method.md)
+# time slices per block of the density assembly
 _BLOCK = 32
 
 
 def _march(drift, orders, x, t_nodes, dx, dt, d_coeff, inits):
     """Crank-Nicolson march of the cascade orders ``orders`` from their t0
-    slices ``inits``, in blocks of _BLOCK steps.
+    slices ``inits``, one time step at a time.
 
-    A block of steps lo .. hi starts from row lo: the t0 slices in the
-    first block, the previous block's last rows after that.  It builds the
-    bands of its steps once and solves every order on them, lowest first; an
-    order's source on rows lo .. hi takes the x gradients of the orders below
-    it on those rows.  Yields ``(rows, solved)`` per block: solved[i] holds
-    the i-th order on ``rows`` (a slice), the block's new rows lo + 1 .. hi.
+    Each order carries its latest row and the source there.  A step builds
+    one band and solves every order on it, lowest first: an order's source at
+    the step's end takes the x gradients of the new rows of the orders below
+    it, and the step averages it with the carried one.  Yields ``(j, rows)``
+    after each step: rows[i] holds the i-th order at t_nodes[j].
     """
-    nt = len(t_nodes)
-    last = list(inits)  # each order's latest solved row
-    lo = 0
-    while orders and lo < nt - 1:
-        hi = min(lo + _BLOCK, nt - 1)
-        bands = kernels.cascade_bands(x, t_nodes[lo:hi] + 0.5 * dt, d_coeff, dt, dx)
-        solved, grads = [], []
-        for i, n in enumerate(orders):
-            vals = np.empty((hi - lo + 1, len(x)))
-            vals[0] = last[i]
-            # a value past the float range (a fast modulation's source) is
-            # inf, or NaN from inf - inf, which the check below turns into a
-            # SolverError; an inf gradient ends as the next order's
-            with np.errstate(over="ignore", invalid="ignore"):
-                q = _source_arrays(n, drift, d_coeff, x, t_nodes[lo : hi + 1], grads)
-                dq = q[:-1] + q[1:]
+    if not orders:
+        return
+    rows = list(inits)
+    # a value past the float range (a fast modulation's source) is inf, or
+    # NaN from inf - inf, which the check below turns into a SolverError; an
+    # inf gradient ends as the next order's
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads = [_gradient(row, dx) for row in rows[:-1]]
+        sources = [_source_arrays(n, drift, d_coeff, x, t_nodes[0], grads) for n in orders]
+    for j in range(1, len(t_nodes)):
+        band = kernels.cascade_band(x, t_nodes[j - 1] + 0.5 * dt, d_coeff, dt, dx)
+        grads = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, n in enumerate(orders):
+                q = _source_arrays(n, drift, d_coeff, x, t_nodes[j], grads)
+                dq = sources[i] + q
                 dq *= 0.5
                 dq *= dt
-                for j, band in enumerate(bands):
-                    try:
-                        kernels.cascade_cn_step(vals[j], band, dq[j], vals[j + 1])
-                    except ZeroDivisionError as exc:
-                        raise SolverError(
-                            f"cascade failed at order {n}: tridiagonal solve failed at step {lo + j}"
-                        ) from exc
-                if not np.all(np.isfinite(vals)):
-                    raise SolverError(f"cascade failed at order {n}: non-finite values by step {hi}")
-                last[i] = vals[-1].copy()
-                solved.append(vals[1:])
+                try:
+                    row = kernels.cascade_cn_step(rows[i], band, dq, np.empty_like(x))
+                except ZeroDivisionError as exc:
+                    raise SolverError(
+                        f"cascade failed at order {n}: tridiagonal solve failed at step {j - 1}"
+                    ) from exc
+                if not np.all(np.isfinite(row)):
+                    raise SolverError(f"cascade failed at order {n}: non-finite values by step {j}")
                 if i < len(orders) - 1:
-                    grads.append(_gradient(vals, dx))
-        yield slice(lo + 1, hi + 1), solved
-        lo = hi
+                    grads.append(_gradient(row, dx))
+                rows[i], sources[i] = row, q
+        yield j, rows
 
 
 def _padded_nodes(grid: Grid, d_coeff: float):
@@ -135,7 +131,7 @@ def solve_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, gr
     Initial slices come from the drift's closed-form ``action`` (zero for a
     drift without one), inheriting the finiteness-at-zero choice of
     integration constants.  The solve itself runs on a padded domain (see
-    _padded_nodes) and is cropped back to the requested grid, block by block
+    _padded_nodes) and is cropped back to the requested grid row by row
     (see _march).
     """
     if order > MAX_EXPANSION_ORDER:  # no closed form to start the order from
@@ -149,9 +145,9 @@ def solve_expansion(drift: DriftSpec, d_coeff: float, lam: float, order: int, gr
     cropped = [np.empty((grid.nt, grid.nx)) for _ in orders]
     for out, init in zip(cropped, inits):  # the march yields the rows after t0
         out[0] = init[m : m + grid.nx]
-    for rows, solved in _march(drift, orders, xp, grid.t, grid.dx, grid.dt, d_coeff, inits):
-        for out, vals in zip(cropped, solved):
-            out[rows] = vals[:, m : m + grid.nx]  # the cropped padded nodes are the grid's nodes bit for bit
+    for j, rows in _march(drift, orders, xp, grid.t, grid.dx, grid.dt, d_coeff, inits):
+        for out, row in zip(cropped, rows):
+            out[j] = row[m : m + grid.nx]  # the cropped padded nodes are the grid's nodes bit for bit
     return ActionExpansion(grid=grid, d_coeff=d_coeff, lam=lam, terms=tuple(cropped))
 
 

@@ -75,26 +75,24 @@ def tridiag_solve(dl, d, du, b):
 # ---------------------------------------------------------------------------
 
 
-def cascade_bands(x, tm, d_coeff, dt, dx):
-    """Bands of the cascade steps whose half-step times are ``tm``, a 1-D
-    array, built in one array operation per coefficient: a list with one
-    band per step, whose arrays are rows of those 2-D coefficient arrays."""
+def cascade_band(x, tm, d_coeff, dt, dx):
+    """Band of the cascade step whose half-step time is ``tm``."""
     n = x.shape[0]
     alpha = d_coeff * dt / (2.0 * dx * dx)
-    a = -x / tm[:, None]
+    a = -x / tm
     beta = a * dt / (4.0 * dx)
-    left = alpha - beta[:, 1:-1]
-    right = alpha + beta[:, 1:-1]
-    lower = -(alpha - beta[:, 2:-1])  # sub-diagonal for rows 2..n-2
-    diag = np.full((len(tm), n - 2), 1.0 + 2.0 * alpha)
-    upper = -(alpha + beta[:, 1:-2])  # super-diagonal for rows 1..n-3
+    left = alpha - beta[1:-1]
+    right = alpha + beta[1:-1]
+    lower = -(alpha - beta[2:-1])  # sub-diagonal for rows 2..n-2
+    diag = np.full(n - 2, 1.0 + 2.0 * alpha)
+    upper = -(alpha + beta[1:-2])  # super-diagonal for rows 1..n-3
     # fold the extrapolated boundary unknowns into the edge rows
-    diag[:, 0] = 1.0 + 2.0 * beta[:, 1]
-    upper[:, 0] = -2.0 * beta[:, 1]
-    diag[:, -1] = 1.0 - 2.0 * beta[:, n - 2]
-    lower[:, -1] = 2.0 * beta[:, n - 2]
+    diag[0] = 1.0 + 2.0 * beta[1]
+    upper[0] = -2.0 * beta[1]
+    diag[-1] = 1.0 - 2.0 * beta[n - 2]
+    lower[-1] = 2.0 * beta[n - 2]
     center = 1.0 - 2.0 * alpha
-    return [(lower[j], diag[j], upper[j], left[j], center, right[j]) for j in range(len(tm))]
+    return lower, diag, upper, left, center, right
 
 
 def cascade_cn_step(s_in, band, dq, s_out):

@@ -104,7 +104,7 @@ def cascade_residual(n: int, expansion: ActionExpansion, drift: DriftSpec) -> fl
     grid = expansion.grid
     term = expansion.terms[n - 1]
     grads = [_gradient(s, grid.dx) for s in expansion.terms[: n - 1]]
-    source = _source_arrays(n, drift, expansion.d_coeff, grid.x, grid.t, grads)
+    source = _source_arrays(n, drift, expansion.d_coeff, grid.x, grid.t[:, None], grads)
     dx, dt = grid.dx, grid.dt
     mid = term[1:-1]
     dsdt = (term[2:, 1:-1] - term[:-2, 1:-1]) / (2.0 * dt)

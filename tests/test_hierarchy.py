@@ -45,13 +45,13 @@ class TestCascadeSource:
     gradients of injected lower orders."""
 
     def test_order1_is_pure_potential_term(self, small_grid):
-        src = _source_arrays(1, quadratic_ou(), 1.0, small_grid.x, small_grid.t, [])
+        src = _source_arrays(1, quadratic_ou(), 1.0, small_grid.x, small_grid.t[:, None], [])
         assert np.allclose(src, 0.5)
 
     def test_ou_order2_with_injected_s1(self, small_grid):
         s1 = lattice(small_grid, lambda x, t: ou_action(1, x, t, 1.0))
         grads = [_gradient(s1, small_grid.dx)]
-        src = _source_arrays(2, quadratic_ou(), 1.0, small_grid.x, small_grid.t, grads)
+        src = _source_arrays(2, quadratic_ou(), 1.0, small_grid.x, small_grid.t[:, None], grads)
         expected = -small_grid.x**2 / 4.0
         assert np.abs(src - expected[None, :]).max() <= 1e-10
 
@@ -60,7 +60,7 @@ class TestCascadeSource:
         drift = linear_time_modulated(COS)
         s1 = lattice(small_grid, lambda x, t: example1_action(1, x, t, COS))
         grads = [_gradient(s1, small_grid.dx)]
-        src = _source_arrays(2, drift, 1.0, small_grid.x, small_grid.t, grads)
+        src = _source_arrays(2, drift, 1.0, small_grid.x, small_grid.t[:, None], grads)
         t = small_grid.t[:, None]
         expected = 0.25 * (COS.value(t) - COS.antiderivative(t) / t) ** 2 - COS.value(t) ** 2 / 4
         assert np.abs(src - expected).max() <= 1e-9
@@ -122,9 +122,9 @@ class TestSolveExpansion:
             solve_expansion(drift, 1.0, 0.1, 1, small_grid)
 
     def test_singular_step_names_order_and_step(self, monkeypatch, small_grid):
-        # the first block holds steps 0 .. 31; order 1 solves them all before
-        # order 2 starts, so call 36 is order 2's step 4
-        after_call(monkeypatch, kernels, "tridiag_solve", 36, singular)
+        # each step solves order 1, then order 2, so call 9 (counted from 0)
+        # is order 2's step 4
+        after_call(monkeypatch, kernels, "tridiag_solve", 9, singular)
         with pytest.raises(SolverError, match=r"^cascade failed at order 2: tridiagonal solve failed at step 4$") as info:
             solve_expansion(quadratic_ou(), 1.0, 0.1, 2, small_grid)
         assert isinstance(info.value.__cause__, ZeroDivisionError)

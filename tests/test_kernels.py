@@ -172,7 +172,7 @@ class TestStepKernels:
         q = np.cos(x)
         for tm in (0.0105, 0.05, 0.5, 3.0):
             for dt in (0.01, 0.002):
-                (band,) = K.cascade_bands(x, np.array([tm]), 1.0, dt, dx)
+                band = K.cascade_band(x, tm, 1.0, dt, dx)
                 out = K.cascade_cn_step(s, band, dt * q, np.empty_like(x))
                 assert np.array_equal(_bits(out), _bits(_cascade_step_loop(x, tm, 1.0, dt, dx, s, q)))
 

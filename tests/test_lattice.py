@@ -60,7 +60,7 @@ def _per_slice_residual(n, expansion, drift):
     grid = expansion.grid
     term = expansion.terms[n - 1]
     grads = [_gradient(s, grid.dx) for s in expansion.terms[: n - 1]]
-    source = _source_arrays(n, drift, expansion.d_coeff, grid.x, grid.t, grads)
+    source = _source_arrays(n, drift, expansion.d_coeff, grid.x, grid.t[:, None], grads)
     x = grid.x[1:-1]
     dx, dt = grid.dx, grid.dt
     worst = 0.0

@@ -1,11 +1,14 @@
-"""The blocked cascade march and the FD band reuse against the loops they
-replaced, byte for byte (``tobytes``, so signed zeros count).
+"""The per-step cascade march and the FD band reuse against plain loops,
+byte for byte (``tobytes``, so signed zeros count).
 
 The oracles below are the order-by-order cascade as it stood before the
-march: each order solved over the whole time range before the next, its band
-rebuilt at every step, its source and the lower orders' gradients held on the
-whole padded lattice, S0 solved on the padded nodes and cropped.  The FD
-oracle assembles its band at every Crank-Nicolson step, substeps included."""
+shared march: each order solved over the whole time range before the next,
+its band rebuilt at every step, its source and the lower orders' gradients
+held on the whole padded lattice, S0 solved on the padded nodes and
+cropped.  The FD oracle assembles its band at every Crank-Nicolson step,
+substeps included."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,9 +39,9 @@ DRIFTS = {
     "quadratic": quadratic_ou(),
 }
 
-# one step; one full block; one block plus one row; two full blocks, the
-# second ending on the last step; several blocks, the last partial
-NTS = (2, H._BLOCK + 1, H._BLOCK + 2, 2 * H._BLOCK + 1, 3 * H._BLOCK + 6)
+# one step, and marches of 32, 33, 64 and 101 steps (the lengths that
+# covered the time blocks of the march this one replaced)
+NTS = (2, 33, 34, 65, 102)
 
 
 def _grid(nt):
@@ -126,24 +129,44 @@ def test_solve_expansion_equals_order_by_order_loop(name, nt):
 def test_one_band_per_step_for_every_order(monkeypatch):
     built = []
 
-    def counting(x, tm, *args):
-        built.append(len(tm))
-        return cascade_bands(x, tm, *args)
+    def counting(*args):
+        built.append(1)
+        return cascade_band(*args)
 
-    cascade_bands = K.cascade_bands
-    monkeypatch.setattr(K, "cascade_bands", counting)
+    cascade_band = K.cascade_band
+    monkeypatch.setattr(K, "cascade_band", counting)
     grid = _grid(NTS[-1])
-    H.solve_expansion(quadratic_ou(), D, LAM, 8, grid)
-    assert sum(built) == grid.nt - 1
-    assert max(built) == H._BLOCK
+    for order in (1, 2, 8):
+        built.clear()
+        H.solve_expansion(quadratic_ou(), D, LAM, order, grid)
+        assert len(built) == grid.nt - 1, order
     built.clear()
     H.solve_expansion(quadratic_ou(), D, LAM, 0, grid)
     assert built == []
 
 
+@pytest.mark.parametrize("name", ["quadratic", "cos"])
+def test_march_working_memory_is_a_few_rows(name):
+    # the criterion-2 grid, 801 x 500 on 1133 padded nodes: a padded row is
+    # 9 kB, and the march holds a few per order beside the returned terms
+    # (6.4 MB); the 32-step time blocks of the march this one replaced held
+    # 5.1 MB of bands, sources and gradients
+    drift = {"quadratic": quadratic_ou(), "cos": linear_time_modulated(ModulationV("cos", 1.0))}[name]
+    grid = Grid(-10.0, 10.0, 801, 0.01, 5.0, 500)
+    assert len(H._padded_nodes(grid, 1.0)[0]) == 1133
+    tracemalloc.start()
+    try:
+        got = H.solve_expansion(drift, 1.0, 0.5, 2, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(term.nbytes for term in got.terms) < 1_000_000
+
+
 def test_failure_at_a_higher_order_names_it():
     # Ubar_1 = 0 keeps order 1 finite; U_1' = 1e200 overflows the order-2
-    # source Ubar_2 = -(1/4) U_1'^2 (a Python float, so without a numpy warning)
+    # source Ubar_2 = -(1/4) U_1'^2 (a Python float, so without a numpy
+    # warning) from t0 on, so the first step's row is the first non-finite one
     def zero(x, t):
         return np.zeros_like(np.asarray(x, dtype=float))
 
@@ -151,7 +174,7 @@ def test_failure_at_a_higher_order_names_it():
         return 1e200
 
     drift = DriftSpec("custom", zero, huge, zero, zero)
-    with pytest.raises(SolverError, match="cascade failed at order 2"):
+    with pytest.raises(SolverError, match=r"^cascade failed at order 2: non-finite values by step 1$"):
         H.solve_expansion(drift, D, LAM, 3, _grid(NTS[-1]))
 
 
