@@ -5,15 +5,17 @@ Prints the best-of-N wall time of each kernel loop: the two Crank-Nicolson
 steps with their band assembly (one cascade band per step; one density band
 for a drift constant in time), the whole numeric cascade
 (``hierarchy.solve_expansion``) at orders 2 and 8 on the refined criterion-2
-grid, the sampler's normal draws (one ``Generator(SFC64)`` per block of
-paths, drawn for half the block and negated into the other half), and the
-Euler-Maruyama step (drift into a work buffer plus the
-in-place update, ``reference.em_step``) at the path-chunk widths of the
-default example1 run and of a 100k-path OU run on two CPUs.  It also times
-``import fpcascade.cli``, the start-up every CLI run pays, in fresh
-``python -c`` subprocesses (the import alone, not the interpreter start).
+grid, the sampler's draws (one ``Generator(SFC64)`` per block of paths,
+drawn for half the block and negated into the other half: normals, and the
+random bytes mapped through the four-point table that all but the last four
+steps into a checkpoint draw), and the Euler-Maruyama step (drift into a
+work buffer plus the in-place update, ``reference.em_step``) at the
+path-chunk widths of the default example1 run and of a 100k-path OU run on
+two CPUs.  It also times ``import fpcascade.cli``, the start-up every CLI
+run pays, in fresh ``python -c`` subprocesses (the import alone, not the
+interpreter start).
 Each row gives the best of ``--repeats`` runs and their spread (worst minus
-best).
+best); the draw rows also give the best in nanoseconds per path-step.
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats 5]
 """
@@ -32,7 +34,7 @@ import fpcascade.kernels as K
 from fpcascade.hierarchy import solve_expansion
 from fpcascade.model import Grid, linear_time_modulated, quadratic_ou
 from fpcascade.oracles import ModulationV
-from fpcascade.reference import _EM_BLOCK, em_step
+from fpcascade.reference import _EM_BLOCK, _FOUR_POINT, em_step
 
 
 def timings(fn, repeats):
@@ -100,9 +102,14 @@ def bench_solve_expansion(order):
     return lambda: solve_expansion(drift, 1.0, 0.5, order, grid)
 
 
-def bench_normals(n_paths=100000, n_steps=200):
+# paths and steps of the draw benchmarks
+DRAWS = (100000, 200)
+
+
+def bench_draws(four_point, n_paths=DRAWS[0], n_steps=DRAWS[1]):
     # per block and step, ceil(m/2) draws into the first half of its slice of
-    # z and their negations into the rest, as reference._em_paths does
+    # z and their negations into the rest, as reference._em_paths does:
+    # normals, or the bytes of raw words through the scaled four-point table
     gens = [Generator(SFC64(SeedSequence(20107, spawn_key=(b,)))) for b in range(-(-n_paths // _EM_BLOCK))]
     z = np.empty(n_paths)
     pairs = []
@@ -111,10 +118,17 @@ def bench_normals(n_paths=100000, n_steps=200):
         h = (m + 1) // 2
         pairs.append((gen, z[lo : lo + h], z[lo + h : lo + m], z[lo : lo + m - h]))
 
+    table = _FOUR_POINT * 0.045  # sqrt(2 D h) at h = 1e-3
+
     def run():
         for _ in range(n_steps):
             for gen, drawn, mirrored, source in pairs:
-                gen.standard_normal(out=drawn)
+                if four_point:
+                    words = gen.bit_generator.random_raw(-(-len(drawn) // 8))
+                    np.take(table, words.astype("<u8", copy=False).view(np.uint8)[: len(drawn)], out=drawn,
+                            mode="clip")
+                else:
+                    gen.standard_normal(out=drawn)
                 np.negative(source, out=mirrored)
 
     return run
@@ -141,12 +155,16 @@ def main():
     args = parser.parse_args()
 
     example1 = linear_time_modulated(ModulationV("cos", 1.0))
+    draws = {
+        "normals (1e5 paths x 200 steps)": bench_draws(False),
+        "four-point bytes (1e5 x 200)": bench_draws(True),
+    }
     benches = {
         "cascade CN loop (801 x 500)": bench_cascade(),
         "density CN loop (1601 x 1101)": bench_fp(),
         "solve_expansion order 2 (1601 x 999)": bench_solve_expansion(2),
         "solve_expansion order 8 (1601 x 999)": bench_solve_expansion(8),
-        "normals (1e5 paths x 200 steps)": bench_normals(),
+        **draws,
         "EM step, example1 (1e4 x 1000)": bench_em_step(example1, 0.2, 10000),
         "EM step, OU (5e4 x 1000)": bench_em_step(quadratic_ou(), 0.1, 50000),
     }
@@ -154,7 +172,8 @@ def main():
     rows.update((name, timings(run, args.repeats)) for name, run in benches.items())
     print(f"{'kernel':<38} {'best':>10} {'spread':>10}")
     for name, times in rows.items():
-        print(f"{name:<38} {min(times):>9.4f}s {max(times) - min(times):>9.4f}s")
+        per_step = f" {min(times) / (DRAWS[0] * DRAWS[1]) * 1e9:>6.2f} ns/path-step" if name in draws else ""
+        print(f"{name:<38} {min(times):>9.4f}s {max(times) - min(times):>9.4f}s{per_step}")
 
 
 if __name__ == "__main__":

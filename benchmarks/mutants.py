@@ -38,6 +38,12 @@ MUTANTS = (
     # with a one-step re-implementation sees it
     ("em-drift-at-step-end", "src/fpcascade/reference.py",
      "em_step(drift, lam, x, t_now, h, z, a)", "em_step(drift, lam, x, t_now + h, h, z, a)", KILLED),
+    # a four-point law whose fourth moment is 2.8, not the normal's 3
+    ("em-four-point-weights", "src/fpcascade/reference.py",
+     "_B2 = 1.0 - math.sqrt(2.0 / 3.0)", "_B2 = 1.0 - math.sqrt(0.6)", KILLED),
+    # a segment of a few steps is then a sum of a few lattice values
+    ("em-normal-tail-dropped", "src/fpcascade/reference.py",
+     "_EM_NORMAL_TAIL = 4", "_EM_NORMAL_TAIL = 0", KILLED),
     ("fd-drift-sign", "src/fpcascade/reference.py",
      "np.negative(a_next, out=a_next)", "np.positive(a_next, out=a_next)", KILLED),
     ("fd-drift-at-output-step-start", "src/fpcascade/reference.py",

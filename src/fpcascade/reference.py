@@ -8,11 +8,13 @@ Two back ends validate the cascade output:
   stepping and absorbing (zero) boundary values.
 
 * ``em_simulate`` runs Euler-Maruyama paths of the matching stochastic
-  process dx = D1(x,t) dt + sqrt(2D) dB.  Normal increments come from one
+  process dx = D1(x,t) dt + sqrt(2D) dB.  Its increments come from one
   numpy ``Generator(SFC64)`` per fixed block of 4096 paths, drawn for the
   first half of the block's paths and negated for the second half
   (antithetic pairs), so ensembles are bit-reproducible and independent of
-  how the blocks are spread over processes.
+  how the blocks are spread over processes.  A step draws one random byte
+  per drawn path and maps it to a four-point law whose first five moments
+  are the normal's; the last four steps into a checkpoint draw normals.
 
 Both start from the family's closed-form density at t0 > 0, the same initial
 data the cascade uses, so all solvers address one initial-value problem.
@@ -168,9 +170,20 @@ if hasattr(os, "sched_getaffinity"):
     _EM_CHUNKS = len(os.sched_getaffinity(0))
 else:
     _EM_CHUNKS = os.cpu_count() or 1
-# paths per normal-generator block; a chunk is a run of whole blocks, and
-# fewer paths than two blocks run in the calling process alone
+# paths per generator block; a chunk is a run of whole blocks, and fewer
+# paths than two blocks run in the calling process alone
 _EM_BLOCK = 4096
+# the four-point law of an Euler-Maruyama increment: +-a with probability
+# 1/8 each and +-b with 3/8 each, where b^2 = 1 - sqrt(2/3) and
+# a^2 = 4 - 3 b^2, so that moments 1 to 5 are the normal's 0, 1, 0, 3, 0;
+# entry k is the increment of random byte k: 0-31 +a, 32-63 -a, 64-159 +b
+# and 160-255 -b
+_B2 = 1.0 - math.sqrt(2.0 / 3.0)
+_A, _B = math.sqrt(4.0 - 3.0 * _B2), math.sqrt(_B2)
+_FOUR_POINT = np.repeat([_A, -_A, _B, -_B], [32, 32, 96, 96])
+# the last steps into each checkpoint, which draw normals: a segment's sum
+# of increments is then no sum of a few lattice values
+_EM_NORMAL_TAIL = 4
 
 
 def em_simulate(
@@ -191,10 +204,14 @@ def em_simulate(
     evenly so checkpoints are hit exactly.  Block b of m paths (4096, or fewer
     in the last block) draws from
     ``Generator(SFC64(SeedSequence(seed, spawn_key=(b,))))``: first for the
-    initial positions, then once per step, it draws h = ceil(m/2) normals
+    initial positions, then once per step, it draws h = ceil(m/2) values
     into its paths [0, h), and paths [h, m) take the negations of the first
-    m - h of them (w_mc stream v3).  With mean 0 at t0 and a drift odd in x
-    (zero drift, the quadratic family), path h + i is then the bit-exact
+    m - h of them (w_mc stream v4).  The initial positions and the last
+    min(n, 4) of the n steps into each checkpoint draw h standard normals;
+    every other step draws ceil(h/8) words of the bit generator's
+    ``random_raw`` and maps their first h bytes, little-endian, through the
+    four-point table ``_FOUR_POINT``.  With mean 0 at t0 and a drift odd in
+    x (zero drift, the quadratic family), path h + i is then the bit-exact
     mirror -x of path i.
 
     Blocks are independent, so they run in chunks of whole blocks, one per
@@ -245,8 +262,10 @@ def _em_paths(drift, lam, t0, segments, mean0, sd0, gens, positions, z, a):
     ``positions`` receives them at checkpoint j.
 
     Each step fills ``z`` block by block, the first half of a block's paths
-    with drawn normals and the rest with their negations, and scales it by
-    the segment's noise scale; ``a`` is the drift buffer of ``em_step``.
+    with drawn increments and the rest with their negations: four-point
+    values from the segment's scaled table, or, on the last
+    ``_EM_NORMAL_TAIL`` steps of a segment, normals scaled by the segment's
+    noise scale.  ``a`` is the drift buffer of ``em_step``.
     """
     pairs = []  # (generator, drawn half, mirrored half, its source) per block
     for gen, lo in zip(gens, range(0, len(z), _EM_BLOCK)):
@@ -254,20 +273,31 @@ def _em_paths(drift, lam, t0, segments, mean0, sd0, gens, positions, z, a):
         h = (m + 1) // 2
         pairs.append((gen, z[lo : lo + h], z[lo + h : lo + m], z[lo : lo + m - h]))
 
-    def draw():
+    def draw_normals():
         for gen, drawn, mirrored, source in pairs:
             gen.standard_normal(out=drawn)
             np.negative(source, out=mirrored)
 
-    draw()
+    def draw_four_point(table):
+        for gen, drawn, mirrored, source in pairs:
+            words = gen.bit_generator.random_raw(-(-len(drawn) // 8))
+            picks = words.astype("<u8", copy=False).view(np.uint8)[: len(drawn)]
+            np.take(table, picks, out=drawn, mode="clip")
+            np.negative(source, out=mirrored)
+
+    draw_normals()
     x = positions[-1]  # the last checkpoint row doubles as the current positions
     np.multiply(z, sd0, out=x)
     np.add(x, mean0, out=x)
     t_now = t0
     for j, (c, n_steps, h, scale) in enumerate(segments):
-        for _ in range(n_steps):
-            draw()
-            np.multiply(z, scale, out=z)
+        table = _FOUR_POINT * scale
+        for k in range(n_steps):
+            if k < n_steps - _EM_NORMAL_TAIL:
+                draw_four_point(table)
+            else:
+                draw_normals()
+                np.multiply(z, scale, out=z)
             em_step(drift, lam, x, t_now, h, z, a)
             t_now += h
         if n_steps:

@@ -216,7 +216,7 @@ def test_criterion_7_monte_carlo_validation():
         ref = oracle_density(drift, 1.0, lam, MC_GRID.x, 1.0)
         l1 = float(trapezoid(np.abs(hist.values[1] - ref), MC_GRID.dx))
         sample_var = positions[0].var(ddof=1)
-        # path h + i of a block mirrors path i (w_mc stream v3), so the sample
+        # path h + i of a block mirrors path i (w_mc stream v4), so the sample
         # variance averages n/2 independent squares: its SE is over the pairs
         se = var_target * np.sqrt(2.0 / (n // 2 - 1))
         print(f"criterion 7: {name} L1 {l1:.4f} (<= 0.02), variance {sample_var:.5f} "

@@ -24,7 +24,15 @@ from conftest import (
 from fpcascade import forked, kernels, reference
 from fpcascade.analysis import trapezoid
 from fpcascade.errors import SolverError
-from fpcascade.model import NEGATIVITY_FLOOR, DriftSpec, Grid, linear_time_modulated, quadratic_ou, zero_drift
+from fpcascade.model import (
+    NEGATIVITY_FLOOR,
+    DriftSpec,
+    Grid,
+    em_steps,
+    linear_time_modulated,
+    quadratic_ou,
+    zero_drift,
+)
 from fpcascade.oracles import ModulationV, w0_diffusion
 from fpcascade.reference import (
     FD_SUBSTEP_RATIO,
@@ -39,6 +47,10 @@ from fpcascade.transform import potential_exponent
 
 COS = ModulationV("cos", 1.0)
 SEED = 20107
+# the four-point law of the w_mc stream v4: +-A with probability 1/8 each,
+# +-B with 3/8 each, where B^2 = 1 - sqrt(2/3) and A^2 = 4 - 3 B^2
+_B2 = 1.0 - math.sqrt(2.0 / 3.0)
+FOUR_POINT_A, FOUR_POINT_B = math.sqrt(4.0 - 3.0 * _B2), math.sqrt(_B2)
 
 
 def normalized_init(drift, lam, grid, d=1.0):
@@ -437,14 +449,14 @@ class TestEmSimulate:
     def test_wiener_variance_within_3se(self):
         n = 20000
         x = em_simulate(zero_drift(), 1.0, 0.0, 0.01, [1.0], 1e-3, n, SEED)[0]
-        se = 2.0 * np.sqrt(2.0 / (n // 2 - 1))  # over the n/2 mirrored pairs (stream v3)
+        se = 2.0 * np.sqrt(2.0 / (n // 2 - 1))  # over the n/2 mirrored pairs (stream v4)
         assert abs(x.var(ddof=1) - 2.0) <= 3 * se
 
     def test_ou_variance_within_3se(self):
         n = 20000
         x = em_simulate(quadratic_ou(), 1.0, 0.1, 0.01, [1.0], 1e-3, n, SEED)[0]
         target = 1.8126924692201814
-        se = target * np.sqrt(2.0 / (n // 2 - 1))  # over the n/2 mirrored pairs (stream v3)
+        se = target * np.sqrt(2.0 / (n // 2 - 1))  # over the n/2 mirrored pairs (stream v4)
         assert abs(x.var(ddof=1) - target) <= 3 * se
 
     def test_same_seed_bitwise(self):
@@ -458,18 +470,68 @@ class TestEmSimulate:
         b = em_simulate(zero_drift(), 1.0, 0.0, 0.05, [1.0], 2e-3, 500, 8)
         assert not np.array_equal(a, b)
 
-    def test_stream_v3_frozen_values(self):
+    def test_stream_v4_frozen_values(self, monkeypatch):
         # numpy does not promise to keep Generator distribution streams fixed
-        # across releases (NEP 19); these are the first three normals of
-        # block 0 and the first two of block 1 at SEED on numpy 2.4.6.
+        # across releases (NEP 19); these are values at SEED on numpy 2.4.6.
         # sd0 = sqrt(2 * 0.5 * 1) = 1, so the t0 positions are the normals
-        # themselves.  Block 0 draws 2048 and mirrors them into paths
-        # 2048-4095; the 3-path tail block draws two and mirrors the first.
-        x = em_simulate(zero_drift(), 0.5, 0.0, 1.0, [1.0], 0.1, 4099, SEED)[0]
+        # themselves, as in stream v3: the first three of block 0 and the
+        # first two of block 1.  Block 0 draws 2048 and mirrors them into
+        # paths 2048-4095; the 3-path tail block draws two and mirrors the
+        # first.  The noise scale sqrt(2 * 0.5 * 1) is 1 too, so the first of
+        # the five steps to t = 6, a four-point step, adds the law's values
+        # +-a, +-b themselves; the last four add normals.
+        steps = []
+        em_step = reference.em_step
+
+        def recording(drift, lam, x, t, h, dz, a):
+            steps.append(dz.copy())
+            em_step(drift, lam, x, t, h, dz, a)
+
+        monkeypatch.setattr(reference, "em_step", recording)
+        x = em_simulate(zero_drift(), 0.5, 0.0, 1.0, [1.0, 6.0], 1.0, 4099, SEED)
         head = [0.22768900846720733, -0.5469519682795477, -0.87332237899652]
-        assert x[:3].tolist() == head
-        assert x[2048:2051].tolist() == [-v for v in head]
-        assert x[4096:].tolist() == [0.06535214159510895, -1.8258448055918879, -0.06535214159510895]
+        assert x[0, :3].tolist() == head
+        assert x[0, 2048:2051].tolist() == [-v for v in head]
+        assert x[0, 4096:].tolist() == [0.06535214159510895, -1.8258448055918879, -0.06535214159510895]
+        assert len(steps) == 5
+        a, b = FOUR_POINT_A, FOUR_POINT_B
+        assert steps[0][:4].tolist() == [-a, b, -a, -a]
+        assert steps[0][2048:2052].tolist() == [a, -b, a, a]
+        assert steps[0][4096:].tolist() == [b, -b, -b]
+        assert steps[1][:3].tolist() == [0.5670086103603095, -0.4226611516185897, 0.7801910264834023]
+        assert x[1, :3].tolist() == [1.0714431166565825, -0.1392831114722502, -0.20995107945508984]
+
+    def test_four_point_law_matches_the_normal_to_five_moments(self):
+        values, counts = np.unique(reference._FOUR_POINT, return_counts=True)
+        a, b = FOUR_POINT_A, FOUR_POINT_B
+        assert values.tolist() == [-a, -b, b, a]
+        assert (counts / 256).tolist() == [1 / 8, 3 / 8, 3 / 8, 1 / 8]
+        # entries 0-31 +a, 32-63 -a, 64-159 +b, 160-255 -b
+        assert np.array_equal(np.flatnonzero(reference._FOUR_POINT == a), np.arange(32))
+        assert np.array_equal(np.flatnonzero(reference._FOUR_POINT == -b), np.arange(160, 256))
+        moments = [float(np.mean(reference._FOUR_POINT**k)) for k in range(1, 6)]
+        np.testing.assert_allclose(moments, [0.0, 1.0, 0.0, 3.0, 0.0], rtol=0.0, atol=1e-15)
+        assert abs(float(np.mean(reference._FOUR_POINT**6)) - 10.266) < 1e-3  # 15 for the normal
+
+    def test_segments_of_at_most_four_steps_are_stream_v3(self):
+        # 3, 4 and 1 steps into the checkpoints: every step draws normals
+        case = dict(d_coeff=1.0, t0=0.02, checkpoints=[0.05, 0.09, 0.1], dt=0.01, seed=SEED)
+        assert [n for n, _ in em_steps(case["t0"], case["checkpoints"], case["dt"])] == [3, 4, 1]
+        n = 2 * reference._EM_BLOCK + 1
+        positions = em_simulate(quadratic_ou(), lam=0.1, n_paths=n, **case)
+        _assert_same_bits(positions, _em_one_step_at_a_time(quadratic_ou(), lam=0.1, n_paths=n, four_point=False,
+                                                            **case))
+
+    @pytest.mark.parametrize("dt", [0.5, 0.25])
+    def test_few_steps_per_segment_keep_the_normal_law(self, dt):
+        # 2 or 4 steps from t0 0.01 to 1: a sum of so few four-point values
+        # sits on a lattice (histogram L1 about 0.7 and 0.27 on this grid),
+        # the normal tail does not (about 0.02)
+        grid = Grid(-12.0, 12.0, 241, 0.01, 1.0, 2)
+        positions = em_simulate(zero_drift(), 1.0, 0.0, 0.01, [1.0], dt, 100000, SEED)
+        w = density_from_samples(positions, [1], grid)
+        ref = w0_diffusion(grid.x, 1.0, 1.0)
+        assert float(trapezoid(np.abs(w.values[1] - ref / float(trapezoid(ref, grid.dx))), grid.dx)) <= 0.05
 
     @pytest.mark.parametrize(
         "drift,lam", [(zero_drift(), 0.0), (quadratic_ou(), 0.1), (quadratic_ou(), -0.2)], ids=["zero", "ou", "ou-neg"]
@@ -499,24 +561,36 @@ def _drift_allocating(drift, x, t, lam):
     return -(lam * np.broadcast_to(np.asarray(drift.du_dx(x, t), dtype=float), x.shape))
 
 
-def _em_one_step_at_a_time(drift, d_coeff, lam, t0, checkpoints, dt, n_paths, seed):
-    """Reference for em_simulate: all paths together, one normal per path and
-    step; a block of m <= 4096 paths draws ceil(m/2) from its generator and
-    appends the negations of the first m - ceil(m/2) (stream v3)."""
+def _em_one_step_at_a_time(drift, d_coeff, lam, t0, checkpoints, dt, n_paths, seed, four_point=True):
+    """Reference for em_simulate: all paths together, one increment per path
+    and step; a block of m <= 4096 paths draws ceil(m/2) values from its
+    generator and appends the negations of the first m - ceil(m/2) (w_mc
+    stream v4).  The t0 positions and the last min(n, 4) of a segment's n
+    steps draw normals; every other step decodes bytes of raw generator words
+    through the four-point law, unless ``four_point`` is false (stream v3)."""
     widths = [min(4096, n_paths - lo) for lo in range(0, n_paths, 4096)]
     gens = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
             for b in range(len(widths))]
 
-    def block_normals(gen, m):
-        drawn = gen.standard_normal(-(-m // 2))
+    def block_draws(gen, m, lattice):
+        count = -(-m // 2)
+        if lattice:
+            words = gen.bit_generator.random_raw(-(-count // 8))
+            # byte k of a word is bits 8k to 8k + 7: little-endian on any host
+            picks = (words[:, None] >> (np.arange(8, dtype=np.uint64) * np.uint64(8)) & np.uint64(255)).ravel()
+            picks = picks[:count]
+            drawn = np.select([picks < 32, picks < 64, picks < 160],
+                              [FOUR_POINT_A, -FOUR_POINT_A, FOUR_POINT_B], -FOUR_POINT_B)
+        else:
+            drawn = gen.standard_normal(count)
         return np.concatenate([drawn, -drawn[: m // 2]])
 
-    def normals():
-        return np.concatenate([block_normals(gen, w) for gen, w in zip(gens, widths)])
+    def draws(lattice=False):
+        return np.concatenate([block_draws(gen, w, lattice) for gen, w in zip(gens, widths)])
 
     mean0, time0 = oracle_law(drift, lam, t0)
     var0 = 2.0 * d_coeff * time0
-    xpos = mean0 + np.sqrt(var0) * normals()
+    xpos = mean0 + np.sqrt(var0) * draws()
     noise_scale = np.sqrt(2.0 * d_coeff)
     out = []
     t_now = t0
@@ -526,8 +600,8 @@ def _em_one_step_at_a_time(drift, d_coeff, lam, t0, checkpoints, dt, n_paths, se
             n_steps = max(int(np.ceil(span / dt - 1e-12)), 1)
             h = span / n_steps
             sqrt_h = np.sqrt(h)
-            for _ in range(n_steps):
-                z = normals()
+            for k in range(n_steps):
+                z = draws(four_point and k + 4 < n_steps)
                 xpos = xpos + _drift_allocating(drift, xpos, t_now, lam) * h + noise_scale * sqrt_h * z
                 t_now += h
             t_now = c
