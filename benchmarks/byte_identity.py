@@ -38,8 +38,8 @@ FAST_T = [round(0.1 + 0.05 * k, 10) for k in range(29)]
 # modulations, orders 0, 3 and 8, lam = 0, negative and 1e-17 (where the
 # quadratic family's 1 - exp(-2 lam t) cancels to 0), three long cascade
 # marches (99, 66 and 64 steps, at orders 8, 3 and 3), density.csv's checkpoint
-# slices (which the run formats itself, splicing in the writer process's part
-# file around them) on the first slice, on two adjacent slices, on the last slice only, on
+# slices (the first of them ends the slices the run formats while its chunk
+# processes sample) on the first slice, on two adjacent slices, on the last slice only, on
 # every slice, off the nodes and on one node twice (0.51 and 0.52 both snap
 # to t = 0.5), a Monte Carlo run of three whole blocks and a one-path tail
 # (12289 paths; on two or more CPUs a forked chunk process samples the odd

@@ -72,6 +72,9 @@ MUTANTS = (
      "(np.arange(grid.nx + 1) - 0.5) * grid.dx", "(np.arange(grid.nx + 1) - 0.45) * grid.dx", KILLED),
     ("histogram-edges-0.25dx", "src/fpcascade/reference.py",
      "(np.arange(grid.nx + 1) - 0.5) * grid.dx", "(np.arange(grid.nx + 1) - 0.25) * grid.dx", KILLED),
+    # the first checkpoint slice is formatted before w_mc exists, and again after
+    ("csv-first-checkpoint-before-w-mc", "src/fpcascade/cli.py",
+     "map(rows, range(first))", "map(rows, range(first + 1))", KILLED),
 )
 
 # what the copy leaves out: version control, caches and run outputs

@@ -20,9 +20,9 @@ them only once both are complete, so a run that dies mid-write leaves the
 previous pair in place.  The output directory is created before any solver
 runs; when it cannot be, the run is rejected as a config error.
 
-On Linux a forked writer process formats the ``density.csv`` slices that hold
-no ``w_mc`` into a part file while this process samples ``w_mc``; the
-checkpoint slices are formatted here and spliced in (``_SliceWriter``).
+On Linux the Monte Carlo sampler runs in forked chunk processes, and this
+process formats the ``density.csv`` slices before the first checkpoint, which
+hold no ``w_mc``, while they sample (``_write_outputs``).
 
 Exit codes: 0 success, 2 config rejection, 3 solver abort, 4 invariant
 violation at emission.
@@ -32,14 +32,13 @@ import argparse
 import json
 import os
 import sys
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, replace
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from . import forked
 from .analysis import METRICS, field_distance, slice_mass, slice_moments, trapezoid
 from .errors import ConfigError, InvariantViolation, SolverError
 from .hierarchy import analytic_expansion, assemble_density, solve_expansion
@@ -206,79 +205,22 @@ def _slice_formatter(fields: dict, grid):
     return rows
 
 
-def _write_outputs(fields: dict, summary: dict, cfg: ValidatedConfig, part=None):
+def _write_outputs(fields: dict, cfg: ValidatedConfig, finish):
     """Replace density.csv and summary.json in the output directory.
 
-    Without ``part`` every density.csv slice is formatted here.  With a
-    ``_SliceWriter`` only its ``slices`` are, and the rest is copied from the
-    part file its writer process made."""
+    ``finish(meanwhile)`` adds w_mc to ``fields`` and returns the summary.
+    It calls ``meanwhile()`` once, while it samples w_mc, and that formats
+    the density.csv slices before the first checkpoint, which hold no w_mc;
+    the others are formatted once ``finish`` returns."""
     out_dir = Path(cfg.raw.out_dir)
     rows = _slice_formatter(fields, cfg.grid)
-    payload = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    first = int(cfg.slices[0])
     with _replacing(out_dir / "density.csv", out_dir / "summary.json") as (density, summary_file):
         density.write(("x,t," + ",".join(_COLUMNS) + "\n").encode("ascii"))
-        if part is None:
-            for j in range(cfg.grid.nt):
-                density.write(rows(j))
-        else:
-            part.splice(density, rows)
-        summary_file.write(payload.encode("ascii"))
+        summary = finish(lambda: density.writelines(map(rows, range(first))))
+        density.writelines(map(rows, range(first, cfg.grid.nt)))
+        summary_file.write((json.dumps(summary, indent=2, sort_keys=True) + "\n").encode("ascii"))
     return out_dir
-
-
-class _SliceWriter(forked.Child):
-    """A forked process that formats density.csv while this one samples w_mc.
-
-    The child formats every slice but ``slices`` (the checkpoint slices, the
-    only ones where w_mc can be populated) into ``.density.csv.<pid>.part``
-    in the output directory, with the w_mc cells empty, and reports the byte
-    offset of the part at which each of ``slices`` goes, then the part's
-    length (``forked.Child`` carries the report or the child's error).
-
-    A process, not a thread, because %-formatting holds the interpreter lock.
-    It is forked before the Monte Carlo sampler forks its chunk processes, so
-    they and it run at once.  Leaving the ``with`` block reaps the child
-    (killing it first if it was not reaped already) and removes the part.
-    """
-
-    def __init__(self, fields: dict, cfg: ValidatedConfig):
-        self.slices = cfg.slices.tolist()
-        self.path = Path(cfg.raw.out_dir) / f".density.csv.{os.getpid()}.part"
-        super().__init__("density.csv writer process", self._format_part, fields, cfg.grid)
-
-    def _format_part(self, fields, grid):
-        rows = _slice_formatter(fields, grid)
-        own, offsets = set(self.slices), []
-        with open(self.path, "wb") as part:
-            for j in range(grid.nt):
-                if j in own:
-                    offsets.append(part.tell())
-                else:
-                    part.write(rows(j))
-            offsets.append(part.tell())
-        return " ".join(map(str, offsets))
-
-    def __exit__(self, *exc_info):
-        super().__exit__(*exc_info)
-        self.path.unlink(missing_ok=True)
-
-    def splice(self, out, rows):
-        """Write the part to the binary file ``out`` with ``rows(j)`` for
-        each of ``slices`` at its offset.  The part is copied in the kernel,
-        so it never passes through this process's memory."""
-        offsets = [int(offset) for offset in self.result().split()]
-        with open(self.path, "rb") as part:
-            start = 0
-            # offsets: where each of the slices goes, then the part's length
-            for j, end in zip([*self.slices, None], offsets):
-                out.flush()
-                while start < end:
-                    sent = os.sendfile(out.fileno(), part.fileno(), start, end - start)
-                    if not sent:
-                        raise OSError(f"{self.path} ends at byte {start}, before byte {end}")
-                    start += sent
-                if j is not None:
-                    out.write(rows(j))
 
 
 def _run(args) -> int:
@@ -289,16 +231,15 @@ def _run(args) -> int:
         raise ConfigError(f"cannot create output directory {cfg.raw.out_dir!r}: {exc}") from exc
     fields = _run_solvers(cfg)
     raw = cfg.raw
-    with _SliceWriter(fields, cfg) if forked.ENABLED else nullcontext() as part:
+
+    def finish(meanwhile):
         positions = em_simulate(cfg.drift, raw.d_coeff, raw.lam, cfg.grid.t0, cfg.grid.t[cfg.slices],
-                                raw.mc_dt, raw.n_paths, raw.seed)
+                                raw.mc_dt, raw.n_paths, raw.seed, meanwhile=meanwhile)
         fields["w_mc"] = density_from_samples(positions, cfg.slices, cfg.grid)
-        # free the paths before the checks: held through them, they raised the
-        # default run's peak RSS by 1.6 MB (glibc then maps the checks' temporaries anew)
-        del positions
         _check_emission(fields)
-        summary = _summarize(fields, cfg)
-        out_dir = _write_outputs(fields, summary, cfg, part)
+        return _summarize(fields, cfg)
+
+    out_dir = _write_outputs(fields, cfg, finish)
     print(f"wrote {out_dir / 'density.csv'} and {out_dir / 'summary.json'}")
     return EXIT_OK
 

@@ -1,23 +1,23 @@
-"""Calls run in forked child processes: the density.csv writer
-(``cli._SliceWriter``) and the Monte Carlo path chunks (``run_split``).
-Nothing forks unless ``ENABLED``."""
+"""The Monte Carlo path chunks (``run_split``) run in forked child processes
+while the calling process formats ``density.csv``.  Nothing forks unless
+``ENABLED``."""
 
 import os
 import sys
 from contextlib import ExitStack
 
-# the writer needs os.fork and an os.sendfile that writes to a regular file;
-# Linux has both (macOS and the BSDs send only to sockets)
+# a fork without exec is unsafe on macOS (its system frameworks may abort in
+# the child) and Windows has no os.fork
 ENABLED = sys.platform == "linux"
 
 
 class Child:
-    """``work(*args)``, which returns a str or None, in a forked process.
+    """``work(*args)`` in a forked process.
 
     The child runs it inside ``try/finally: os._exit``, so it never returns
-    into the caller, and reports the string, or its error, over a pipe.
-    ``result()`` returns the string, or raises OSError with the child's
-    message or the signal that killed it.  Leaving the ``with`` block before
+    into the caller, and reports its error, if it raises one, over a pipe.
+    ``result()`` returns None, or raises OSError with the child's message or
+    the signal that killed it.  Leaving the ``with`` block before
     ``result()`` kills the child; either way it is reaped.
     """
 
@@ -36,10 +36,10 @@ class Child:
                 os.close(read_end)
                 with open(write_end, "wb") as pipe:
                     try:
-                        message, code = work(*args) or "", 0
+                        work(*args)
+                        code = 0
                     except BaseException as exc:
-                        message = f"{type(exc).__name__}: {exc}"
-                    pipe.write(message.encode())
+                        pipe.write(f"{type(exc).__name__}: {exc}".encode())
             finally:
                 os._exit(code)
         os.close(write_end)
@@ -57,7 +57,7 @@ class Child:
         if self._report is not None:
             os.close(self._report)
 
-    def result(self) -> str:
+    def result(self):
         with open(self._report, "rb") as pipe:
             self._report = None
             message = pipe.read().decode()
@@ -67,18 +67,22 @@ class Child:
             if os.WIFSIGNALED(status):
                 message = f"killed by signal {os.WTERMSIG(status)}"
             raise OSError(f"{self.name} failed: {message}")
-        return message
 
 
-def run_split(name, work, jobs):
-    """``work(*job)`` for each of ``jobs``: the first in this process while
-    the others run in forked children, or all here in turn unless ENABLED."""
+def run_split(name, work, jobs, meanwhile=None):
+    """``work(*job)`` for each of ``jobs``, each in a forked child, while
+    ``meanwhile()`` (if given) runs in this process, which then waits for the
+    children; an error here kills them all.  Unless ENABLED, the jobs run
+    here in turn, and then ``meanwhile()``."""
     if not ENABLED:
         for job in jobs:
             work(*job)
+        if meanwhile is not None:
+            meanwhile()
         return
     with ExitStack() as children:
-        started = [children.enter_context(Child(name, work, *job)) for job in jobs[1:]]
-        work(*jobs[0])
+        started = [children.enter_context(Child(name, work, *job)) for job in jobs]
+        if meanwhile is not None:
+            meanwhile()
         for child in started:
             child.result()

@@ -195,6 +195,7 @@ def em_simulate(
     dt: float,
     n_paths: int,
     seed: int,
+    meanwhile=None,
 ) -> np.ndarray:
     """Euler-Maruyama paths from the closed-form density at t0, returned as
     positions of shape (len(checkpoints), n_paths): row k holds every path
@@ -215,10 +216,10 @@ def em_simulate(
     mirror -x of path i.
 
     Blocks are independent, so they run in chunks of whole blocks, one per
-    usable CPU: the first in this process and the others in forked children
-    (``forked.run_split``) that write their paths into ``positions`` on a
-    shared anonymous mapping.  The result does not depend on the number of
-    chunks, nor on whether they fork.
+    usable CPU, each in a forked child (``forked.run_split``) that writes its
+    paths into ``positions`` on a shared anonymous mapping, while this
+    process runs ``meanwhile()`` if it is given.  The result does not depend
+    on the number of chunks, nor on whether they fork.
     """
     if not t0 > 0:
         raise ValueError("t0 must be > 0")
@@ -253,7 +254,7 @@ def em_simulate(
         gens = [Generator(SFC64(SeedSequence(seed, spawn_key=(b,)))) for b in blocks]
         _em_paths(drift, lam, t0, segments, mean0, sd0, gens, positions[:, lo:hi], *np.empty((2, hi - lo)))
 
-    forked.run_split("Monte Carlo chunk process", run_chunk, list(zip(bounds, bounds[1:])))
+    forked.run_split("Monte Carlo chunk process", run_chunk, list(zip(bounds, bounds[1:])), meanwhile)
     return positions
 
 

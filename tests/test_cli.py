@@ -431,8 +431,9 @@ class TestFailures:
                 return FullDisk(file) if Path(path).name.startswith(".summary.json.") else file
 
             monkeypatch.setattr(cli, "open", open_summary_on_full_disk, raising=False)
+        w_mc = fields.pop("w_mc")
         with pytest.raises(type(error)):
-            cli._write_outputs(fields, {}, cfg)
+            cli._write_outputs(fields, cfg, _finish_like_a_run(fields, w_mc, {}))
         assert seen_tmp, "the writer should stream into a temporary file"
         _assert_outputs_are(tmp_path, earlier)
 
@@ -447,103 +448,139 @@ def _write_earlier_outputs(out_dir):
 
 
 def _assert_outputs_are(out_dir, outputs):
-    """``out_dir`` holds exactly ``outputs`` (name -> bytes): no part or
-    temporary file beside them."""
+    """``out_dir`` holds exactly ``outputs`` (name -> bytes): no temporary
+    file beside them."""
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(outputs)
     for name, data in outputs.items():
         assert (out_dir / name).read_bytes() == data
 
 
-forked_writer = pytest.mark.skipif(not fpcascade.forked.ENABLED, reason="the forked writer runs on Linux only")
+def _finish_like_a_run(fields, w_mc, summary):
+    """A ``finish`` for ``cli._write_outputs`` that calls ``meanwhile`` as a
+    run does: through ``forked.run_split``, beside a forked chunk process
+    (after it, with the gate off) and before ``fields`` holds w_mc.  Then it
+    adds ``w_mc`` and returns ``summary``."""
+
+    def finish(meanwhile):
+        fpcascade.forked.run_split("Monte Carlo chunk process", lambda: None, [()], meanwhile)
+        fields["w_mc"] = w_mc
+        return summary
+
+    return finish
+
+
+forked_chunks = pytest.mark.skipif(not fpcascade.forked.ENABLED, reason="the chunk processes fork on Linux only")
 
 
 def _raise_disk_full():
     raise OSError(errno.ENOSPC, "No space left on device")
 
 
-@forked_writer
-class TestWriterProcess:
-    def test_run_forks_one_writer_and_matches_in_process_run(self, tmp_path, monkeypatch):
-        forks = counted_forks(monkeypatch)
-        outputs = {}
-        for forked in (True, False):
-            monkeypatch.setattr(fpcascade.forked, "ENABLED", forked)
-            out = tmp_path / f"forked-{forked}"
-            assert run_example1(out) == EXIT_OK
-            assert len(forks) == 1
-            outputs[forked] = {name: (out / name).read_bytes() for name in ("density.csv", "summary.json")}
-            _assert_outputs_are(out, outputs[forked])
-        assert outputs[True] == outputs[False]
-        assert_no_child_process()
+# three blocks and a 1-path tail: three chunks, whatever the CPU count, once
+# reference._EM_CHUNKS is 3
+THREE_CHUNKS = ["--paths", str(3 * reference._EM_BLOCK + 1)]
 
-    def test_run_forks_writer_and_chunk_processes_and_matches_gate_off(self, tmp_path, monkeypatch):
-        # three blocks and a 1-path tail in three chunks: one writer and two
-        # chunk processes fork, whatever the CPU count
+
+@forked_chunks
+class TestFormatWhileSampling:
+    """A run formats the density.csv slices before the first checkpoint
+    while its Monte Carlo chunk processes sample."""
+
+    @pytest.fixture(autouse=True)
+    def three_chunks(self, monkeypatch):
         monkeypatch.setattr(reference, "_EM_CHUNKS", 3)
+
+    @pytest.mark.parametrize("extra, n_chunks", [([], 1), (THREE_CHUNKS, 3)], ids=["1-chunk", "3-chunks"])
+    def test_run_forks_its_chunks_and_matches_gate_off(self, tmp_path, monkeypatch, extra, n_chunks):
         forks = counted_forks(monkeypatch)
         outputs = {}
-        for enabled, n_forks in ((True, 3), (False, 0)):
+        for enabled, n_forks in ((True, n_chunks), (False, 0)):
             monkeypatch.setattr(fpcascade.forked, "ENABLED", enabled)
             forks.clear()
             out = tmp_path / f"forked-{enabled}"
-            assert run_example1(out, ["--paths", str(3 * reference._EM_BLOCK + 1)]) == EXIT_OK
+            assert run_example1(out, extra) == EXIT_OK
             assert len(forks) == n_forks
             outputs[enabled] = {name: (out / name).read_bytes() for name in ("density.csv", "summary.json")}
             _assert_outputs_are(out, outputs[enabled])
             assert_no_child_process()
         assert outputs[True] == outputs[False]
 
+    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
+                             ids=["disk-full", "interrupt"])
+    def test_error_while_formatting_kills_the_chunk_processes_and_keeps_previous_outputs(
+            self, tmp_path, monkeypatch, error):
+        started = tmp_path / "started"
+        started.mkdir()
+
+        def stall():
+            (started / str(os.getpid())).touch()
+            time.sleep(60)
+
+        slice_formatter = cli._slice_formatter
+
+        def failing_at_slice_3(fields, grid):
+            rows = slice_formatter(fields, grid)
+
+            def rows_or_fail(j):
+                if j != 3:
+                    return rows(j)
+                deadline = time.monotonic() + 30
+                while len(list(started.iterdir())) < 3:  # fail only once every chunk is mid-run
+                    assert time.monotonic() < deadline, "the chunk processes never started"
+                    time.sleep(0.01)
+                raise error
+
+            return rows_or_fail
+
+        in_children(monkeypatch, reference, "_em_paths", stall)
+        monkeypatch.setattr(cli, "_slice_formatter", failing_at_slice_3)
+        out = tmp_path / "out"
+        earlier = _write_earlier_outputs(out)
+        began = time.monotonic()
+        with pytest.raises(type(error)):
+            run_example1(out, THREE_CHUNKS)
+        assert time.monotonic() - began < 30, "the chunk processes were waited for, not killed"
+        _assert_outputs_are(out, earlier)
+        assert_no_child_process()
+
     @pytest.mark.parametrize("stage, error, code", [
         ("em_simulate", SolverError("EM abort"), EXIT_SOLVER),
         ("_check_emission", InvariantViolation("w_mc slice 3 mass 0.9"), EXIT_INVARIANT),
     ], ids=["em-abort", "invariant-violation"])
-    def test_abort_kills_the_writer_and_keeps_previous_outputs(self, tmp_path, monkeypatch, stage, error, code):
-        started = tmp_path / "writer-started"
-
-        def stall():
-            started.touch()
-            time.sleep(60)
-
+    def test_abort_keeps_previous_outputs(self, tmp_path, monkeypatch, stage, error, code):
+        # both abort with density.csv's temporary open and its header written
         def fail(*args, **kwargs):
-            deadline = time.monotonic() + 30
-            while not started.exists():  # fail only once the writer is mid-run
-                assert time.monotonic() < deadline, "the writer process never started"
-                time.sleep(0.01)
             raise error
 
-        in_children(monkeypatch, cli, "_slice_formatter", stall)
         monkeypatch.setattr(cli, stage, fail)
         out = tmp_path / "out"
         earlier = _write_earlier_outputs(out)
-        began = time.monotonic()
         assert run_example1(out) == code
-        assert time.monotonic() - began < 30, "the writer was waited for, not killed"
         _assert_outputs_are(out, earlier)
         assert_no_child_process()
 
     def test_failed_fork_closes_its_pipe_and_keeps_previous_outputs(self, tmp_path, monkeypatch):
-        def fork_fails():
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", fork_fails)
+        forks = counted_forks(monkeypatch, fail_from=1)  # the second chunk process cannot fork
         out = tmp_path / "out"
         earlier = _write_earlier_outputs(out)
         open_fds = sorted(os.listdir("/proc/self/fd"))
         with pytest.raises(BlockingIOError):
-            run_example1(out)
+            run_example1(out, THREE_CHUNKS)
+        assert len(forks) == 2
         assert sorted(os.listdir("/proc/self/fd")) == open_fds
         _assert_outputs_are(out, earlier)
+        assert_no_child_process()
 
     @pytest.mark.parametrize("act, message", [
         (_raise_disk_full, "OSError: [Errno 28] No space left on device"),
         (kill_self, "killed by signal 9"),
     ], ids=["raises", "killed"])
-    def test_failing_writer_fails_the_run_with_its_message(self, tmp_path, monkeypatch, act, message):
-        in_children(monkeypatch, cli, "_slice_formatter", act)
+    def test_failing_chunk_fails_the_run_with_its_message(self, tmp_path, monkeypatch, act, message):
+        in_children(monkeypatch, reference, "_em_paths", act)
         out = tmp_path / "out"
         earlier = _write_earlier_outputs(out)
-        with pytest.raises(OSError, match="density.csv writer process failed: " + re.escape(message)):
-            run_example1(out)
+        with pytest.raises(OSError, match="Monte Carlo chunk process failed: " + re.escape(message)):
+            run_example1(out, THREE_CHUNKS)
         _assert_outputs_are(out, earlier)
         assert_no_child_process()
 
@@ -701,29 +738,28 @@ def _per_value_writer(fields, summary, cfg):
     return density, (payload + "\n").encode("ascii")
 
 
-# (checkpoints, forked): the forked writer formats the slices off the
-# checkpoints, so its cases put them first, adjacent, last and everywhere (an
-# empty part file); the grid's t nodes are 0.1, 0.2, ..., 0.5
+# (checkpoints, forked): the slices before the first checkpoint are formatted
+# while a chunk process runs (forked) or after it (the gate off), and the rest
+# once w_mc exists, so the cases put the first checkpoint on the first slice
+# (nothing to format before it), later, on adjacent slices and on every
+# slice; the grid's t nodes are 0.1, 0.2, ..., 0.5
 @pytest.mark.parametrize("checkpoints, forked", [
     ((0.5,), False),
     ((0.1, 0.3, 0.5), False),
-    pytest.param((0.5,), True, marks=forked_writer),
-    pytest.param((0.1, 0.3, 0.5), True, marks=forked_writer),
-    pytest.param((0.1,), True, marks=forked_writer),
-    pytest.param((0.2, 0.3), True, marks=forked_writer),
-    pytest.param((0.1, 0.2, 0.3, 0.4, 0.5), True, marks=forked_writer),
+    pytest.param((0.5,), True, marks=forked_chunks),
+    pytest.param((0.1, 0.3, 0.5), True, marks=forked_chunks),
+    pytest.param((0.1,), True, marks=forked_chunks),
+    pytest.param((0.2, 0.3), True, marks=forked_chunks),
+    pytest.param((0.1, 0.2, 0.3, 0.4, 0.5), True, marks=forked_chunks),
 ], ids=["one", "three", "forked-last", "forked-three", "forked-first", "forked-adjacent", "forked-every"])
-def test_writer_matches_per_value_oracle(tmp_path, checkpoints, forked):
+def test_writer_matches_per_value_oracle(tmp_path, monkeypatch, checkpoints, forked):
     cfg, fields = _writer_case(tmp_path, checkpoints)
     summary = {"config": cli._config_dict(cfg), "edges": list(_EDGE_VALUES)}
     density, summary_bytes = _per_value_writer(fields, summary, cfg)
-    if forked:
-        before_mc = {name: field for name, field in fields.items() if name != "w_mc"}
-        with cli._SliceWriter(before_mc, cfg) as part:
-            assert cli._write_outputs(fields, summary, cfg, part) == tmp_path
-        assert_no_child_process()
-    else:
-        assert cli._write_outputs(fields, summary, cfg) == tmp_path
+    monkeypatch.setattr(fpcascade.forked, "ENABLED", forked)
+    w_mc = fields.pop("w_mc")
+    assert cli._write_outputs(fields, cfg, _finish_like_a_run(fields, w_mc, summary)) == tmp_path
+    assert_no_child_process()
     _assert_outputs_are(tmp_path, {"density.csv": density, "summary.json": summary_bytes})
     # the edge values and the unpopulated w_fd slice really reach the file
     rows = [line.split(",") for line in density.decode("ascii").split("\n")[1:-1]]

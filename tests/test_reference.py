@@ -488,6 +488,7 @@ class TestEmSimulate:
             em_step(drift, lam, x, t, h, dz, a)
 
         monkeypatch.setattr(reference, "em_step", recording)
+        monkeypatch.setattr(forked, "ENABLED", False)  # so that the steps run in this process
         x = em_simulate(zero_drift(), 0.5, 0.0, 1.0, [1.0, 6.0], 1.0, 4099, SEED)
         head = [0.22768900846720733, -0.5469519682795477, -0.87332237899652]
         assert x[0, :3].tolist() == head
@@ -638,9 +639,9 @@ class TestEmChunking:
         chunks = []  # [lo, hi) paths of each chunk, as handed to the chunk runner
         run_split = forked.run_split
 
-        def recording(name, work, jobs):
+        def recording(name, work, jobs, meanwhile=None):
             chunks.extend(jobs)
-            return run_split(name, work, jobs)
+            return run_split(name, work, jobs, meanwhile)
 
         monkeypatch.setattr(forked, "run_split", recording)
         results = []
@@ -660,7 +661,7 @@ def _raise_in_chunk():
     raise RuntimeError("chunk 1 gave up")
 
 
-# three chunks (the last an odd 1-path block), so two chunk processes
+# three chunks (the last an odd 1-path block), so three chunk processes
 THREE_CHUNKS = dict(drift=quadratic_ou(), lam=0.1, n_paths=3 * 4096 + 1, **EM_CASE)
 
 
@@ -670,14 +671,14 @@ class TestEmChunkProcesses:
     def three_chunks(self, monkeypatch):
         monkeypatch.setattr(reference, "_EM_CHUNKS", 3)
 
-    def test_forks_all_but_one_chunk_and_matches_gate_off(self, monkeypatch):
+    def test_forks_every_chunk_and_matches_gate_off(self, monkeypatch):
         forks = counted_forks(monkeypatch)
         forked_run = em_simulate(**THREE_CHUNKS)
-        assert len(forks) == 2
+        assert len(forks) == 3
         assert_no_child_process()
         monkeypatch.setattr(forked, "ENABLED", False)
         _assert_same_bits(em_simulate(**THREE_CHUNKS), forked_run)
-        assert len(forks) == 2
+        assert len(forks) == 3
 
     @pytest.mark.parametrize("act, message", [
         (_raise_in_chunk, "RuntimeError: chunk 1 gave up"),
@@ -689,23 +690,22 @@ class TestEmChunkProcesses:
             em_simulate(**THREE_CHUNKS)
         assert_no_child_process()
 
-    def test_error_in_own_chunk_kills_every_child(self, tmp_path, monkeypatch):
-        parent = os.getpid()
+    def test_error_in_meanwhile_kills_every_child(self, tmp_path, monkeypatch):
+        def stall():
+            (tmp_path / str(os.getpid())).touch()
+            time.sleep(60)
 
-        def stall_in_children_fail_here(*args):
-            if os.getpid() != parent:
-                (tmp_path / str(os.getpid())).touch()
-                time.sleep(60)
+        def fail_once_every_chunk_stalls():
             deadline = time.monotonic() + 30
-            while len(list(tmp_path.iterdir())) < 2:  # fail only once both children are mid-run
+            while len(list(tmp_path.iterdir())) < 3:
                 assert time.monotonic() < deadline, "the chunk processes never started"
                 time.sleep(0.01)
-            raise SolverError("own chunk abort")
+            raise SolverError("meanwhile abort")
 
-        monkeypatch.setattr(reference, "_em_paths", stall_in_children_fail_here)
+        in_children(monkeypatch, reference, "_em_paths", stall)
         began = time.monotonic()
-        with pytest.raises(SolverError, match="own chunk abort"):
-            em_simulate(**THREE_CHUNKS)
+        with pytest.raises(SolverError, match="meanwhile abort"):
+            em_simulate(**THREE_CHUNKS, meanwhile=fail_once_every_chunk_stalls)
         assert time.monotonic() - began < 30, "the chunk processes were waited for, not killed"
         assert_no_child_process()
 
